@@ -44,6 +44,7 @@ from .engine import (
     local_value,
     one_sided_limits,
     solve_mixing,
+    solve_mixing_many,
     solve_utility,
     solve_utility_many,
     utility_fixed_point,
@@ -80,7 +81,7 @@ from .separation import (
     separate,
     verify_separation,
 )
-from .simplex import Lottery, Polytope, Segment, degenerate, grid, lottery, mix
+from .simplex import Lottery, Polytope, degenerate, grid, lottery, mix
 from .triangle import (
     LevelCurve,
     collinearity_residual,
@@ -116,7 +117,6 @@ __all__ = [
     "Polytope",
     "PreferenceModel",
     "RepresentationContext",
-    "Segment",
     "SeparationCheck",
     "ValueModel",
     "WeightedUtility",
@@ -152,6 +152,7 @@ __all__ = [
     "run_all_checks",
     "separate",
     "solve_mixing",
+    "solve_mixing_many",
     "solve_utility",
     "solve_utility_many",
     "trace_level_curves",

@@ -11,8 +11,8 @@ Two tolerance layers keep the verdicts honest for value-backed models: a
 violation is flagged only when it persists both under the model's own
 indifference band and under a band twice as wide.  Borderline numeric
 ties therefore pass, while planted violations (see
-:mod:`betweenu.fixtures`) remain robustly flagged.  Comparison-only
-oracles have no widened band; their raw orderings decide.
+:mod:`betweenu.fixtures`) remain robustly flagged.  A comparison-only
+oracle's gaps are infinite or zero, so no band changes its orderings.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .models import Ordering, PreferenceModel, ValueModel
+from .models import Ordering, PreferenceModel
 from .simplex import Lottery, degenerate, mix
 
 
@@ -90,10 +90,15 @@ def _finish(axiom, witnesses, samples_checked, seed=None, note="") -> AxiomRepor
 
 
 def _banded(model: PreferenceModel, x: Lottery, y: Lottery) -> Ordering:
-    """Ordering under the widened tie band (oracles have only compare)."""
-    if isinstance(model, ValueModel):
-        return model.ordering(x, y, band=2.0 * model.eps_pref)
-    return model.compare(x, y)
+    """Ordering under the widened tie band of ``2 * eps_pref``.
+
+    An oracle's gap is infinite or zero, so its verdict is ``compare``'s.
+    """
+    keys = model.keys(np.asarray([x.probs, y.probs]))
+    gap = model.gaps(keys[:1], keys[1:])[0]
+    if abs(gap) <= 2.0 * model.eps_pref:
+        return Ordering.INDIFFERENT
+    return Ordering.STRICTLY_PREFERS if gap > 0.0 else Ordering.STRICTLY_DISPREFERRED
 
 
 def _consistent_patterns() -> frozenset:
@@ -346,9 +351,12 @@ def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> Axio
     each simplex vertex, comparing every step against each reference
     sample ``y``.  If the comparisons settle on one strict ordering along
     the tail of the sequence but the limit point compares strictly the
-    other way, a discontinuity has been observed.  The axiom is
-    topological, so a passing report means only "consistent at tested
-    resolution".
+    other way, a discontinuity may have been observed.  It is recorded
+    only if a far finer approach toward the same anchor still settles
+    on that side: a continuous preference whose value gap to ``y`` is
+    smaller than the last coarse step is then back on the limit's side.
+    The axiom is topological, so a passing report means only
+    "consistent at tested resolution".
     """
     samples = list(samples)
     if not samples:
@@ -359,6 +367,7 @@ def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> Axio
     n = model.n_outcomes
     anchors = [degenerate(i, n) for i in range(n)]
     lams = [0.5**k for k in range(1, n_steps + 1)]
+    fine_lams = [0.5**k for k in range(37, 41)]
     witnesses = []
     checked = 0
     for x in samples:
@@ -378,6 +387,8 @@ def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> Axio
                 if _banded(model, x, y) is not settled.converse:
                     continue
                 if _banded(model, approach[-1], y) is not settled:
+                    continue
+                if any(model.compare(mix(lam, z, x), y) is not settled for lam in fine_lams):
                     continue
                 witnesses.append(
                     Witness(

@@ -20,10 +20,15 @@ Everything is driven by pairwise comparisons:
 4. At the endpoint levels, ``u(x, 0)`` and ``u(x, 1)`` are indicators of
    the indifference classes of the worst and best extremes.
 
-For value-backed models every operation routes through one vectorized
-code path; scalar calls are one-row batches, so scalar and batched
-results are bitwise identical and independent of batch composition.
-Comparison-only oracles run a scalar bisection over the same brackets.
+Every solver is written once, over arrays of lottery rows and the
+model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
+and ``gaps``): brackets steer on the sign of a gap, a zero gap stops a
+row at its midpoint, and the ``eps_pref`` band grants only the endpoint
+and on-chord shortcuts.  Value models therefore steer on raw value
+signs, while oracles, whose gaps are infinite or zero, stop at an
+indifferent midpoint.  Scalar calls are one-row batches, so scalar and
+batched results are bitwise identical and independent of batch
+composition, for oracles as for value models.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .errors import (
     NoCrossing,
     NonMonotoneChord,
 )
-from .models import Ordering, PreferenceModel, ValueModel
-from .simplex import Lottery, degenerate, mix
+from .models import Ordering, PreferenceModel
+from .simplex import Lottery, degenerate, lottery_rows, mix
 
 DEFAULT_TOL_T = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -51,6 +56,9 @@ DEFAULT_MAX_ITER = 200
 #: at interior levels the opposite extreme lies strictly across the chord
 #: point, which bounds the true crossing weight away from zero.
 MU_FLOOR = 1e-12
+
+#: Rows of a context's ``_ends`` (and ``_end_keys``): the best extreme, then the worst.
+_BEST, _WORST = 0, 1
 
 
 class Branch(Enum):
@@ -106,8 +114,9 @@ class RepresentationContext:
 
     ``best`` must be strictly preferred to ``worst``, and every lottery
     the context is applied to must lie weakly between them.  Instances
-    are immutable; the internal chord cache is value-deterministic, so a
-    context can be shared across threads without changing any result.
+    are immutable and keep no cache: besides the fields they hold only
+    the extremes as rows and their comparison keys, so a context can be
+    shared across threads without changing any result.
     """
 
     model: PreferenceModel
@@ -128,15 +137,9 @@ class RepresentationContext:
             raise DegeneratePreference(
                 "the designated best element is not strictly preferred to the worst"
             )
-        object.__setattr__(self, "_best_row", self.best.as_array())
-        object.__setattr__(self, "_worst_row", self.worst.as_array())
-        object.__setattr__(self, "_chord_cache", {0.0: self.worst, 1.0: self.best})
-        if isinstance(self.model, ValueModel):
-            object.__setattr__(self, "_value_best", self.model.value(self.best))
-            object.__setattr__(self, "_value_worst", self.model.value(self.worst))
-        else:
-            object.__setattr__(self, "_value_best", None)
-            object.__setattr__(self, "_value_worst", None)
+        ends = np.asarray([self.best.probs, self.worst.probs], dtype=float)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_end_keys", self.model.keys(ends))
 
 
 def find_extremes(model: PreferenceModel, n: int | None = None) -> tuple[Lottery, Lottery]:
@@ -178,38 +181,61 @@ def chord_point(ctx: RepresentationContext, t: float) -> Lottery:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"chord level must lie in [0, 1], got {t!r}")
-    cached = ctx._chord_cache.get(t)
-    if cached is None:
-        cached = mix(t, ctx.best, ctx.worst)
-        ctx._chord_cache[t] = cached
-    return cached
+    return mix(t, ctx.best, ctx.worst)
 
 
 def _chord_rows(ctx: RepresentationContext, ts: np.ndarray) -> np.ndarray:
-    return np.asarray([chord_point(ctx, float(t)).probs for t in ts], dtype=float)
-
-
-def _check_point(ctx: RepresentationContext, x: Lottery) -> None:
-    if x.n_outcomes != ctx.model.n_outcomes:
-        raise ValueError(
-            f"lottery has {x.n_outcomes} outcomes, context expects {ctx.model.n_outcomes}"
-        )
+    # The same arithmetic as mix(), so each row equals chord_point's probs.
+    return ts[:, None] * ctx._ends[_BEST] + (1.0 - ts)[:, None] * ctx._ends[_WORST]
 
 
 def _as_rows(ctx: RepresentationContext, xs) -> np.ndarray:
-    if isinstance(xs, np.ndarray):
-        rows = np.asarray(xs, dtype=float)
-    else:
-        rows = np.asarray([x.probs for x in xs], dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != ctx.model.n_outcomes:
-        raise ValueError(f"expected (k, {ctx.model.n_outcomes}) lottery rows, got {rows.shape}")
-    return rows
+    if not isinstance(xs, np.ndarray):
+        xs = [x.probs for x in xs]
+    return lottery_rows(xs, ctx.model.n_outcomes)
 
 
-def _as_lotteries(ctx: RepresentationContext, xs) -> list[Lottery]:
-    if isinstance(xs, np.ndarray):
-        return [Lottery(tuple(float(p) for p in row)) for row in xs]
-    return list(xs)
+def _as_levels(rows: np.ndarray, ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim == 0:
+        ts = np.full(len(rows), float(ts))
+    if ts.shape != (len(rows),):
+        raise ValueError(f"expected {len(rows)} levels, got shape {ts.shape}")
+    return ts
+
+
+def _bisect(ctx: RepresentationContext, gap_at, per_row: tuple, what: str) -> np.ndarray:
+    """One bisection per row on [0, 1], down to the context tolerance.
+
+    ``per_row`` holds arrays with one entry per row, and ``gap_at(s,
+    *per_row)`` gives the rows' gaps at parameters ``s``.  A positive gap
+    raises the row's lower end, any other its upper end, and a zero gap
+    stops the row at ``s``.  Finished rows leave every array, so each
+    step evaluates only the rows still running.
+    """
+    k = len(per_row[0])
+    out = np.empty(k)
+    sel = np.arange(k)
+    lo = np.zeros(k)
+    hi = np.ones(k)
+    for _ in range(ctx.max_iter):
+        if not sel.size:
+            break
+        mid = 0.5 * (lo + hi)
+        g = gap_at(mid, *per_row)
+        lo = np.where(g >= 0.0, mid, lo)
+        hi = np.where(g > 0.0, hi, mid)
+        done = hi - lo <= ctx.tol_t
+        if done.any():
+            out[sel[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            sel, lo, hi = sel[keep], lo[keep], hi[keep]
+            per_row = tuple(a[keep] for a in per_row)
+    if sel.size:
+        raise IterationLimit(
+            f"{what} bisection missed tol {ctx.tol_t} within {ctx.max_iter} iterations"
+        )
+    return out
 
 
 def solve_utility(ctx: RepresentationContext, x: Lottery) -> float:
@@ -219,93 +245,35 @@ def solve_utility(ctx: RepresentationContext, x: Lottery) -> float:
     in preference.  Endpoint shortcut: within the model's indifference
     band of an extreme, that extreme's level is returned outright.
     """
-    _check_point(ctx, x)
-    if isinstance(ctx.model, ValueModel):
-        return float(_solve_utility_batch(ctx, np.asarray([x.probs], dtype=float))[0])
-    return _solve_utility_compare(ctx, x)
+    return float(solve_utility_many(ctx, [x])[0])
 
 
 def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     """Vectorized :func:`solve_utility` over lottery rows or Lottery lists."""
-    if isinstance(ctx.model, ValueModel):
-        return _solve_utility_batch(ctx, _as_rows(ctx, xs))
-    return np.asarray([solve_utility(ctx, x) for x in _as_lotteries(ctx, xs)])
-
-
-def _solve_utility_batch(ctx: RepresentationContext, rows: np.ndarray) -> np.ndarray:
+    rows = _as_rows(ctx, xs)
     model = ctx.model
-    vx = model.values(rows)
     eps = model.eps_pref
-    above_best = vx - ctx._value_best
-    above_worst = vx - ctx._value_worst
-    bad = np.flatnonzero((above_best > eps) | (above_worst < -eps))
+    kx = model.keys(rows)
+    to_best = model.gaps(kx, ctx._end_keys[[_BEST]])
+    to_worst = model.gaps(kx, ctx._end_keys[[_WORST]])
+    bad = np.flatnonzero((to_best > eps) | (to_worst < -eps))
     if bad.size:
-        i = int(bad[0])
         raise NonMonotoneChord(
-            f"lottery {tuple(rows[i])} falls outside the preference range of the extremes"
+            f"lottery {tuple(rows[bad[0]].tolist())} falls outside the preference "
+            f"range of the extremes"
         )
-    k = len(rows)
-    out = np.empty(k)
-    is_best = np.abs(above_best) <= eps
-    is_worst = (np.abs(above_worst) <= eps) & ~is_best
-    out[is_best] = 1.0
-    out[is_worst] = 0.0
-    active = ~(is_best | is_worst)
-    lo = np.zeros(k)
-    hi = np.ones(k)
-    # Raw value signs drive the bisection; the indifference band is used
-    # only for the endpoint shortcuts above.  Banded midpoint exits would
-    # cap the accuracy at eps_pref, well short of tol_t.
-    for _ in range(ctx.max_iter):
-        run = active & ((hi - lo) > ctx.tol_t)
-        if not run.any():
-            break
-        mid = 0.5 * (lo + hi)
-        vm = model.values(_chord_rows(ctx, mid))
-        d = vx - vm
-        exact = run & (d == 0.0)
-        if exact.any():
-            out[exact] = mid[exact]
-            active &= ~exact
-            run &= ~exact
-        go_up = d > 0.0
-        lo = np.where(run & go_up, mid, lo)
-        hi = np.where(run & ~go_up, mid, hi)
-    if (active & ((hi - lo) > ctx.tol_t)).any():
-        raise IterationLimit(
-            f"level bisection missed tol {ctx.tol_t} within {ctx.max_iter} iterations"
-        )
-    out[active] = 0.5 * (lo[active] + hi[active])
+    is_best = np.abs(to_best) <= eps
+    out = np.where(is_best, 1.0, 0.0)
+    inner = np.flatnonzero(~is_best & ~(np.abs(to_worst) <= eps))
+
+    # Gap signs steer the brackets; the indifference band grants only the
+    # endpoint shortcuts above, since banded midpoint exits would cap a
+    # value model's accuracy at eps_pref, well short of tol_t.
+    def gap_at(s, k_in):
+        return model.gaps(k_in, model.keys(_chord_rows(ctx, s)))
+
+    out[inner] = _bisect(ctx, gap_at, (kx[inner],), "level")
     return out
-
-
-def _solve_utility_compare(ctx: RepresentationContext, x: Lottery) -> float:
-    model = ctx.model
-    vs_best = model.compare(x, ctx.best)
-    if vs_best is Ordering.INDIFFERENT:
-        return 1.0
-    if vs_best is Ordering.STRICTLY_PREFERS:
-        raise NonMonotoneChord(f"{x} is strictly preferred to the best extreme")
-    vs_worst = model.compare(x, ctx.worst)
-    if vs_worst is Ordering.INDIFFERENT:
-        return 0.0
-    if vs_worst is Ordering.STRICTLY_DISPREFERRED:
-        raise NonMonotoneChord(f"{x} is strictly dispreferred to the worst extreme")
-    lo, hi = 0.0, 1.0
-    for _ in range(ctx.max_iter):
-        if hi - lo <= ctx.tol_t:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        side = model.compare(x, chord_point(ctx, mid))
-        if side is Ordering.INDIFFERENT:
-            return mid
-        if side is Ordering.STRICTLY_PREFERS:
-            lo = mid
-        else:
-            hi = mid
-    raise IterationLimit(
-        f"level bisection missed tol {ctx.tol_t} within {ctx.max_iter} iterations"
-    )
 
 
 def solve_mixing(ctx: RepresentationContext, x: Lottery, t: float) -> tuple[float, Branch]:
@@ -321,129 +289,59 @@ def solve_mixing(ctx: RepresentationContext, x: Lottery, t: float) -> tuple[floa
     on the chord, so the weight is ``t`` (for the best lottery) or
     ``1 - t`` (for the worst) in closed form.
     """
-    _check_point(ctx, x)
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"mixing level must lie in (0, 1), got {t!r}")
-    if isinstance(ctx.model, ValueModel):
-        w, used_worst = _solve_mixing_batch(
-            ctx, np.asarray([x.probs], dtype=float), np.asarray([t])
-        )
-        return float(w[0]), (Branch.USED_WORST if used_worst[0] else Branch.USED_BEST)
-    return _solve_mixing_compare(ctx, x, t)
+    weights, used_worst = solve_mixing_many(ctx, [x], [t])
+    return float(weights[0]), (Branch.USED_WORST if used_worst[0] else Branch.USED_BEST)
 
 
-def _solve_mixing_batch(
-    ctx: RepresentationContext,
-    rows: np.ndarray,
-    ts: np.ndarray,
-    vx: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Crossing weights for mixing each row with its opposite extreme.
+def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`solve_mixing` over paired lotteries and levels.
 
-    Returns ``(weights, used_worst_mask)``.  As in the level bisection,
-    raw value signs steer the brackets and the indifference band only
-    grants the on-chord shortcut, so weights carry bisection accuracy.
+    Returns ``(weights, used_worst)``; ``used_worst`` is True where the
+    branch is ``USED_WORST``.
     """
-    model = ctx.model
-    ts = np.asarray(ts, dtype=float)
-    if np.any((ts <= 0.0) | (ts >= 1.0)):
+    rows = _as_rows(ctx, xs)
+    ts = _as_levels(rows, ts)
+    if not ((ts > 0.0) & (ts < 1.0)).all():
         raise ValueError("mixing levels must lie strictly inside (0, 1)")
-    if vx is None:
-        vx = model.values(rows)
-    vm = model.values(_chord_rows(ctx, ts))
-    d = vx - vm
+    return _solve_mixing_rows(ctx, rows, ts, ctx.model.keys(rows))
+
+
+def _solve_mixing_rows(
+    ctx: RepresentationContext, rows: np.ndarray, ts: np.ndarray, kx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    model = ctx.model
+    k_chord = model.keys(_chord_rows(ctx, ts))
+    d = model.gaps(kx, k_chord)
     # The extremes solve in closed form: their mixture with the opposite
     # extreme is the chord point at the mixing weight itself.
-    is_best = (rows == ctx._best_row).all(axis=1)
-    is_worst = (rows == ctx._worst_row).all(axis=1)
+    is_best = (rows == ctx._ends[_BEST]).all(axis=1)
+    is_worst = (rows == ctx._ends[_WORST]).all(axis=1)
     on_chord = np.abs(d) <= model.eps_pref
     up = d > 0.0
     used_worst = is_best | (~is_worst & (on_chord | up))
-    k = len(rows)
-    weights = np.ones(k)
-    weights[is_best] = ts[is_best]
-    weights[is_worst] = 1.0 - ts[is_worst]
-    active = ~(on_chord | is_best | is_worst)
-    sign = np.where(up, 1.0, -1.0)
-    v_anchor = np.where(up, ctx._value_worst, ctx._value_best)
-    blocked = active & (sign * (v_anchor - vm) >= 0.0)
-    if blocked.any():
-        i = int(np.flatnonzero(blocked)[0])
+    weights = np.where(is_best, ts, np.where(is_worst, 1.0 - ts, 1.0))
+    inner = np.flatnonzero(~(on_chord | is_best | is_worst))
+    anchor = np.where(up[inner], _WORST, _BEST)
+    # A positive steered gap puts a point on the anchor's side of the
+    # chord point, where the crossing lies at a larger weight.
+    steer = np.where(up[inner], -1.0, 1.0)
+    k_target = k_chord[inner]
+    blocked = np.flatnonzero(steer * model.gaps(ctx._end_keys[anchor], k_target) <= 0.0)
+    if blocked.size:
         raise NoCrossing(
-            f"at level {ts[i]!r} the opposite extreme does not sit strictly across "
-            f"the chord point; the model violates chord monotonicity"
+            f"at level {float(ts[inner[blocked[0]]])!r} the opposite extreme does not sit "
+            f"strictly across the chord point; the model violates chord monotonicity"
         )
-    anchor_rows = np.where(up[:, None], ctx._worst_row[None, :], ctx._best_row[None, :])
-    lo = np.zeros(k)
-    hi = np.ones(k)
-    for _ in range(ctx.max_iter):
-        run = active & ((hi - lo) > ctx.tol_t)
-        if not run.any():
-            break
-        lam = 0.5 * (lo + hi)
-        pts = lam[:, None] * rows + (1.0 - lam)[:, None] * anchor_rows
-        g = sign * (model.values(pts) - vm)
-        exact = run & (g == 0.0)
-        if exact.any():
-            weights[exact] = lam[exact]
-            active &= ~exact
-            run &= ~exact
-        x_side = g > 0.0
-        hi = np.where(run & x_side, lam, hi)
-        lo = np.where(run & ~x_side, lam, lo)
-    if (active & ((hi - lo) > ctx.tol_t)).any():
-        raise IterationLimit(
-            f"mixing bisection missed tol {ctx.tol_t} within {ctx.max_iter} iterations"
-        )
-    rest = active
-    weights[rest] = 0.5 * (lo[rest] + hi[rest])
+
+    def gap_at(lam, x_rows, anchor_rows, steer, k_target):
+        pts = lam[:, None] * x_rows + (1.0 - lam)[:, None] * anchor_rows
+        return steer * model.gaps(model.keys(pts), k_target)
+
+    per_row = (rows[inner], ctx._ends[anchor], steer, k_target)
+    weights[inner] = _bisect(ctx, gap_at, per_row, "mixing")
     if (weights <= MU_FLOOR).any():
         raise NoCrossing("mixing weight collapsed to zero; no interior crossing exists")
     return weights, used_worst
-
-
-def _solve_mixing_compare(
-    ctx: RepresentationContext, x: Lottery, t: float
-) -> tuple[float, Branch]:
-    model = ctx.model
-    if x.probs == ctx.best.probs:
-        return t, Branch.USED_WORST
-    if x.probs == ctx.worst.probs:
-        return 1.0 - t, Branch.USED_BEST
-    target = chord_point(ctx, t)
-    side = model.compare(x, target)
-    if side is Ordering.INDIFFERENT:
-        return 1.0, Branch.USED_WORST
-    up = side is Ordering.STRICTLY_PREFERS
-    anchor = ctx.worst if up else ctx.best
-    branch = Branch.USED_WORST if up else Branch.USED_BEST
-    if model.compare(anchor, target) is not side.converse:
-        raise NoCrossing(
-            f"at level {t!r} the opposite extreme does not sit strictly across "
-            f"the chord point; the model violates chord monotonicity"
-        )
-    lo, hi = 0.0, 1.0
-    for _ in range(ctx.max_iter):
-        if hi - lo <= ctx.tol_t:
-            break
-        lam = 0.5 * (lo + hi)
-        probe = model.compare(mix(lam, x, anchor), target)
-        if probe is Ordering.INDIFFERENT:
-            lo = hi = lam
-            break
-        if probe is side:
-            hi = lam
-        else:
-            lo = lam
-    else:
-        raise IterationLimit(
-            f"mixing bisection missed tol {ctx.tol_t} within {ctx.max_iter} iterations"
-        )
-    weight = 0.5 * (lo + hi)
-    if weight <= MU_FLOOR:
-        raise NoCrossing("mixing weight collapsed to zero; no interior crossing exists")
-    return weight, branch
 
 
 def local_utility(ctx: RepresentationContext, x: Lottery, t: float) -> LocalUtilitySample:
@@ -463,44 +361,29 @@ def implicit_utility(ctx: RepresentationContext, x: Lottery, t: float) -> float:
     indifferent to the best extreme and 0 otherwise.  Indifference is
     judged by the model's own band.
     """
-    _check_point(ctx, x)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"level must lie in [0, 1], got {t!r}")
-    if t == 0.0:
-        return 0.0 if ctx.model.compare(x, ctx.worst) is Ordering.INDIFFERENT else 1.0
-    if t == 1.0:
-        return 1.0 if ctx.model.compare(x, ctx.best) is Ordering.INDIFFERENT else 0.0
-    return local_utility(ctx, x, t).value
+    return float(implicit_utility_many(ctx, [x], [t])[0])
 
 
 def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     """Vectorized :func:`implicit_utility` over paired lotteries and levels."""
     rows = _as_rows(ctx, xs)
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim == 0:
-        ts = np.full(len(rows), float(ts))
-    if ts.shape != (len(rows),):
-        raise ValueError(f"expected {len(rows)} levels, got shape {ts.shape}")
-    if np.any((ts < 0.0) | (ts > 1.0)):
+    ts = _as_levels(rows, ts)
+    if not ((ts >= 0.0) & (ts <= 1.0)).all():
         raise ValueError("levels must lie in [0, 1]")
     model = ctx.model
-    if not isinstance(model, ValueModel):
-        xs_l = _as_lotteries(ctx, xs)
-        return np.asarray(
-            [implicit_utility(ctx, x, float(t)) for x, t in zip(xs_l, ts)]
-        )
-    out = np.empty(len(rows))
-    vx = model.values(rows)
     eps = model.eps_pref
+    kx = model.keys(rows)
+    out = np.empty(len(rows))
     at0 = ts == 0.0
     at1 = ts == 1.0
-    out[at0] = np.where(np.abs(vx[at0] - ctx._value_worst) <= eps, 0.0, 1.0)
-    out[at1] = np.where(np.abs(vx[at1] - ctx._value_best) <= eps, 1.0, 0.0)
+    to_worst = model.gaps(kx[at0], ctx._end_keys[[_WORST]])
+    to_best = model.gaps(kx[at1], ctx._end_keys[[_BEST]])
+    out[at0] = np.where(np.abs(to_worst) <= eps, 0.0, 1.0)
+    out[at1] = np.where(np.abs(to_best) <= eps, 1.0, 0.0)
     inner = ~(at0 | at1)
     if inner.any():
-        weights, used_worst = _solve_mixing_batch(ctx, rows[inner], ts[inner], vx=vx[inner])
         t_in = ts[inner]
+        weights, used_worst = _solve_mixing_rows(ctx, rows[inner], t_in, kx[inner])
         out[inner] = np.where(used_worst, t_in / weights, 1.0 - (1.0 - t_in) / weights)
     return out
 
@@ -527,7 +410,6 @@ def utility_fixed_point(ctx: RepresentationContext, x: Lottery, n_scan: int = 10
     single bisection would stop anywhere on that plateau, so the search
     brackets both plateau edges and returns their midpoint.
     """
-    _check_point(ctx, x)
     n_scan = int(n_scan)
     if n_scan < 3:
         raise ValueError(f"need at least 3 scan points, got {n_scan}")
@@ -559,24 +441,20 @@ def utility_fixed_point(ctx: RepresentationContext, x: Lottery, n_scan: int = 10
     else:
         a = float(ts[int(pos.max())])
         b = float(ts[int(neg.min())])
-    lo_a, lo_b = a, b
-    hi_a, hi_b = a, b
+    # Row 0 brackets the lower plateau edge and row 1 the upper one; both
+    # take their bisection step in one batch.
+    lo = np.array([a, a])
+    hi = np.array([b, b])
     for _ in range(ctx.max_iter):
-        if lo_b - lo_a <= ctx.tol_t and hi_b - hi_a <= ctx.tol_t:
+        run = hi - lo > ctx.tol_t
+        if not run.any():
             break
-        if lo_b - lo_a > ctx.tol_t:
-            mid = 0.5 * (lo_a + lo_b)
-            if implicit_utility(eval_ctx, x, mid) - mid > 0.0:
-                lo_a = mid
-            else:
-                lo_b = mid
-        if hi_b - hi_a > ctx.tol_t:
-            mid = 0.5 * (hi_a + hi_b)
-            if implicit_utility(eval_ctx, x, mid) - mid >= 0.0:
-                hi_a = mid
-            else:
-                hi_b = mid
-    return 0.25 * (lo_a + lo_b + hi_a + hi_b)
+        mid = 0.5 * (lo + hi)
+        g = implicit_utility_many(eval_ctx, [x, x], mid) - mid
+        up = run & np.array([g[0] > 0.0, g[1] >= 0.0])
+        lo = np.where(up, mid, lo)
+        hi = np.where(run & ~up, mid, hi)
+    return float(0.25 * (lo[0] + hi[0] + lo[1] + hi[1]))
 
 
 def one_sided_limits(ctx: RepresentationContext, x: Lottery, delta: float = 1e-4) -> dict:

@@ -21,7 +21,6 @@ def oracle_from_value(
     value_fn,
     n_outcomes: int,
     eps_pref: float = DEFAULT_EPS_PREF,
-    thread_safe: bool = True,
 ) -> BlackBoxOracle:
     """Wrap a scalar lottery-value function as a comparison oracle.
 
@@ -37,7 +36,7 @@ def oracle_from_value(
             return Ordering.INDIFFERENT
         return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
 
-    oracle = BlackBoxOracle(compare_fn, n_outcomes, eps_pref, thread_safe)
+    oracle = BlackBoxOracle(compare_fn, n_outcomes, eps_pref)
     oracle.value_fn = value_fn
     return oracle
 

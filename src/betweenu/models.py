@@ -58,8 +58,26 @@ class Ordering(Enum):
         return Ordering.INDIFFERENT
 
 
+_GAP = {
+    Ordering.STRICTLY_PREFERS: math.inf,
+    Ordering.INDIFFERENT: 0.0,
+    Ordering.STRICTLY_DISPREFERRED: -math.inf,
+}
+
+
 class PreferenceModel:
-    """A total comparison capability over lotteries on ``n_outcomes`` outcomes."""
+    """A total comparison capability over lotteries on ``n_outcomes`` outcomes.
+
+    Solvers compare through one primitive, :meth:`keys` then :meth:`gaps`:
+    a key is computed once per lottery row, and the gap of ``kx`` over
+    ``ky`` is positive when the ``x`` lottery is strictly preferred,
+    negative when it is strictly dispreferred, and zero on a tie.  The
+    defaults here serve comparison oracles: a key is the row's
+    :class:`Lottery` and a gap is ``+inf``, ``0.0`` or ``-inf`` from
+    ``compare(x, y)``, so no indifference band ever changes an oracle's
+    verdict.  :class:`ValueModel` keys are values and its gaps are raw
+    value differences.
+    """
 
     def __init__(self, n_outcomes: int, eps_pref: float = DEFAULT_EPS_PREF):
         if n_outcomes < 1:
@@ -69,12 +87,24 @@ class PreferenceModel:
         self.n_outcomes = int(n_outcomes)
         self.eps_pref = float(eps_pref)
 
-    @property
-    def is_value_based(self) -> bool:
-        return False
-
     def compare(self, x: Lottery, y: Lottery) -> Ordering:
         raise NotImplementedError
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Comparison keys for a ``(k, n)`` array of lottery rows."""
+        return np.fromiter(
+            (Lottery(tuple(row)) for row in rows.tolist()), dtype=object, count=len(rows)
+        )
+
+    def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+        """Preference gaps of keys ``kx`` over keys ``ky``.
+
+        ``ky`` holds one key per ``kx`` key, or a single key for all of them.
+        """
+        ys = ky.tolist() * len(kx) if len(ky) == 1 else ky.tolist()
+        return np.asarray(
+            [_GAP[self.compare(x, y)] for x, y in zip(kx.tolist(), ys)], dtype=float
+        )
 
     def _check_dim(self, x: Lottery) -> None:
         if x.n_outcomes != self.n_outcomes:
@@ -95,10 +125,6 @@ class ValueModel(PreferenceModel):
         super().__init__(n_outcomes, eps_pref)
         self._cache: dict[tuple[float, ...], float] = {}
 
-    @property
-    def is_value_based(self) -> bool:
-        return True
-
     def _values(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -116,6 +142,12 @@ class ValueModel(PreferenceModel):
             v = float(self._values(np.asarray([x.probs], dtype=float))[0])
             self._cache[x.probs] = v
         return v
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return self.values(rows)
+
+    def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+        return kx - ky
 
     def ordering(self, x: Lottery, y: Lottery, band: float | None = None) -> Ordering:
         """Compare with an explicit indifference band (defaults to eps_pref)."""
@@ -319,21 +351,13 @@ class BlackBoxOracle(PreferenceModel):
     """A preference given only through a comparison callable.
 
     ``compare_fn(x, y)`` must return an :class:`Ordering`.  The oracle is
-    assumed deterministic; ``thread_safe`` declares whether concurrent
-    calls are allowed.  Exceptions raised by the callable propagate to the
-    caller (the axiom checkers record them as completeness failures).
+    assumed deterministic.  Exceptions raised by the callable propagate to
+    the caller (the axiom checkers record them as completeness failures).
     """
 
-    def __init__(
-        self,
-        compare_fn,
-        n_outcomes: int,
-        eps_pref: float = DEFAULT_EPS_PREF,
-        thread_safe: bool = True,
-    ):
+    def __init__(self, compare_fn, n_outcomes: int, eps_pref: float = DEFAULT_EPS_PREF):
         super().__init__(n_outcomes, eps_pref)
         self.compare_fn = compare_fn
-        self.thread_safe = bool(thread_safe)
 
     def compare(self, x: Lottery, y: Lottery) -> Ordering:
         self._check_dim(x)

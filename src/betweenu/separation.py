@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .engine import Branch, RepresentationContext, chord_point, local_utility, solve_mixing
+from .engine import RepresentationContext, chord_point, local_utility, solve_mixing_many
 from .errors import Infeasible, MembershipViolation
 from .models import Ordering
 from .simplex import Lottery, Polytope, mix
@@ -262,12 +262,6 @@ def verify_separation(
     )
 
 
-def _crossing_point(ctx: RepresentationContext, x: Lottery, t: float) -> Lottery:
-    weight, branch = solve_mixing(ctx, x, t)
-    anchor = ctx.worst if branch is Branch.USED_WORST else ctx.best
-    return mix(weight, x, anchor)
-
-
 def contour_samples(
     ctx: RepresentationContext,
     t: float,
@@ -292,8 +286,9 @@ def contour_samples(
     out = list(points)
     out.extend(chord_point(ctx, s) for s in _CHORD_LEVELS)
     out.append(chord_point(ctx, t))
-    for x in points:
-        out.append(_crossing_point(ctx, x, t))
+    weights, used_worst = solve_mixing_many(ctx, points, t)
+    for x, w, to_worst in zip(points, weights.tolist(), used_worst.tolist()):
+        out.append(mix(w, x, ctx.worst if to_worst else ctx.best))
     unique = {x.probs: x for x in out}
     return sorted(unique.values())
 

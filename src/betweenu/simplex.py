@@ -78,6 +78,28 @@ def mix(lam: float, x: Lottery, y: Lottery) -> Lottery:
     return Lottery(probs)
 
 
+def lottery_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as a float ``(k, n)`` array whose rows are all lotteries.
+
+    The array counterpart of :class:`Lottery` validation: every row must be
+    finite, nonnegative and sum to one within ``SUM_TOL``.  Raises
+    ``ValueError`` naming the first offending row.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected (k, {n}) lottery rows, got shape {rows.shape}")
+    with np.errstate(invalid="ignore"):
+        bad = ~np.isfinite(rows).all(axis=1) | (rows < 0.0).any(axis=1)
+        bad |= ~(np.abs(rows.sum(axis=1) - 1.0) <= SUM_TOL)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"row {i} is not a lottery (finite, >= 0, summing to 1 within {SUM_TOL}): "
+            f"{tuple(rows[i].tolist())}"
+        )
+    return rows
+
+
 def grid(n: int, resolution: int) -> list[Lottery]:
     """All lotteries on ``n`` outcomes with components that are multiples
     of ``1 / resolution``.
@@ -100,22 +122,6 @@ def grid(n: int, resolution: int) -> list[Lottery]:
         counts.append(resolution + n - 2 - prev)
         out.append(Lottery(tuple(c / resolution for c in counts)))
     return out
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A line segment between two lotteries over the same outcome set."""
-
-    a: Lottery
-    b: Lottery
-
-    def __post_init__(self):
-        if self.a.n_outcomes != self.b.n_outcomes:
-            raise ValueError("segment endpoints live on different outcome sets")
-
-    def point(self, lam: float) -> Lottery:
-        """The point ``lam * a + (1 - lam) * b``."""
-        return mix(lam, self.a, self.b)
 
 
 @dataclass(frozen=True)

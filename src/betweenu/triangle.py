@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RepresentationContext, chord_point
-from .models import Ordering, ValueModel
+from .models import PreferenceModel
 from .simplex import Lottery, degenerate, mix
 
 _SCAN_TOL = 1e-12
@@ -34,53 +34,29 @@ class LevelCurve:
     points: tuple[Lottery, ...]
 
 
-def _segment_crossing(ctx: RepresentationContext, a: Lottery, b: Lottery, target: Lottery):
-    """Where the segment from ``a`` to ``b`` meets the target's contour.
+def _segment_crossing(model: PreferenceModel, a: Lottery, b: Lottery, kt: np.ndarray):
+    """Where the segment from ``a`` to ``b`` meets the contour of target key ``kt``.
 
     Returns None when both endpoints sit strictly on the same side.
-    Value-backed models bisect on raw value signs; oracles on compare.
+    Gap signs steer the bisection; only a zero gap stops it early.
     """
-    model = ctx.model
-    if isinstance(model, ValueModel):
-        vt = model.value(target)
-        ga = model.value(a) - vt
-        gb = model.value(b) - vt
-        if ga == 0.0:
-            return a
-        if gb == 0.0:
-            return b
-        if (ga > 0.0) == (gb > 0.0):
-            return None
-        lo, hi = 0.0, 1.0
-        for _ in range(_SCAN_MAX_ITER):
-            if hi - lo <= _SCAN_TOL:
-                break
-            s = 0.5 * (lo + hi)
-            gs = model.value(mix(s, b, a)) - vt
-            if gs == 0.0:
-                return mix(s, b, a)
-            if (gs > 0.0) == (ga > 0.0):
-                lo = s
-            else:
-                hi = s
-        return mix(0.5 * (lo + hi), b, a)
-    side_a = model.compare(a, target)
-    side_b = model.compare(b, target)
-    if side_a is Ordering.INDIFFERENT:
+    a_row, b_row = a.as_array(), b.as_array()
+    ga, gb = model.gaps(model.keys(np.stack([a_row, b_row])), kt)
+    if ga == 0.0:
         return a
-    if side_b is Ordering.INDIFFERENT:
+    if gb == 0.0:
         return b
-    if side_a is side_b:
+    if (ga > 0.0) == (gb > 0.0):
         return None
     lo, hi = 0.0, 1.0
     for _ in range(_SCAN_MAX_ITER):
         if hi - lo <= _SCAN_TOL:
             break
         s = 0.5 * (lo + hi)
-        probe = model.compare(mix(s, b, a), target)
-        if probe is Ordering.INDIFFERENT:
+        gs = model.gaps(model.keys((s * b_row + (1.0 - s) * a_row)[None, :]), kt)[0]
+        if gs == 0.0:
             return mix(s, b, a)
-        if probe is side_a:
+        if (gs > 0.0) == (ga > 0.0):
             lo = s
         else:
             hi = s
@@ -119,6 +95,7 @@ def trace_level_curves(
         if not 0.0 < level < 1.0:
             raise ValueError(f"levels must lie in (0, 1), got {level!r}")
         target = chord_point(ctx, level)
+        kt = ctx.model.keys(target.as_array()[None, :])
         found: list[Lottery] = [target]
         for s in np.linspace(0.0, 1.0, scanlines):
             s = float(s)
@@ -128,7 +105,7 @@ def trace_level_curves(
             ):
                 if a.probs == b.probs:
                     continue
-                crossing = _segment_crossing(ctx, a, b, target)
+                crossing = _segment_crossing(ctx.model, a, b, kt)
                 if crossing is not None:
                     found.append(crossing)
         order = np.lexsort(embed_coords(found).T[::-1])

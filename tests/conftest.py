@@ -13,6 +13,8 @@ from betweenu import (
     ExpectedUtility,
     ImplicitKernel,
     WeightedUtility,
+    cyclic_oracle,
+    oracle_from_value,
 )
 
 KERNEL_T_GRID = (0.0, 0.5, 1.0)
@@ -44,6 +46,16 @@ def family_models() -> dict:
     }
 
 
+def solver_models() -> dict:
+    """The built-in families plus two comparison oracles: the planted cyclic
+    fixture and a weighted-utility twin that exposes only ``compare``."""
+    return {
+        **family_models(),
+        "cyclic_oracle": cyclic_oracle(),
+        "weighted_utility_oracle": oracle_from_value(WeightedUtility(WU_U, WU_W).value, 3),
+    }
+
+
 @pytest.fixture
 def eu_model():
     return ExpectedUtility(EU_U)
@@ -67,3 +79,8 @@ def kernel_model():
 @pytest.fixture(params=sorted(family_models()))
 def family_model(request):
     return family_models()[request.param]
+
+
+@pytest.fixture(params=sorted(solver_models()))
+def solver_model(request):
+    return solver_models()[request.param]

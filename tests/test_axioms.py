@@ -3,6 +3,7 @@ import pytest
 from betweenu import (
     AxiomReport,
     Ordering,
+    WeightedUtility,
     Witness,
     check_betweenness,
     check_continuity,
@@ -153,6 +154,13 @@ class TestContinuity:
 
     def test_smooth_model_passes(self, da_model):
         assert check_continuity(da_model, samples3()).passed
+
+    def test_value_gap_below_last_step_passes(self):
+        # Some sampled value gaps here (4.2e-4) are smaller than the value
+        # moved by the last approach step (4.5e-4 at 2^-10); only the finer
+        # confirmation tells the continuous model from a jump.
+        model = WeightedUtility((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5))
+        assert check_continuity(model, sorted(grid(4, 6))).passed
 
 
 class TestDeterminism:

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import betweenu
 from betweenu import context_for, implicit_utility, load_model, lottery, solve_utility
 from betweenu.cli import main
 
@@ -182,6 +185,20 @@ class TestInputErrors:
     def test_boundary_level_rejected_for_separation(self, tmp_path):
         model = write_model(tmp_path, "eu.json", EU_SPEC)
         assert main(["separation", "--model", model, "--levels", "0.5,1.0"]) == 2
+
+    def test_module_entry_point_reports_input_error(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(betweenu.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "betweenu.cli", "repr", "--model", str(tmp_path / "nope.json")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
 
     def test_grid_and_t_grid_bounds(self, tmp_path):
         model = write_model(tmp_path, "eu.json", EU_SPEC)

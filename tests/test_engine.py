@@ -25,6 +25,7 @@ from betweenu import (
     one_sided_limits,
     oracle_from_value,
     solve_mixing,
+    solve_mixing_many,
     solve_utility,
     solve_utility_many,
     utility_fixed_point,
@@ -90,6 +91,14 @@ class RidgeValue(ValueModel):
         return rows[:, 2] + 4.4 * rows[:, 0] * rows[:, 1]
 
 
+NOT_LOTTERIES = (
+    [[np.nan, 0.5, 0.5]],  # not finite
+    [[0.5, 0.5, 0.5]],  # sums to 1.5
+    [[-0.2, 0.6, 0.6]],  # negative component
+    [[0.2, 0.3, 0.5], [0.2, 0.3, 0.4]],  # second row sums to 0.9
+)
+
+
 class TestContext:
     def test_extremes_found_at_vertices(self, eu_model):
         best, worst = find_extremes(eu_model)
@@ -153,8 +162,8 @@ class TestSolveUtility:
         ctx = context_for(eu_model)
         assert solve_utility(ctx, chord_point(ctx, 0.37)) == pytest.approx(0.37, abs=1e-10)
 
-    def test_batch_matches_scalar_bitwise(self, family_model):
-        ctx = context_for(family_model)
+    def test_batch_matches_scalar_bitwise(self, solver_model):
+        ctx = context_for(solver_model)
         points = sorted(grid(3, 6))
         batch = solve_utility_many(ctx, points)
         for x, u in zip(points, batch):
@@ -239,6 +248,15 @@ class TestSolveMixing:
         with pytest.raises(NoCrossing):
             solve_mixing(ctx, lottery((0.9, 0.05, 0.05)), 0.7)
 
+    def test_batch_matches_scalar_bitwise(self, solver_model):
+        ctx = context_for(solver_model)
+        points = sorted(grid(3, 5))
+        ts = np.linspace(0.05, 0.95, len(points))
+        weights, used_worst = solve_mixing_many(ctx, points, ts)
+        for x, t, w, worst in zip(points, ts, weights, used_worst):
+            branch = Branch.USED_WORST if worst else Branch.USED_BEST
+            assert solve_mixing(ctx, x, float(t)) == (w, branch)
+
 
 class TestLocalValueAlgebra:
     def test_frozen_branch_arithmetic(self):
@@ -284,8 +302,8 @@ class TestImplicitUtility:
             assert implicit_utility(ctx, ctx.best, t) == 1.0
             assert implicit_utility(ctx, ctx.worst, t) == 0.0
 
-    def test_batch_matches_scalar_bitwise(self, family_model):
-        ctx = context_for(family_model)
+    def test_batch_matches_scalar_bitwise(self, solver_model):
+        ctx = context_for(solver_model)
         points = sorted(grid(3, 5))
         ts = np.linspace(0.0, 1.0, len(points))
         batch = implicit_utility_many(ctx, points, ts)
@@ -298,6 +316,25 @@ class TestImplicitUtility:
         t = 0.1
         expected = t / wu_mixing_oracle(wu_model, x, t)
         assert implicit_utility(ctx, x, t) == pytest.approx(expected, abs=1e-7)
+
+
+class TestRejectsNonLotteryRows:
+    @pytest.mark.parametrize("rows", NOT_LOTTERIES)
+    def test_batched_entry_points(self, eu_model, rows):
+        ctx = context_for(eu_model)
+        rows = np.asarray(rows)
+        bad = len(rows) - 1
+        with pytest.raises(ValueError, match=f"row {bad} is not a lottery"):
+            solve_utility_many(ctx, rows)
+        with pytest.raises(ValueError, match=f"row {bad} is not a lottery"):
+            implicit_utility_many(ctx, rows, 0.5)
+        with pytest.raises(ValueError, match=f"row {bad} is not a lottery"):
+            solve_mixing_many(ctx, rows, 0.5)
+
+    def test_wrong_width(self, eu_model):
+        ctx = context_for(eu_model)
+        with pytest.raises(ValueError):
+            solve_utility_many(ctx, np.asarray([[0.5, 0.5]]))
 
 
 class TestFixedPoint:

@@ -11,6 +11,7 @@ from betweenu import (
     ExpectedUtility,
     FixedPointDivergence,
     ImplicitKernel,
+    Lottery,
     Ordering,
     WeightedUtility,
     grid,
@@ -187,6 +188,12 @@ class TestOrderingAndCompare:
         with pytest.raises(ValueError):
             eu_model.compare(lottery((0.5, 0.5)), lottery((0.0, 0.0, 1.0)))
 
+    def test_gaps_are_value_differences(self, family_model):
+        rows = np.asarray([p.probs for p in sorted(grid(3, 4))])
+        keys = family_model.keys(rows)
+        assert np.array_equal(keys, family_model.values(rows))
+        assert np.array_equal(family_model.gaps(keys, keys[:1]), keys - keys[0])
+
 
 class TestBatchEqualsScalar:
     def test_bitwise_agreement(self, family_model):
@@ -205,7 +212,14 @@ class TestBlackBoxOracle:
     def test_wraps_value_function(self):
         m = oracle_from_value(lambda x: x.probs[1], 2)
         assert m.compare(lottery((0.0, 1.0)), lottery((1.0, 0.0))) is Ordering.STRICTLY_PREFERS
-        assert not m.is_value_based
+
+    def test_gaps_are_infinite_or_zero(self):
+        m = oracle_from_value(lambda x: x.probs[1], 2, eps_pref=0.1)
+        keys = m.keys(np.asarray([[0.0, 1.0], [1.0, 0.0], [0.05, 0.95]]))
+        assert all(isinstance(k, Lottery) for k in keys)
+        gaps = m.gaps(keys, keys[:1])
+        assert gaps.tolist() == [0.0, -math.inf, 0.0]
+        assert m.gaps(keys[:1], keys[1:2]).tolist() == [math.inf]
 
     def test_rejects_bad_return_type(self):
         bad = BlackBoxOracle(lambda x, y: 1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betweenu import Lottery, Polytope, Segment, degenerate, grid, lottery, mix
+from betweenu import Lottery, Polytope, degenerate, grid, lottery, mix
 
 
 def simplex_points(n_outcomes: int):
@@ -97,12 +97,6 @@ class TestGrid:
 
 
 class TestSegmentAndPolytope:
-    def test_segment_point(self):
-        seg = Segment(lottery((0.0, 1.0)), lottery((1.0, 0.0)))
-        assert seg.point(1.0) == seg.a
-        assert seg.point(0.0) == seg.b
-        assert seg.point(0.25).probs == (0.75, 0.25)
-
     def test_polytope_membership(self):
         tri = Polytope(tuple(degenerate(i, 3) for i in range(3)))
         assert tri.contains(lottery((0.2, 0.3, 0.5)))
