@@ -48,6 +48,7 @@ from .engine import (
     solve_utility,
     solve_utility_many,
     utility_fixed_point,
+    utility_fixed_point_many,
 )
 from .errors import (
     BetweenuError,
@@ -157,5 +158,6 @@ __all__ = [
     "solve_utility_many",
     "trace_level_curves",
     "utility_fixed_point",
+    "utility_fixed_point_many",
     "verify_separation",
 ]

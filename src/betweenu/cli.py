@@ -39,7 +39,7 @@ from .engine import (
     implicit_utility_many,
     one_sided_limits,
     solve_utility_many,
-    utility_fixed_point,
+    utility_fixed_point_many,
 )
 from .errors import BetweenuError, Infeasible
 from .modelspec import load_model
@@ -142,20 +142,15 @@ def cmd_repr(model, args) -> int:
     _write_text(os.path.join(args.out, "U.csv"), "\n".join(lines) + "\n")
 
     levels = np.linspace(0.0, 1.0, args.t_grid)
-    columns = [
-        implicit_utility_many(ctx, samples, np.full(len(samples), float(t))) for t in levels
-    ]
+    rows = np.repeat([x.probs for x in samples], len(levels), axis=0)
+    u_xt = implicit_utility_many(ctx, rows, np.tile(levels, len(samples)))
     lines = [",".join(header + ["t", "u"])]
-    for i, x in enumerate(samples):
-        for j, t in enumerate(levels):
-            lines.append(
-                ",".join(
-                    [_in_repr(p) for p in x.probs] + [_in_repr(t), _out_fmt(columns[j][i])]
-                )
-            )
+    for x, u_row in zip(samples, u_xt.reshape(len(samples), len(levels))):
+        for t, u in zip(levels, u_row):
+            lines.append(",".join([_in_repr(p) for p in x.probs] + [_in_repr(t), _out_fmt(u)]))
     _write_text(os.path.join(args.out, "u.csv"), "\n".join(lines) + "\n")
 
-    gaps = [abs(utility_fixed_point(ctx, x) - float(u)) for x, u in zip(samples, u_of)]
+    gaps = np.abs(utility_fixed_point_many(ctx, samples) - u_of)
     summary = {
         "n_outcomes": n,
         "grid_resolution": args.grid,
@@ -165,7 +160,7 @@ def cmd_repr(model, args) -> int:
         "tol_t": ctx.tol_t,
         "max_iter": ctx.max_iter,
         "eps_pref": model.eps_pref,
-        "max_fixed_point_gap": max(gaps),
+        "max_fixed_point_gap": float(gaps.max()),
         "one_sided_limits": {
             f"vertex_{i}": one_sided_limits(ctx, degenerate(i, n)) for i in range(n)
         },

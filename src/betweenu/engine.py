@@ -19,6 +19,12 @@ Everything is driven by pairwise comparisons:
    segment yields the local utility (:func:`local_value`).
 4. At the endpoint levels, ``u(x, 0)`` and ``u(x, 1)`` are indicators of
    the indifference classes of the worst and best extremes.
+5. The fixed point ``t = u(x, t)`` is located without step 2
+   (:func:`utility_fixed_point_many`): a scan of uniform levels per
+   lottery checks that the residual ``u(x, t) - t`` crosses zero once,
+   then one vectorized bisection narrows the two plateau edges of every
+   lottery in the batch, evaluating only the edges not yet within
+   tolerance at each step.
 
 Every solver is written once, over arrays of lottery rows and the
 model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
@@ -391,13 +397,22 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
 def utility_fixed_point(ctx: RepresentationContext, x: Lottery, n_scan: int = 1000) -> float:
     """The level solving ``t = u(x, t)``, located without :func:`solve_utility`.
 
-    Scans ``n_scan`` uniform levels (endpoints included), verifies the
-    residual ``u(x, t) - t`` crosses zero exactly once, then bisects the
-    bracketing cell down to the context tolerance.  The endpoint
-    indicators force the residual to start >= 0 and end <= 0, so a
-    genuine second fixed point shows up on the scan as a negative
+    A one-row call of :func:`utility_fixed_point_many`.
+    """
+    return float(utility_fixed_point_many(ctx, [x], n_scan)[0])
+
+
+def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000) -> np.ndarray:
+    """Vectorized :func:`utility_fixed_point` over lottery rows or Lottery lists.
+
+    Scans ``n_scan`` uniform levels (endpoints included) per lottery,
+    verifies the residual ``u(x, t) - t`` crosses zero exactly once, then
+    bisects the bracketing cell down to the context tolerance.  The
+    endpoint indicators force the residual to start >= 0 and end <= 0, so
+    a genuine second fixed point shows up on the scan as a negative
     residual followed by a positive one, or as an extra exact zero; both
-    raise :class:`MultipleFixedPoints`.
+    raise :class:`MultipleFixedPoints`, whose ``row`` holds the first
+    offending lottery in input order.
 
     The residual's slope is ``du/dt - 1``, which approaches zero when
     the level dependence is strong, so evaluation error moves the
@@ -413,48 +428,67 @@ def utility_fixed_point(ctx: RepresentationContext, x: Lottery, n_scan: int = 10
     n_scan = int(n_scan)
     if n_scan < 3:
         raise ValueError(f"need at least 3 scan points, got {n_scan}")
+    rows = _as_rows(ctx, xs)
     eval_tol = min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12))
     eval_ctx = replace(ctx, tol_t=eval_tol)
     ts = np.linspace(0.0, 1.0, n_scan)
-    g = implicit_utility_many(eval_ctx, [x] * n_scan, ts) - ts
-    pos = np.flatnonzero(g > 0.0)
-    neg = np.flatnonzero(g < 0.0)
-    zero = np.flatnonzero(g == 0.0)
-    multiple = bool(pos.size and neg.size and pos.max() > neg.min()) or zero.size > 1
-    if zero.size == 1:
-        z = int(zero[0])
-        multiple = (
-            multiple
-            or bool(pos.size and pos.max() > z)
-            or bool(neg.size and neg.min() < z)
-        )
-    if multiple:
-        raise MultipleFixedPoints(
-            f"the residual u(x, t) - t crosses zero more than once for {x}"
-        )
-    if zero.size:
-        z = int(zero[0])
-        if z in (0, n_scan - 1):
-            return float(ts[z])
-        a = float(ts[z - 1])
-        b = float(ts[z + 1])
-    else:
-        a = float(ts[int(pos.max())])
-        b = float(ts[int(neg.min())])
-    # Row 0 brackets the lower plateau edge and row 1 the upper one; both
-    # take their bisection step in one batch.
-    lo = np.array([a, a])
-    hi = np.array([b, b])
+    out = np.empty(len(rows))
+    # Lotteries whose fixed point lies strictly inside a scan cell, with
+    # the cell's ends.
+    inside, cell_lo, cell_hi = [], [], []
+    # One scan per lottery keeps the working set at n_scan rows.
+    for i, row in enumerate(rows):
+        g = implicit_utility_many(eval_ctx, np.repeat(row[None, :], n_scan, axis=0), ts) - ts
+        pos = np.flatnonzero(g > 0.0)
+        neg = np.flatnonzero(g < 0.0)
+        zero = np.flatnonzero(g == 0.0)
+        multiple = bool(pos.size and neg.size and pos.max() > neg.min()) or zero.size > 1
+        if zero.size == 1:
+            z = int(zero[0])
+            multiple = (
+                multiple
+                or bool(pos.size and pos.max() > z)
+                or bool(neg.size and neg.min() < z)
+            )
+        if multiple:
+            probs = tuple(row.tolist())
+            raise MultipleFixedPoints(
+                f"the residual u(x, t) - t crosses zero more than once for "
+                f"Lottery(probs={probs!r})",
+                row=probs,
+            )
+        if zero.size:
+            z = int(zero[0])
+            if z in (0, n_scan - 1):
+                out[i] = ts[z]
+                continue
+            a, b = ts[z - 1], ts[z + 1]
+        else:
+            a, b = ts[int(pos.max())], ts[int(neg.min())]
+        inside.append(i)
+        cell_lo.append(a)
+        cell_hi.append(b)
+    if not inside:
+        return out
+    # Each lottery contributes two rows: the lower plateau edge (even
+    # rows, which move up on a positive residual) and the upper one (odd
+    # rows, which also move up on a zero residual).  Every step evaluates
+    # only the rows still wider than the tolerance.
+    edge_rows = np.repeat(rows[inside], 2, axis=0)
+    lo = np.repeat(cell_lo, 2)
+    hi = np.repeat(cell_hi, 2)
+    upper = np.tile([False, True], len(inside))
     for _ in range(ctx.max_iter):
-        run = hi - lo > ctx.tol_t
-        if not run.any():
+        run = np.flatnonzero(hi - lo > ctx.tol_t)
+        if not run.size:
             break
-        mid = 0.5 * (lo + hi)
-        g = implicit_utility_many(eval_ctx, [x, x], mid) - mid
-        up = run & np.array([g[0] > 0.0, g[1] >= 0.0])
-        lo = np.where(up, mid, lo)
-        hi = np.where(run & ~up, mid, hi)
-    return float(0.25 * (lo[0] + hi[0] + lo[1] + hi[1]))
+        mid = 0.5 * (lo[run] + hi[run])
+        g = implicit_utility_many(eval_ctx, edge_rows[run], mid) - mid
+        up = (g > 0.0) | (upper[run] & (g == 0.0))
+        lo[run] = np.where(up, mid, lo[run])
+        hi[run] = np.where(up, hi[run], mid)
+    out[inside] = 0.25 * (lo[0::2] + hi[0::2] + lo[1::2] + hi[1::2])
+    return out
 
 
 def one_sided_limits(ctx: RepresentationContext, x: Lottery, delta: float = 1e-4) -> dict:
@@ -467,9 +501,7 @@ def one_sided_limits(ctx: RepresentationContext, x: Lottery, delta: float = 1e-4
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
-    return {
-        "at_zero": implicit_utility(ctx, x, 0.0),
-        "near_zero": implicit_utility(ctx, x, delta),
-        "near_one": implicit_utility(ctx, x, 1.0 - delta),
-        "at_one": implicit_utility(ctx, x, 1.0),
-    }
+    at_zero, near_zero, near_one, at_one = implicit_utility_many(
+        ctx, [x] * 4, [0.0, delta, 1.0 - delta, 1.0]
+    ).tolist()
+    return {"at_zero": at_zero, "near_zero": near_zero, "near_one": near_one, "at_one": at_one}

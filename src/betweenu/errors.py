@@ -22,7 +22,14 @@ class NoCrossing(BetweenuError):
 
 
 class MultipleFixedPoints(BetweenuError):
-    """The scanned utility profile crosses the diagonal more than once."""
+    """The scanned utility profile crosses the diagonal more than once.
+
+    ``row`` holds the offending lottery's probabilities, or None.
+    """
+
+    def __init__(self, message: str, row: tuple[float, ...] | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class FixedPointDivergence(BetweenuError):

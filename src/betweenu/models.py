@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FixedPointDivergence
-from .simplex import Lottery
+from .simplex import Lottery, lottery_rows
 
 #: Default half-width of the indifference band used by ``compare``.
 DEFAULT_EPS_PREF = 1e-9
@@ -128,12 +128,13 @@ class ValueModel(PreferenceModel):
     def _values(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        """Values for a ``(k, n)`` array whose rows are valid lotteries."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.n_outcomes:
-            raise ValueError(f"expected a (k, {self.n_outcomes}) array, got {rows.shape}")
-        return self._values(rows)
+    def values(self, rows) -> np.ndarray:
+        """Values for a ``(k, n)`` array of lottery rows.
+
+        Rows that are not lotteries raise ``ValueError`` (see
+        :func:`~betweenu.simplex.lottery_rows`).
+        """
+        return self._values(lottery_rows(rows, self.n_outcomes))
 
     def value(self, x: Lottery) -> float:
         v = self._cache.get(x.probs)
@@ -144,7 +145,9 @@ class ValueModel(PreferenceModel):
         return v
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        return self.values(rows)
+        # Solvers pass rows they validated or built themselves, so the
+        # hot path skips the row check of the public values().
+        return self._values(rows)
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         return kx - ky

@@ -6,6 +6,7 @@ slopes bounded by 0.4, and per-outcome curves solving t = phi(i, t) at
 0, 0.5 and 1 for the three degenerate lotteries.
 """
 
+import numpy as np
 import pytest
 
 from betweenu import (
@@ -28,6 +29,14 @@ EU_U = (0.0, 0.4, 1.0)
 WU_U = (0.0, 0.4, 1.0)
 WU_W = (1.0, 2.0, 0.5)
 DA_U = (0.0, 0.4, 1.0)
+
+#: Array rows that are not lotteries; in each case the last row is the bad one.
+NOT_LOTTERIES = (
+    [[np.nan, 0.5, 0.5]],  # not finite
+    [[0.5, 0.5, 0.5]],  # sums to 1.5
+    [[-0.2, 0.6, 0.6]],  # negative component
+    [[0.2, 0.3, 0.5], [0.2, 0.3, 0.4]],  # second row sums to 0.9
+)
 
 
 def make_kernel() -> ImplicitKernel:

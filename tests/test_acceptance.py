@@ -42,7 +42,7 @@ from betweenu import (
     solve_utility,
     solve_utility_many,
     trace_level_curves,
-    utility_fixed_point,
+    utility_fixed_point_many,
 )
 from betweenu.cli import main
 
@@ -121,11 +121,9 @@ def test_03_unique_fixed_point():
     scanned = 0
     for name, model in sorted(family_models().items()):
         ctx = context_for(model)
-        u_of = solve_utility_many(ctx, points)
-        for x, u in zip(points, u_of):
-            root = utility_fixed_point(ctx, x, n_scan=1000)
-            worst_gap = max(worst_gap, abs(root - float(u)))
-            scanned += 1
+        roots = utility_fixed_point_many(ctx, points, n_scan=1000)
+        worst_gap = max(worst_gap, float(np.abs(roots - solve_utility_many(ctx, points)).max()))
+        scanned += len(points)
     tol = 10.0 * 1e-10
     _report(
         "unique fixed point",

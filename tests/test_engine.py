@@ -29,9 +29,10 @@ from betweenu import (
     solve_utility,
     solve_utility_many,
     utility_fixed_point,
+    utility_fixed_point_many,
 )
 
-from conftest import WU_U, WU_W
+from conftest import NOT_LOTTERIES, WU_U, WU_W
 
 BISECT_TOL = 5e-11  # half of the default bracket tolerance
 
@@ -89,14 +90,6 @@ class RidgeValue(ValueModel):
 
     def _values(self, rows):
         return rows[:, 2] + 4.4 * rows[:, 0] * rows[:, 1]
-
-
-NOT_LOTTERIES = (
-    [[np.nan, 0.5, 0.5]],  # not finite
-    [[0.5, 0.5, 0.5]],  # sums to 1.5
-    [[-0.2, 0.6, 0.6]],  # negative component
-    [[0.2, 0.3, 0.5], [0.2, 0.3, 0.4]],  # second row sums to 0.9
-)
 
 
 class TestContext:
@@ -337,6 +330,17 @@ class TestRejectsNonLotteryRows:
             solve_utility_many(ctx, np.asarray([[0.5, 0.5]]))
 
 
+#: Interior, edge and vertex lotteries for the fixed-point batch tests.
+FIXED_POINT_LOTTERIES = (
+    lottery((0.2, 0.5, 0.3)),
+    lottery((0.0, 0.5, 0.5)),
+    lottery((0.0, 1.0, 0.0)),
+)
+#: A coarse scan keeps the batch tests fast; results are bitwise
+#: comparable at any scan size.
+FIXED_POINT_SCAN = 64
+
+
 class TestFixedPoint:
     def test_agrees_with_solve_utility(self, family_model):
         ctx = context_for(family_model)
@@ -359,10 +363,55 @@ class TestFixedPoint:
         with pytest.raises(MultipleFixedPoints):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
 
+    def test_first_bad_lottery_of_a_batch_is_named(self, eu_model, monkeypatch):
+        ctx = context_for(eu_model)
+        good, bad, also_bad = (
+            lottery((0.2, 0.5, 0.3)),
+            lottery((0.6, 0.1, 0.3)),
+            lottery((0.7, 0.1, 0.2)),
+        )
+
+        def rigged(_ctx, xs, ts):
+            # Rows putting more than half their mass on outcome 0 cross
+            # the diagonal three times; the others cross it at t = 0.45.
+            ts = np.asarray(ts, dtype=float)
+            wiggle = np.where(ts < 0.3, 0.1, np.where(ts < 0.6, -0.1, 0.1))
+            return np.where(np.asarray(xs)[:, 0] > 0.5, ts + wiggle, 0.45)
+
+        monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+        with pytest.raises(MultipleFixedPoints) as info:
+            utility_fixed_point_many(ctx, [good, bad, also_bad])
+        assert info.value.row == bad.probs
+        assert str(info.value) == (
+            f"the residual u(x, t) - t crosses zero more than once for {bad}"
+        )
+
     def test_scan_size_validated(self, eu_model):
         ctx = context_for(eu_model)
         with pytest.raises(ValueError):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)), n_scan=2)
+
+    def test_batch_matches_scalar_bitwise(self, solver_model):
+        ctx = context_for(solver_model)
+        batch = utility_fixed_point_many(ctx, FIXED_POINT_LOTTERIES, FIXED_POINT_SCAN)
+        for x, from_batch in zip(FIXED_POINT_LOTTERIES, batch):
+            assert utility_fixed_point(ctx, x, FIXED_POINT_SCAN) == from_batch
+
+    def test_independent_of_batch_composition(self, solver_model):
+        ctx = context_for(solver_model)
+        lotteries, scan = FIXED_POINT_LOTTERIES, FIXED_POINT_SCAN
+        batch = utility_fixed_point_many(ctx, lotteries, scan)
+        reversed_batch = utility_fixed_point_many(ctx, lotteries[::-1], scan)
+        sub_batch = utility_fixed_point_many(ctx, lotteries[1:], scan)
+        assert np.array_equal(reversed_batch[::-1], batch)
+        assert np.array_equal(sub_batch, batch[1:])
+
+    def test_batch_extremes_exact(self, family_model):
+        ctx = context_for(family_model)
+        batch = [ctx.best, lottery((0.2, 0.5, 0.3)), ctx.worst]
+        out = utility_fixed_point_many(ctx, batch, FIXED_POINT_SCAN)
+        assert out[0] == 1.0
+        assert out[2] == 0.0
 
 
 class TestOneSidedLimits:

@@ -19,7 +19,7 @@ from betweenu import (
     oracle_from_value,
 )
 
-from conftest import KERNEL_PHI, KERNEL_T_GRID, make_kernel
+from conftest import KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, make_kernel
 
 
 def da_value_oracle(u, beta, x) -> float:
@@ -206,6 +206,11 @@ class TestBatchEqualsScalar:
     def test_values_validates_shape(self, eu_model):
         with pytest.raises(ValueError):
             eu_model.values(np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("rows", NOT_LOTTERIES)
+    def test_values_rejects_non_lottery_rows(self, eu_model, rows):
+        with pytest.raises(ValueError, match=f"row {len(rows) - 1} is not a lottery"):
+            eu_model.values(rows)
 
 
 class TestBlackBoxOracle:
