@@ -7,10 +7,13 @@ of indifferent lotteries stay indifferent).  Each returns an
 ``compare`` calls; nothing is proved, only checked at the sampled
 resolution, and the reports say so.
 
-Two tolerance layers keep the verdicts honest for value-backed models: a
-violation is flagged only when it persists both under the model's own
-indifference band and under a band twice as wide.  Borderline numeric
-ties therefore pass, while planted violations (see
+Each check keys its samples once and compares through the model's
+batched primitive (:meth:`~betweenu.models.PreferenceModel.keys` and
+``gaps``); mixtures are keyed one weight at a time.  Two tolerance
+layers keep the verdicts honest for value-backed models: a violation is
+flagged only when it persists both under the model's own indifference
+band and under a band twice as wide, both read from the same gaps.
+Borderline numeric ties therefore pass, while planted violations (see
 :mod:`betweenu.fixtures`) remain robustly flagged.  A comparison-only
 oracle's gaps are infinite or zero, so no band changes its orderings.
 """
@@ -23,8 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .models import Ordering, PreferenceModel
-from .simplex import Lottery, degenerate, mix
+from .models import Ordering, PreferenceModel, classify
+from .simplex import Lottery, degenerate, lottery_rows, mix, mix_rows
 
 
 @dataclass(frozen=True)
@@ -89,40 +92,57 @@ def _finish(axiom, witnesses, samples_checked, seed=None, note="") -> AxiomRepor
     )
 
 
-def _banded(model: PreferenceModel, x: Lottery, y: Lottery) -> Ordering:
-    """Ordering under the widened tie band of ``2 * eps_pref``.
+def _keyed(model: PreferenceModel, samples) -> tuple[list, np.ndarray, np.ndarray]:
+    """The samples as a list, their rows, and one comparison key per row."""
+    samples = list(samples)
+    rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
+    return samples, rows, model.keys(rows)
 
-    An oracle's gap is infinite or zero, so its verdict is ``compare``'s.
+
+def _signs(model: PreferenceModel, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """Observed signs (band ``eps_pref``) and robust signs (band ``2 * eps_pref``).
+
+    A robust sign is nonzero only where the observed sign is the same.
     """
-    keys = model.keys(np.asarray([x.probs, y.probs]))
-    gap = model.gaps(keys[:1], keys[1:])[0]
-    if abs(gap) <= 2.0 * model.eps_pref:
-        return Ordering.INDIFFERENT
-    return Ordering.STRICTLY_PREFERS if gap > 0.0 else Ordering.STRICTLY_DISPREFERRED
+    return classify(gaps, model.eps_pref), classify(gaps, 2.0 * model.eps_pref)
 
 
-def _consistent_patterns() -> frozenset:
-    """All (r_xy, r_yz, r_xz) ordering triples realizable by real scores.
+def _orderings(*signs) -> tuple[Ordering, ...]:
+    return tuple(Ordering.of_sign(s) for s in signs)
 
-    Scores in {0, 1, 2} realize every weak order of three elements, so
-    enumerating them enumerates exactly the transitive patterns.
+
+def _pair_signs(model: PreferenceModel, keys: np.ndarray):
+    """Index arrays of every pair ``i < j`` in enumeration order, and the
+    observed sign of sample ``i`` against sample ``j``."""
+    first, second = np.triu_indices(len(keys), 1)
+    return first, second, classify(model.gaps(keys[first], keys[second]), model.eps_pref)
+
+
+def _pair_gaps(model: PreferenceModel, rows: np.ndarray, first, second):
+    """Gaps of every pair in both directions, and the failures by pair index.
+
+    One batched pass; only if it raises are the pairs replayed one at a
+    time to find the failing ones, whose gaps stay NaN.
     """
-    def sgn(d: int) -> Ordering:
-        if d > 0:
-            return Ordering.STRICTLY_PREFERS
-        if d < 0:
-            return Ordering.STRICTLY_DISPREFERRED
-        return Ordering.INDIFFERENT
+    try:
+        keys = model.keys(rows)
+        return model.gaps(keys[first], keys[second]), model.gaps(keys[second], keys[first]), {}
+    except Exception:
+        pass
+    gaps, failed = np.full((2, len(first)), np.nan), {}
+    for p, pair in enumerate(zip(first.tolist(), second.tolist())):
+        try:
+            keys = model.keys(rows[list(pair)])
+            gaps[:, p] = model.gaps(keys, keys[::-1])
+        except Exception as exc:
+            failed[p] = exc
+    return gaps[0], gaps[1], failed
 
-    out = set()
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                out.add((sgn(a - b), sgn(b - c), sgn(a - c)))
-    return frozenset(out)
 
-
-_CONSISTENT = _consistent_patterns()
+def _transitive(s_xy, s_yz, s_xz) -> np.ndarray:
+    """Whether sign triples fit a total preorder: opposite strict signs on
+    xy and yz allow any xz, otherwise xz takes the sign of their sum."""
+    return (s_xy * s_yz < 0) | (s_xz == np.sign(s_xy + s_yz))
 
 
 def check_rationality(
@@ -144,80 +164,62 @@ def check_rationality(
     k = len(samples)
     if k < 3:
         raise ValueError(f"rationality needs at least 3 samples, got {k}")
-    witnesses = []
-    orderings: dict[tuple[int, int], Ordering] = {}
-    for i, j in combinations(range(k), 2):
-        try:
-            fwd = model.compare(samples[i], samples[j])
-            rev = model.compare(samples[j], samples[i])
-        except Exception as exc:
-            witnesses.append(
-                Witness(
-                    (samples[i], samples[j]),
-                    None,
-                    (),
-                    f"comparison failed: {type(exc).__name__}: {exc}",
-                )
+    rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
+    first, second = np.triu_indices(k, 1)
+    fwd, rev, failed = _pair_gaps(model, rows, first, second)
+    witnesses = [
+        Witness(
+            (samples[first[p]], samples[second[p]]),
+            None,
+            (),
+            f"comparison failed: {type(exc).__name__}: {exc}",
+        )
+        for p, exc in failed.items()
+    ]
+    fwd_signs, rev_signs = classify(np.stack([fwd, rev]), model.eps_pref)
+    valid = np.ones(len(first), dtype=bool)
+    valid[list(failed)] = False
+    for p in np.flatnonzero(valid & (rev_signs != -fwd_signs)):
+        witnesses.append(
+            Witness(
+                (samples[first[p]], samples[second[p]]),
+                None,
+                _orderings(fwd_signs[p], rev_signs[p]),
+                "swapped comparison is not the converse",
             )
-            continue
-        if rev is not fwd.converse:
-            witnesses.append(
-                Witness(
-                    (samples[i], samples[j]),
-                    None,
-                    (fwd, rev),
-                    "swapped comparison is not the converse",
-                )
-            )
-            continue
-        orderings[(i, j)] = fwd
+        )
+        valid[p] = False
 
     total = math.comb(k, 3)
     if total <= max_triples:
-        triples = combinations(range(k), 3)
+        triples = np.asarray(list(combinations(range(k), 3)))
         note = ""
     else:
         rng = np.random.default_rng(seed)
-        draws = rng.integers(0, k, size=(max_triples, 3))
-        triples = (
-            tuple(sorted(row)) for row in draws.tolist() if len(set(row)) == 3
-        )
+        draws = np.sort(rng.integers(0, k, size=(max_triples, 3)), axis=1)
+        draws = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])]
+        triples = np.unique(draws, axis=0)
         note = f"transitivity subsampled from {total} triples with seed {seed}"
-
-    n_triples = 0
-    seen = None if total <= max_triples else set()
-    for i, j, l in triples:
-        if seen is not None:
-            if (i, j, l) in seen:
-                continue
-            seen.add((i, j, l))
-        a = orderings.get((i, j))
-        b = orderings.get((j, l))
-        c = orderings.get((i, l))
-        if a is None or b is None or c is None:
-            continue
-        n_triples += 1
-        if (a, b, c) in _CONSISTENT:
-            continue
-        banded = (
-            _banded(model, samples[i], samples[j]),
-            _banded(model, samples[j], samples[l]),
-            _banded(model, samples[i], samples[l]),
-        )
-        if banded in _CONSISTENT:
-            continue
+    # Forward gaps by sample indices, NaN where a pair was not ordered.
+    gaps = np.full((k, k), np.nan)
+    gaps[first[valid], second[valid]] = fwd[valid]
+    i, j, l = triples.T
+    tri = np.stack([gaps[i, j], gaps[j, l], gaps[i, l]])
+    counted = ~np.isnan(tri).any(axis=0)
+    observed, robust = _signs(model, tri)
+    for t in np.flatnonzero(counted & ~_transitive(*observed) & ~_transitive(*robust)):
         witnesses.append(
             Witness(
-                (samples[i], samples[j], samples[l]),
+                tuple(samples[s] for s in triples[t]),
                 None,
-                (a, b, c),
+                _orderings(*observed[:, t]),
                 "intransitive triple",
             )
         )
     return _finish(
         "Rationality",
         witnesses,
-        samples_checked=len(orderings) + n_triples,
+        samples_checked=int(valid.sum()) + int(counted.sum()),
         seed=seed,
         note=note,
     )
@@ -225,14 +227,16 @@ def check_rationality(
 
 def check_nondegeneracy(model: PreferenceModel, samples) -> AxiomReport:
     """Passes as soon as any sampled pair is strict."""
-    samples = list(samples)
+    samples, _, keys = _keyed(model, samples)
     if not samples:
         raise ValueError("nondegeneracy needs at least one sample")
     checked = 0
-    for i, j in combinations(range(len(samples)), 2):
-        checked += 1
-        if model.compare(samples[i], samples[j]) is not Ordering.INDIFFERENT:
-            return _finish("Nondegeneracy", [], samples_checked=checked)
+    for i in range(len(keys) - 1):  # pairs in enumeration order, by first sample
+        rest = keys[i + 1 :]
+        strict = np.flatnonzero(classify(model.gaps(keys[[i] * len(rest)], rest), model.eps_pref))
+        if strict.size:
+            return _finish("Nondegeneracy", [], samples_checked=checked + int(strict[0]) + 1)
+        checked += len(rest)
     return AxiomReport(
         axiom="Nondegeneracy",
         passed=False,
@@ -240,6 +244,18 @@ def check_nondegeneracy(model: PreferenceModel, samples) -> AxiomReport:
         samples_checked=checked,
         note="every sampled pair is indifferent; no strict preference found",
     )
+
+
+def _weights(lambdas) -> list[float]:
+    lambdas = [float(l) for l in lambdas]
+    if any(not 0.0 < l < 1.0 for l in lambdas):
+        raise ValueError("mixture weights must lie strictly inside (0, 1)")
+    return lambdas
+
+
+def _mixture_witness(samples, xi, yi, lam: float, signs, note: str) -> Witness:
+    x, y = samples[xi], samples[yi]
+    return Witness((x, y, mix(lam, x, y)), lam, _orderings(*signs), note)
 
 
 def check_betweenness(model: PreferenceModel, samples, lambdas) -> AxiomReport:
@@ -251,43 +267,24 @@ def check_betweenness(model: PreferenceModel, samples, lambdas) -> AxiomReport:
     robustly escapes the pair's preference interval; a mixture that
     merely ties an endpoint is treated as numeric noise.
     """
-    samples = list(samples)
-    lambdas = [float(l) for l in lambdas]
-    if any(not 0.0 < l < 1.0 for l in lambdas):
-        raise ValueError("mixture weights must lie strictly inside (0, 1)")
+    lambdas = _weights(lambdas)
+    samples, rows, keys = _keyed(model, samples)
+    first, second, side = _pair_signs(model, keys)
+    strict = side != 0
+    first, second, up = first[strict], second[strict], side[strict] > 0
+    # Orient each strict pair so that x is the preferred lottery.
+    xs, ys = np.where(up, first, second), np.where(up, second, first)
     witnesses = []
-    checked = 0
-    for i, j in combinations(range(len(samples)), 2):
-        side = model.compare(samples[i], samples[j])
-        if side is Ordering.INDIFFERENT:
-            continue
-        if side is Ordering.STRICTLY_PREFERS:
-            x, y = samples[i], samples[j]
-        else:
-            x, y = samples[j], samples[i]
-        for lam in lambdas:
-            checked += 1
-            z = mix(lam, x, y)
-            above = model.compare(x, z)
-            below = model.compare(z, y)
-            bad_above = (
-                above is Ordering.STRICTLY_DISPREFERRED
-                and _banded(model, x, z) is Ordering.STRICTLY_DISPREFERRED
-            )
-            bad_below = (
-                below is Ordering.STRICTLY_DISPREFERRED
-                and _banded(model, z, y) is Ordering.STRICTLY_DISPREFERRED
-            )
-            if bad_above or bad_below:
-                witnesses.append(
-                    Witness(
-                        (x, y, z),
-                        lam,
-                        (above, below),
-                        "mixture escapes the preference interval of its parents",
-                    )
-                )
-    return _finish("Betweenness", witnesses, samples_checked=checked)
+    for lam in lambdas:
+        kz = model.keys(mix_rows(lam, rows[xs], rows[ys]))
+        above, above_robust = _signs(model, model.gaps(keys[xs], kz))
+        below, below_robust = _signs(model, model.gaps(kz, keys[ys]))
+        why = "mixture escapes the preference interval of its parents"
+        witnesses += [
+            _mixture_witness(samples, xs[p], ys[p], lam, (above[p], below[p]), why)
+            for p in np.flatnonzero((above_robust < 0) | (below_robust < 0))
+        ]
+    return _finish("Betweenness", witnesses, samples_checked=len(xs) * len(lambdas))
 
 
 def check_mixing_neutrality(model: PreferenceModel, samples, lambdas) -> AxiomReport:
@@ -296,52 +293,32 @@ def check_mixing_neutrality(model: PreferenceModel, samples, lambdas) -> AxiomRe
     When every sampled pair is indifferent the preference is degenerate
     and the mixture step is skipped as vacuous (noted in the report).
     """
-    samples = list(samples)
-    lambdas = [float(l) for l in lambdas]
-    if any(not 0.0 < l < 1.0 for l in lambdas):
-        raise ValueError("mixture weights must lie strictly inside (0, 1)")
-    pairs = []
-    any_strict = False
-    for i, j in combinations(range(len(samples)), 2):
-        if model.compare(samples[i], samples[j]) is Ordering.INDIFFERENT:
-            pairs.append((samples[i], samples[j]))
-        else:
-            any_strict = True
-    if pairs and not any_strict:
+    lambdas = _weights(lambdas)
+    samples, rows, keys = _keyed(model, samples)
+    first, second, side = _pair_signs(model, keys)
+    xs, ys = first[side == 0], second[side == 0]
+    if len(xs) and len(xs) == len(side):
         return AxiomReport(
             axiom="MixingNeutrality",
             passed=True,
             witnesses=(),
-            samples_checked=len(pairs),
+            samples_checked=len(xs),
             note="all sampled pairs are indifferent; mixture step vacuous on a degenerate preference",
         )
     witnesses = []
-    checked = 0
-    for x, y in pairs:
-        for lam in lambdas:
-            checked += 1
-            z = mix(lam, x, y)
-            to_x = model.compare(z, x)
-            to_y = model.compare(z, y)
-            bad_x = (
-                to_x is not Ordering.INDIFFERENT
-                and _banded(model, z, x) is not Ordering.INDIFFERENT
-            )
-            bad_y = (
-                to_y is not Ordering.INDIFFERENT
-                and _banded(model, z, y) is not Ordering.INDIFFERENT
-            )
-            if bad_x or bad_y:
-                witnesses.append(
-                    Witness(
-                        (x, y, z),
-                        lam,
-                        (to_x, to_y),
-                        "mixture of an indifferent pair is not indifferent to a parent",
-                    )
-                )
-    note = "" if pairs else "no indifferent pairs among samples"
-    return _finish("MixingNeutrality", witnesses, samples_checked=checked, note=note)
+    for lam in lambdas:
+        kz = model.keys(mix_rows(lam, rows[xs], rows[ys]))
+        to_x, to_x_robust = _signs(model, model.gaps(kz, keys[xs]))
+        to_y, to_y_robust = _signs(model, model.gaps(kz, keys[ys]))
+        why = "mixture of an indifferent pair is not indifferent to a parent"
+        witnesses += [
+            _mixture_witness(samples, xs[p], ys[p], lam, (to_x[p], to_y[p]), why)
+            for p in np.flatnonzero((to_x_robust != 0) | (to_y_robust != 0))
+        ]
+    note = "" if len(xs) else "no indifferent pairs among samples"
+    return _finish(
+        "MixingNeutrality", witnesses, samples_checked=len(xs) * len(lambdas), note=note
+    )
 
 
 def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> AxiomReport:
@@ -358,46 +335,53 @@ def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> Axio
     The axiom is topological, so a passing report means only
     "consistent at tested resolution".
     """
-    samples = list(samples)
+    samples, rows, keys = _keyed(model, samples)
     if not samples:
         raise ValueError("continuity needs at least one sample")
     n_steps = int(n_steps)
     if n_steps < 5:
         raise ValueError(f"need at least 5 steps for a tail, got {n_steps}")
-    n = model.n_outcomes
-    anchors = [degenerate(i, n) for i in range(n)]
-    lams = [0.5**k for k in range(1, n_steps + 1)]
-    fine_lams = [0.5**k for k in range(37, 41)]
+    m = len(samples)
+    anchors = [degenerate(i, model.n_outcomes) for i in range(model.n_outcomes)]
+    last = 0.5**n_steps
+    tail_lams = np.asarray([0.5**k for k in range(n_steps - 3, n_steps + 1)])
+    fine_lams = np.asarray([0.5**k for k in range(37, 41)])
+
+    def gaps_along(lams, z: Lottery, x_row, ky) -> np.ndarray:
+        """Gaps of each approach point ``mix(lam, z, x)`` over each key in
+        ``ky``, one row per weight."""
+        kp = model.keys(mix_rows(lams, z.as_array(), x_row))
+        gaps = model.gaps(np.repeat(kp, len(ky)), np.tile(ky, len(lams)))
+        return gaps.reshape(len(lams), len(ky))
+
     witnesses = []
     checked = 0
-    for x in samples:
+    for xi, x in enumerate(samples):
+        at_limit, limit_robust = _signs(model, model.gaps(keys[[xi] * m], keys))
         for z in anchors:
             if z.probs == x.probs:
                 continue
-            approach = [mix(lam, z, x) for lam in lams]
-            for y in samples:
-                checked += 1
-                tail = [model.compare(p, y) for p in approach[-4:]]
-                settled = tail[0]
-                if settled is Ordering.INDIFFERENT or any(r is not settled for r in tail):
-                    continue
-                at_limit = model.compare(x, y)
-                if at_limit is not settled.converse:
-                    continue
-                if _banded(model, x, y) is not settled.converse:
-                    continue
-                if _banded(model, approach[-1], y) is not settled:
-                    continue
-                if any(model.compare(mix(lam, z, x), y) is not settled for lam in fine_lams):
-                    continue
-                witnesses.append(
-                    Witness(
-                        (x, z, y, approach[-1]),
-                        lams[-1],
-                        (settled, at_limit),
-                        "strict comparison reverses at the limit of the approach",
-                    )
+            checked += m
+            tail, tail_robust = _signs(model, gaps_along(tail_lams, z, rows[xi], keys))
+            settled = tail[0]
+            suspects = np.flatnonzero(
+                (settled != 0)
+                & (tail == settled).all(axis=0)
+                & (limit_robust == -settled)
+                & (tail_robust[-1] == settled)
+            )
+            if suspects.size:
+                fine = classify(gaps_along(fine_lams, z, rows[xi], keys[suspects]), model.eps_pref)
+                suspects = suspects[(fine == settled[suspects]).all(axis=0)]
+            witnesses += [
+                Witness(
+                    (x, z, samples[yi], mix(last, z, x)),
+                    last,
+                    _orderings(settled[yi], at_limit[yi]),
+                    "strict comparison reverses at the limit of the approach",
                 )
+                for yi in suspects
+            ]
     return _finish(
         "Continuity",
         witnesses,

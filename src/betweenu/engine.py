@@ -53,7 +53,7 @@ from .errors import (
     NonMonotoneChord,
 )
 from .models import Ordering, PreferenceModel
-from .simplex import Lottery, degenerate, lottery_rows, mix
+from .simplex import Lottery, degenerate, lottery_rows, mix, mix_rows
 
 DEFAULT_TOL_T = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -190,11 +190,6 @@ def chord_point(ctx: RepresentationContext, t: float) -> Lottery:
     return mix(t, ctx.best, ctx.worst)
 
 
-def _chord_rows(ctx: RepresentationContext, ts: np.ndarray) -> np.ndarray:
-    # The same arithmetic as mix(), so each row equals chord_point's probs.
-    return ts[:, None] * ctx._ends[_BEST] + (1.0 - ts)[:, None] * ctx._ends[_WORST]
-
-
 def _as_rows(ctx: RepresentationContext, xs) -> np.ndarray:
     if not isinstance(xs, np.ndarray):
         xs = [x.probs for x in xs]
@@ -276,7 +271,7 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     # endpoint shortcuts above, since banded midpoint exits would cap a
     # value model's accuracy at eps_pref, well short of tol_t.
     def gap_at(s, k_in):
-        return model.gaps(k_in, model.keys(_chord_rows(ctx, s)))
+        return model.gaps(k_in, model.keys(mix_rows(s, ctx._ends[_BEST], ctx._ends[_WORST])))
 
     out[inner] = _bisect(ctx, gap_at, (kx[inner],), "level")
     return out
@@ -316,7 +311,7 @@ def _solve_mixing_rows(
     ctx: RepresentationContext, rows: np.ndarray, ts: np.ndarray, kx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     model = ctx.model
-    k_chord = model.keys(_chord_rows(ctx, ts))
+    k_chord = model.keys(mix_rows(ts, ctx._ends[_BEST], ctx._ends[_WORST]))
     d = model.gaps(kx, k_chord)
     # The extremes solve in closed form: their mixture with the opposite
     # extreme is the chord point at the mixing weight itself.
@@ -340,8 +335,7 @@ def _solve_mixing_rows(
         )
 
     def gap_at(lam, x_rows, anchor_rows, steer, k_target):
-        pts = lam[:, None] * x_rows + (1.0 - lam)[:, None] * anchor_rows
-        return steer * model.gaps(model.keys(pts), k_target)
+        return steer * model.gaps(model.keys(mix_rows(lam, x_rows, anchor_rows)), k_target)
 
     per_row = (rows[inner], ctx._ends[anchor], steer, k_target)
     weights[inner] = _bisect(ctx, gap_at, per_row, "mixing")

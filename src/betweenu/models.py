@@ -57,12 +57,28 @@ class Ordering(Enum):
             return Ordering.STRICTLY_PREFERS
         return Ordering.INDIFFERENT
 
+    @classmethod
+    def of_sign(cls, sign) -> "Ordering":
+        """The ordering a sign from :func:`classify` stands for (-1 picks the last)."""
+        return (cls.INDIFFERENT, cls.STRICTLY_PREFERS, cls.STRICTLY_DISPREFERRED)[int(sign)]
+
 
 _GAP = {
     Ordering.STRICTLY_PREFERS: math.inf,
     Ordering.INDIFFERENT: 0.0,
     Ordering.STRICTLY_DISPREFERRED: -math.inf,
 }
+
+
+def classify(gaps, band: float) -> np.ndarray:
+    """Signs of preference gaps under the indifference band ``[-band, band]``.
+
+    1 marks a strict preference, -1 a strict dispreference and 0 a gap
+    inside the band (see :meth:`Ordering.of_sign`).  An oracle's gaps are
+    infinite or zero, so no band changes its signs.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    return np.where(np.abs(gaps) <= band, 0, np.where(gaps > 0.0, 1, -1))
 
 
 class PreferenceModel:
@@ -121,10 +137,6 @@ class ValueModel(PreferenceModel):
     batch), so scalar and batched results are bitwise identical.
     """
 
-    def __init__(self, n_outcomes: int, eps_pref: float = DEFAULT_EPS_PREF):
-        super().__init__(n_outcomes, eps_pref)
-        self._cache: dict[tuple[float, ...], float] = {}
-
     def _values(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -137,12 +149,8 @@ class ValueModel(PreferenceModel):
         return self._values(lottery_rows(rows, self.n_outcomes))
 
     def value(self, x: Lottery) -> float:
-        v = self._cache.get(x.probs)
-        if v is None:
-            self._check_dim(x)
-            v = float(self._values(np.asarray([x.probs], dtype=float))[0])
-            self._cache[x.probs] = v
-        return v
+        self._check_dim(x)
+        return float(self._values(np.asarray([x.probs], dtype=float))[0])
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         # Solvers pass rows they validated or built themselves, so the
@@ -152,16 +160,8 @@ class ValueModel(PreferenceModel):
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         return kx - ky
 
-    def ordering(self, x: Lottery, y: Lottery, band: float | None = None) -> Ordering:
-        """Compare with an explicit indifference band (defaults to eps_pref)."""
-        band = self.eps_pref if band is None else band
-        d = self.value(x) - self.value(y)
-        if abs(d) <= band:
-            return Ordering.INDIFFERENT
-        return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
-
     def compare(self, x: Lottery, y: Lottery) -> Ordering:
-        return self.ordering(x, y)
+        return Ordering.of_sign(classify(self.value(x) - self.value(y), self.eps_pref))
 
 
 def _check_outcome_utilities(u) -> np.ndarray:

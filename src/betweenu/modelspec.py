@@ -21,6 +21,7 @@ can be pointed at known-bad preferences:
 from __future__ import annotations
 
 import json
+import sys
 
 from .fixtures import cyclic_oracle, jump_oracle, quadratic_oracle
 from .models import (
@@ -43,9 +44,30 @@ KINDS = (
 )
 
 
-def _require(spec: dict, key: str, kind: str):
+_REQUIRED = object()
+
+
+def _is_numbers(value, array: bool) -> bool:
+    """Whether ``value`` is a finite number, or a list of them (nested) if ``array``."""
+    if array:
+        return isinstance(value, list) and all(_is_numbers(v, isinstance(v, list)) for v in value)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _field(spec: dict, key: str, kind: str, default=_REQUIRED, array: bool = False):
+    """Field ``key``, or ``default`` when absent.
+
+    A JSON boolean, null, string or object where numbers belong raises
+    ``ValueError`` naming the field: Python would read ``true`` as 1 and
+    fail on the others with a ``TypeError``.
+    """
     if key not in spec:
-        raise ValueError(f"model kind {kind!r} requires field {key!r}")
+        if default is _REQUIRED:
+            raise ValueError(f"model kind {kind!r} requires field {key!r}")
+        return default
+    if not _is_numbers(spec[key], array):
+        what = "an array of numbers" if array else "a finite number"
+        raise ValueError(f"field {key!r} must be {what}, got {spec[key]!r}")
     return spec[key]
 
 
@@ -56,27 +78,26 @@ def model_from_spec(spec: dict) -> PreferenceModel:
     kind = spec.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {', '.join(KINDS)}")
-    eps_pref = float(spec.get("eps_pref", DEFAULT_EPS_PREF))
+    eps_pref = _field(spec, "eps_pref", kind, DEFAULT_EPS_PREF)
+
+    def arrays(*keys):
+        return [_field(spec, key, kind, array=True) for key in keys]
 
     if kind == "expected_utility":
-        return ExpectedUtility(_require(spec, "u", kind), eps_pref)
+        return ExpectedUtility(*arrays("u"), eps_pref)
     if kind == "weighted_utility":
-        return WeightedUtility(_require(spec, "u", kind), _require(spec, "w", kind), eps_pref)
+        return WeightedUtility(*arrays("u", "w"), eps_pref)
     if kind == "disappointment_aversion":
-        return DisappointmentAversion(
-            _require(spec, "u", kind), float(_require(spec, "beta", kind)), eps_pref
-        )
+        return DisappointmentAversion(*arrays("u"), _field(spec, "beta", kind), eps_pref)
     if kind == "implicit_kernel":
-        return ImplicitKernel.from_table(
-            _require(spec, "t_grid", kind), _require(spec, "phi", kind), eps_pref
-        )
+        return ImplicitKernel.from_table(*arrays("t_grid", "phi"), eps_pref)
     if kind == "cyclic_oracle":
         return cyclic_oracle(eps_pref)
     if kind == "jump":
         return jump_oracle(
-            float(spec.get("threshold", 0.5)), float(spec.get("drop", 0.2)), eps_pref
+            _field(spec, "threshold", kind, 0.5), _field(spec, "drop", kind, 0.2), eps_pref
         )
-    return quadratic_oracle(spec.get("matrix"), eps_pref)
+    return quadratic_oracle(_field(spec, "matrix", kind, None, array=True), eps_pref)
 
 
 def load_model(path: str) -> PreferenceModel:

@@ -23,8 +23,8 @@ from scipy.optimize import linprog
 
 from .engine import RepresentationContext, chord_point, local_utility, solve_mixing_many
 from .errors import Infeasible, MembershipViolation
-from .models import Ordering
-from .simplex import Lottery, Polytope, mix
+from .models import classify
+from .simplex import Lottery, Polytope, lottery_rows, mix
 
 #: Half-width of the equality band used for samples indifferent to the
 #: chord point, and for verifying separation; chosen above the solver's
@@ -104,17 +104,14 @@ def _require_extremes(ctx: RepresentationContext, polytope: Polytope) -> None:
 
 
 def _classify(ctx: RepresentationContext, t: float, samples) -> tuple[list, list, list]:
-    target = chord_point(ctx, t)
-    upper, lower, level_set = [], [], []
-    for x in samples:
-        side = ctx.model.compare(x, target)
-        if side is Ordering.STRICTLY_PREFERS:
-            upper.append(x)
-        elif side is Ordering.STRICTLY_DISPREFERRED:
-            lower.append(x)
-        else:
-            level_set.append(x)
-    return upper, lower, level_set
+    """The samples strictly preferred, strictly dispreferred and indifferent
+    to the chord point at level ``t``."""
+    samples = list(samples)
+    model = ctx.model
+    rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
+    target = model.keys(chord_point(ctx, t).as_array()[None, :])
+    side = classify(model.gaps(model.keys(rows), target), model.eps_pref).tolist()
+    return tuple([x for x, s in zip(samples, side) if s == want] for want in (1, -1, 0))
 
 
 def separate(

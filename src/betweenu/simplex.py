@@ -71,11 +71,23 @@ def mix(lam: float, x: Lottery, y: Lottery) -> Lottery:
         raise ValueError("cannot mix lotteries over different outcome sets")
     if x.probs == y.probs:
         return x
-    probs = tuple(lam * a + (1.0 - lam) * b for a, b in zip(x.probs, y.probs))
+    probs = tuple(mix_rows(lam, x.probs, y.probs).tolist())
     total = math.fsum(probs)
     if abs(total - 1.0) > SUM_TOL:
         probs = tuple(p / total for p in probs)
     return Lottery(probs)
+
+
+def mix_rows(lam, xs, ys) -> np.ndarray:
+    """:func:`mix`'s arithmetic over arrays of lottery rows, unvalidated.
+
+    ``lam`` is one weight or one per row, and ``xs`` and ``ys`` broadcast
+    against each other.  Each row equals the probs of ``mix(lam, x, y)``
+    unless ``mix`` leaves the arithmetic: it returns ``x`` itself when
+    ``y`` equals it, and renormalizes a sum drifting past ``SUM_TOL``.
+    """
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return lam * xs + (1.0 - lam) * ys
 
 
 def lottery_rows(rows, n: int) -> np.ndarray:
@@ -86,6 +98,8 @@ def lottery_rows(rows, n: int) -> np.ndarray:
     ``ValueError`` naming the first offending row.
     """
     rows = np.asarray(rows, dtype=float)
+    if rows.shape == (0,):  # an empty list
+        rows = rows.reshape(0, n)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"expected (k, {n}) lottery rows, got shape {rows.shape}")
     with np.errstate(invalid="ignore"):

@@ -14,16 +14,14 @@ combination of the corners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import RepresentationContext, chord_point
-from .models import PreferenceModel
-from .simplex import Lottery, degenerate, mix
+from .engine import RepresentationContext, _bisect, chord_point
+from .simplex import Lottery, degenerate, mix, mix_rows
 
 _SCAN_TOL = 1e-12
-_SCAN_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -32,35 +30,6 @@ class LevelCurve:
 
     level: float
     points: tuple[Lottery, ...]
-
-
-def _segment_crossing(model: PreferenceModel, a: Lottery, b: Lottery, kt: np.ndarray):
-    """Where the segment from ``a`` to ``b`` meets the contour of target key ``kt``.
-
-    Returns None when both endpoints sit strictly on the same side.
-    Gap signs steer the bisection; only a zero gap stops it early.
-    """
-    a_row, b_row = a.as_array(), b.as_array()
-    ga, gb = model.gaps(model.keys(np.stack([a_row, b_row])), kt)
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    if (ga > 0.0) == (gb > 0.0):
-        return None
-    lo, hi = 0.0, 1.0
-    for _ in range(_SCAN_MAX_ITER):
-        if hi - lo <= _SCAN_TOL:
-            break
-        s = 0.5 * (lo + hi)
-        gs = model.gaps(model.keys((s * b_row + (1.0 - s) * a_row)[None, :]), kt)[0]
-        if gs == 0.0:
-            return mix(s, b, a)
-        if (gs > 0.0) == (ga > 0.0):
-            lo = s
-        else:
-            hi = s
-    return mix(0.5 * (lo + hi), b, a)
 
 
 def trace_level_curves(
@@ -80,8 +49,9 @@ def trace_level_curves(
     by their plane embedding, which is monotone along a straight curve.
     Requires a three-outcome context whose extremes are simplex vertices.
     """
-    if ctx.model.n_outcomes != 3:
-        raise ValueError(f"triangle tracing needs 3 outcomes, got {ctx.model.n_outcomes}")
+    model = ctx.model
+    if model.n_outcomes != 3:
+        raise ValueError(f"triangle tracing needs 3 outcomes, got {model.n_outcomes}")
     scanlines = int(scanlines)
     if scanlines < 2:
         raise ValueError(f"need at least 2 scanlines, got {scanlines}")
@@ -89,25 +59,43 @@ def trace_level_curves(
     if ctx.best not in vertices or ctx.worst not in vertices:
         raise ValueError("triangle tracing expects vertex extremes")
     third = next(v for v in vertices if v != ctx.best and v != ctx.worst)
+    segments = []
+    for s in np.linspace(0.0, 1.0, scanlines):
+        s = float(s)
+        for a, b in (
+            (chord_point(ctx, s), mix(s, ctx.best, third)),
+            (chord_point(ctx, 1.0 - s), mix(1.0 - s, third, ctx.worst)),
+        ):
+            if a.probs != b.probs:
+                segments.append((a, b))
+    a_rows, b_rows = (np.asarray([seg[i].probs for seg in segments]) for i in (0, 1))
+    ka, kb = model.keys(a_rows), model.keys(b_rows)
+    scan_ctx = replace(ctx, tol_t=_SCAN_TOL)
     curves = []
     for level in levels:
         level = float(level)
         if not 0.0 < level < 1.0:
             raise ValueError(f"levels must lie in (0, 1), got {level!r}")
         target = chord_point(ctx, level)
-        kt = ctx.model.keys(target.as_array()[None, :])
-        found: list[Lottery] = [target]
-        for s in np.linspace(0.0, 1.0, scanlines):
-            s = float(s)
-            for a, b in (
-                (chord_point(ctx, s), mix(s, ctx.best, third)),
-                (chord_point(ctx, 1.0 - s), mix(1.0 - s, third, ctx.worst)),
-            ):
-                if a.probs == b.probs:
-                    continue
-                crossing = _segment_crossing(ctx.model, a, b, kt)
-                if crossing is not None:
-                    found.append(crossing)
+        kt = model.keys(target.as_array()[None, :])
+        ga, gb = model.gaps(ka, kt), model.gaps(kb, kt)
+        # A segment whose ends sit strictly on one side misses the contour;
+        # the others are bisected together, each gap steered by its sign at a.
+        inner = np.flatnonzero((ga != 0.0) & (gb != 0.0) & ((ga > 0.0) != (gb > 0.0)))
+
+        def gap_at(lam, a, b, steer):
+            return steer * model.gaps(model.keys(mix_rows(lam, b, a)), kt)
+
+        per_row = (a_rows[inner], b_rows[inner], np.where(ga[inner] > 0.0, 1.0, -1.0))
+        at = dict(zip(inner.tolist(), _bisect(scan_ctx, gap_at, per_row, "scanline").tolist()))
+        found = [target]
+        for i, (a, b) in enumerate(segments):
+            if ga[i] == 0.0:
+                found.append(a)
+            elif gb[i] == 0.0:
+                found.append(b)
+            elif i in at:
+                found.append(mix(at[i], b, a))
         order = np.lexsort(embed_coords(found).T[::-1])
         unique: dict[tuple, Lottery] = {}
         for i in order:

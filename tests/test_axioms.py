@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from betweenu import (
     AxiomReport,
+    BlackBoxOracle,
     Ordering,
     WeightedUtility,
     Witness,
@@ -13,6 +16,7 @@ from betweenu import (
     cyclic_oracle,
     grid,
     jump_oracle,
+    mix,
     oracle_from_value,
     quadratic_oracle,
     run_all_checks,
@@ -82,6 +86,24 @@ class TestRationality:
             )
             assert replay == w.observed
 
+    def test_raising_oracle_records_failed_pair(self):
+        pts = samples3()
+        a, b = pts[3], pts[10]
+        base = oracle_from_value(lambda x: x.probs[2], 3).compare_fn
+
+        def compare_fn(x, y):
+            if (x, y) == (a, b):
+                raise RuntimeError("oracle down")
+            return base(x, y)
+
+        report = check_rationality(BlackBoxOracle(compare_fn, 3), pts)
+        assert [w.to_dict() for w in report.witnesses] == [
+            Witness((a, b), None, (), "comparison failed: RuntimeError: oracle down").to_dict()
+        ]
+        k = len(pts)
+        # The failed pair drops out of the pair count and of every triple.
+        assert report.samples_checked == math.comb(k, 2) - 1 + math.comb(k, 3) - (k - 2)
+
     def test_needs_three_samples(self, eu_model):
         with pytest.raises(ValueError):
             check_rationality(eu_model, samples3()[:2])
@@ -134,6 +156,17 @@ class TestMixingNeutrality:
     def test_quadratic_oracle_flagged(self):
         report = check_mixing_neutrality(quadratic_oracle(), samples3(), LAMBDAS)
         assert not report.passed
+
+    def test_quadratic_witnesses_replay(self):
+        model = quadratic_oracle()
+        report = check_mixing_neutrality(model, samples3(), LAMBDAS)
+        assert report.witnesses
+        for w in report.witnesses:
+            x, y, z = w.lotteries
+            assert model.compare(x, y) is Ordering.INDIFFERENT
+            assert z == mix(w.lam, x, y)
+            assert (model.compare(z, x), model.compare(z, y)) == w.observed
+            assert w.observed != (Ordering.INDIFFERENT, Ordering.INDIFFERENT)
 
 
 class TestContinuity:

@@ -1,0 +1,226 @@
+"""Byte-identity of the audit subcommands against recorded digests.
+
+``check``, ``triangle`` and ``separation`` (at ``--levels 0.5``) run on
+every model kind; each output file's sha256, the exit code and the
+printed lines (with the output directory masked) must match ``GOLDEN``.
+The digests were recorded from the scalar audit code that preceded the
+batched ``keys``/``gaps`` checks (commit 4bbb492), so any change to a
+printed number shows up here.  To re-record after an intended output
+change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
+its output over ``GOLDEN``.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+
+import pytest
+
+from betweenu.cli import main
+
+sys.path.insert(0, os.path.dirname(__file__))
+from conftest import DA_U, EU_U, KERNEL_PHI, KERNEL_T_GRID, WU_U, WU_W  # noqa: E402
+
+MODELS = {
+    "eu": {"kind": "expected_utility", "u": EU_U},
+    "wu": {"kind": "weighted_utility", "u": WU_U, "w": WU_W},
+    "da": {"kind": "disappointment_aversion", "u": DA_U, "beta": 1.0},
+    "kernel": {"kind": "implicit_kernel", "t_grid": KERNEL_T_GRID, "phi": KERNEL_PHI},
+    "cyclic": {"kind": "cyclic_oracle"},
+    "quadratic": {"kind": "quadratic"},
+    "jump": {"kind": "jump"},
+}
+
+#: Grid resolution per subcommand: grid 6 holds the cyclic oracle's
+#: planted triple; the separation audit's cost barely depends on it.
+GRIDS = {"check": 6, "triangle": 6, "separation": 4}
+
+JOBS = [(cmd, model) for cmd in GRIDS for model in MODELS]
+
+
+def run_job(root: str, cmd: str, model: str) -> dict:
+    spec = os.path.join(root, f"{model}.json")
+    with open(spec, "w", encoding="utf-8") as fh:
+        json.dump(MODELS[model], fh)
+    out = os.path.join(root, f"{cmd}.{model}")
+    argv = [cmd, "--model", spec, "--grid", str(GRIDS[cmd]), "--levels", "0.5", "--out", out]
+    printed = StringIO()
+    with redirect_stdout(printed):
+        code = main(argv)
+    files = {}
+    if os.path.isdir(out):
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = hashlib.sha256(fh.read()).hexdigest()
+    stdout = printed.getvalue().replace(out, "OUT").encode()
+    return {"exit": code, "stdout": hashlib.sha256(stdout).hexdigest(), "files": files}
+
+
+GOLDEN = {
+    "check.cyclic": {
+        "exit": 1,
+        "files": {
+            "axioms.json": "b95c3efbaff24d3c790de9e692881a1e13e7325fd32291960d56c0dabf458f17"
+        },
+        "stdout": "6077a1517286daeb01c77b246fe076c71b4796abcacbbc9eb01acbd886c77d4c"
+    },
+    "check.da": {
+        "exit": 0,
+        "files": {
+            "axioms.json": "92f85cb9629b1032d5969d71db06b6232bbea197a7ff8b3d75946383d42b99a2"
+        },
+        "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
+    },
+    "check.eu": {
+        "exit": 0,
+        "files": {
+            "axioms.json": "36a8cd3deef804dc52365dfd0564bbea7f0d72850167b1ed5b2b2fb300adbbca"
+        },
+        "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
+    },
+    "check.jump": {
+        "exit": 1,
+        "files": {
+            "axioms.json": "feaa9042121611194a6abc0bf3394db7ae1030cd81f26ba6bfc8c14e01acc098"
+        },
+        "stdout": "492b37907f5d95d6e2854af5536057b1cddad0857ad916efdd31b875d985eebc"
+    },
+    "check.kernel": {
+        "exit": 0,
+        "files": {
+            "axioms.json": "dd47824060ae4077ed65cfd36fe80f48c2603a003e5446624fe5ea3f8c11ed30"
+        },
+        "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
+    },
+    "check.quadratic": {
+        "exit": 1,
+        "files": {
+            "axioms.json": "0aa46ca24f688382901c14203a7a7c1a674d46e1daf972d7cd8c6103d54720ae"
+        },
+        "stdout": "46ed170628f5dc8baa1f62cd6c4df807d11cfa759df57d7a18cb3a002e12b2cb"
+    },
+    "check.wu": {
+        "exit": 0,
+        "files": {
+            "axioms.json": "36a8cd3deef804dc52365dfd0564bbea7f0d72850167b1ed5b2b2fb300adbbca"
+        },
+        "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
+    },
+    "separation.cyclic": {
+        "exit": 0,
+        "files": {
+            "separation.json": "893217f4e0bed666ec8f528a6e9eb72b80674199eaf777667edfda018940de82"
+        },
+        "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
+    },
+    "separation.da": {
+        "exit": 0,
+        "files": {
+            "separation.json": "6dbd342165ee0dcff243ae24efc02110c74469cbf67520f4a4d7261f899b8ec1"
+        },
+        "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
+    },
+    "separation.eu": {
+        "exit": 0,
+        "files": {
+            "separation.json": "0560b3ce6abe1d91d0f06be6ba3083a748fa089df6b071fa85d78f071e82c17f"
+        },
+        "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
+    },
+    "separation.jump": {
+        "exit": 1,
+        "files": {
+            "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
+        },
+        "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
+    },
+    "separation.kernel": {
+        "exit": 0,
+        "files": {
+            "separation.json": "980a236177d71426decc2756c8d1df45e4c1964efa33acbc561172a0aeddab82"
+        },
+        "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
+    },
+    "separation.quadratic": {
+        "exit": 1,
+        "files": {
+            "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
+        },
+        "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
+    },
+    "separation.wu": {
+        "exit": 0,
+        "files": {
+            "separation.json": "fff59262088cbbbef47f7c9741b6e5ee11d729bbdfa5688089e6d13d172c79c9"
+        },
+        "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
+    },
+    "triangle.cyclic": {
+        "exit": 0,
+        "files": {
+            "curves.csv": "0572418aa0c3d917f344fd82c53abe9671dc60b7a087c0fcaca280d0f41efcb7",
+            "triangle.svg": "2e08860033b34a618886d0860a65793a260792ad2fb6dbdb38252e209bb8d4ec"
+        },
+        "stdout": "c344706082156bb74e5d8d55013e5cdb2b4334add9bc430d28b87360429ceb44"
+    },
+    "triangle.da": {
+        "exit": 0,
+        "files": {
+            "curves.csv": "09a9d27b2df9242512f8eac70f202699aa19e85038fef32dfef5f3a0b4eefc95",
+            "triangle.svg": "d328129458c32469c7a7f05edbd2a120df2bff3f57edfd9b4a6cab01bfb622f0"
+        },
+        "stdout": "68778ca64ed70adf6342a6a6cab94bd6343ae38db4320e3468f7a5b1d84c48a6"
+    },
+    "triangle.eu": {
+        "exit": 0,
+        "files": {
+            "curves.csv": "764420af5dbf2c5ab2edb5304907242061f4a5ed24045779c304bdd4e8522776",
+            "triangle.svg": "4db7b4efe9b73043bb14de5f06442df293c94c62599640515bdff628cd124bec"
+        },
+        "stdout": "8122c9d1fbc2a1101bcdacce0085bb12ed4cc0890706a813bd2eaa8af49f5bc2"
+    },
+    "triangle.jump": {
+        "exit": 2,
+        "files": {},
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    },
+    "triangle.kernel": {
+        "exit": 0,
+        "files": {
+            "curves.csv": "a294c098c920b93120aab62d730993c913b89222e0354169fc326fc704611d65",
+            "triangle.svg": "2e08860033b34a618886d0860a65793a260792ad2fb6dbdb38252e209bb8d4ec"
+        },
+        "stdout": "4cf18d1cef64ccdc648aee03d94955f3d3454e4286fab9f293d7161e6388d471"
+    },
+    "triangle.quadratic": {
+        "exit": 0,
+        "files": {
+            "curves.csv": "77544ca33048559f298e7cb6b1eb9d94550a5782785b2c2661d077ed125dccd3",
+            "triangle.svg": "2308d619020bdc2f1b09bb25cbc5a07abb306e24086ca6622428d301a223f115"
+        },
+        "stdout": "f0b36fc869704a991c6851ef774ae09ddcd0505bd91a92a2d2b708460dea1ee5"
+    },
+    "triangle.wu": {
+        "exit": 0,
+        "files": {
+            "curves.csv": "eca9be22347c84fa7df793447bc192116e626fc6df1dccce84654d4d67d4262f",
+            "triangle.svg": "7c68e86136aa37973029c0f3440e0c09fa9e2747411c8d5c4e941dcfcaafbd2c"
+        },
+        "stdout": "c78806d7d8d55e794606875e37abd7557efa1a270ab929416f0e9c3abe31d4ba"
+    }
+}
+
+
+@pytest.mark.parametrize("cmd, model", JOBS, ids=[f"{c}.{m}" for c, m in JOBS])
+def test_outputs_match_recorded_digests(tmp_path, cmd, model):
+    assert run_job(str(tmp_path), cmd, model) == GOLDEN[f"{cmd}.{model}"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        records = {f"{cmd}.{model}": run_job(root, cmd, model) for cmd, model in JOBS}
+    print("GOLDEN = " + json.dumps(records, indent=4, sort_keys=True))

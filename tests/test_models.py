@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from betweenu import (
     grid,
     lottery,
     oracle_from_value,
+    run_all_checks,
 )
+from betweenu.models import classify
 
-from conftest import KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, make_kernel
+from conftest import KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, make_kernel
 
 
 def da_value_oracle(u, beta, x) -> float:
@@ -179,10 +182,20 @@ class TestOrderingAndCompare:
 
     def test_band_widens_indifference(self, eu_model):
         x, y = lottery((0.5, 0.0, 0.5)), lottery((0.5 + 1e-10, 0.0, 0.5 - 1e-10))
-        assert eu_model.ordering(x, y) is Ordering.STRICTLY_PREFERS or eu_model.ordering(
-            x, y
-        ) is Ordering.INDIFFERENT
-        assert eu_model.ordering(x, y, band=1e-6) is Ordering.INDIFFERENT
+        gap = eu_model.value(x) - eu_model.value(y)
+        assert classify(gap, eu_model.eps_pref) in (0, 1)
+        assert classify(gap, 1e-6) == 0
+        assert eu_model.compare(x, y) is Ordering.of_sign(classify(gap, eu_model.eps_pref))
+
+    def test_classify_signs(self):
+        gaps = [2e-9, -2e-9, 1e-9, -1e-9, 0.0, math.inf, -math.inf]
+        assert classify(gaps, 1e-9).tolist() == [1, -1, 0, 0, 0, 1, -1]
+        assert classify(gaps, 2e-9).tolist() == [0, 0, 0, 0, 0, 1, -1]
+        assert [Ordering.of_sign(s) for s in (1, 0, -1)] == [
+            Ordering.STRICTLY_PREFERS,
+            Ordering.INDIFFERENT,
+            Ordering.STRICTLY_DISPREFERRED,
+        ]
 
     def test_dimension_checked(self, eu_model):
         with pytest.raises(ValueError):
@@ -211,6 +224,21 @@ class TestBatchEqualsScalar:
     def test_values_rejects_non_lottery_rows(self, eu_model, rows):
         with pytest.raises(ValueError, match=f"row {len(rows) - 1} is not a lottery"):
             eu_model.values(rows)
+
+
+class TestNoPerLotteryState:
+    @pytest.mark.parametrize(
+        "name", ["expected_utility", "weighted_utility", "disappointment_aversion_1"]
+    )
+    def test_pickled_size_unchanged(self, name):
+        model = family_models()[name]
+        before = len(pickle.dumps(model))
+        run_all_checks(model, sorted(grid(3, 4)), (0.25, 0.5, 0.75))
+        points = sorted(grid(3, 44))[:1000]
+        for x, y in zip(points, points[1:]):
+            model.value(x)
+            model.compare(x, y)
+        assert len(pickle.dumps(model)) == before
 
 
 class TestBlackBoxOracle:

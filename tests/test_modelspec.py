@@ -81,3 +81,43 @@ class TestLoadModel:
         path.write_text("{not json")
         with pytest.raises(ValueError):
             load_model(str(path))
+
+
+NOT_NUMBERS = (
+    ({"kind": "expected_utility", "u": [0.0, 1.0], "eps_pref": None}, "eps_pref"),
+    ({"kind": "expected_utility", "u": [0.0, 1.0], "eps_pref": [1e-9]}, "eps_pref"),
+    ({"kind": "disappointment_aversion", "u": [0.0, 1.0], "beta": None}, "beta"),
+    ({"kind": "disappointment_aversion", "u": [0.0, 1.0], "beta": {"value": 1}}, "beta"),
+    ({"kind": "jump", "threshold": [0.5]}, "threshold"),
+    ({"kind": "jump", "drop": None}, "drop"),
+    ({"kind": "weighted_utility", "u": [0.0, 1.0], "w": {"a": 1}}, "w"),
+    ({"kind": "weighted_utility", "u": [0.0, 1.0], "w": [1.0, None]}, "w"),
+    ({"kind": "quadratic", "matrix": [[1.0, {}], [0.0, 1.0]]}, "matrix"),
+)
+
+BOOLEANS = (
+    ({"kind": "expected_utility", "u": [0.0, 1.0], "eps_pref": True}, "eps_pref"),
+    ({"kind": "disappointment_aversion", "u": [0.0, 1.0], "beta": False}, "beta"),
+    ({"kind": "expected_utility", "u": [False, True]}, "u"),
+    ({"kind": "jump", "drop": True}, "drop"),
+)
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("spec, field", NOT_NUMBERS + BOOLEANS)
+    def test_non_numbers_rejected_naming_the_field(self, spec, field):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            model_from_spec(spec)
+
+    @pytest.mark.parametrize("spec, field", NOT_NUMBERS[:1] + BOOLEANS[:1])
+    def test_cli_exits_with_input_error(self, tmp_path, capsys, spec, field):
+        from betweenu.cli import main
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_integers_accepted(self):
+        m = model_from_spec({"kind": "disappointment_aversion", "u": [0, 1], "beta": 2})
+        assert m.beta == 2.0

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betweenu import Lottery, Polytope, degenerate, grid, lottery, mix
+from betweenu.simplex import mix_rows
 
 
 def simplex_points(n_outcomes: int):
@@ -76,6 +77,17 @@ class TestMix:
         assert isinstance(z, Lottery)
         for zi, xi, yi in zip(z.probs, x.probs, y.probs):
             assert min(xi, yi) - 1e-12 <= zi <= max(xi, yi) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(simplex_points(4), simplex_points(4), st.floats(min_value=0.0, max_value=1.0))
+    def test_mix_rows_equal_mix_bitwise(self, x, y, lam):
+        assume(x != y)
+        pairs = [(x, y), (y, x)]
+        rows = mix_rows(lam, [a.probs for a, _ in pairs], [b.probs for _, b in pairs])
+        assert [tuple(r) for r in rows.tolist()] == [mix(lam, a, b).probs for a, b in pairs]
+        weights = np.asarray([lam, 1.0 - lam])
+        rows = mix_rows(weights, x.as_array(), y.as_array())
+        assert [tuple(r) for r in rows.tolist()] == [mix(w, x, y).probs for w in weights]
 
 
 class TestGrid:
