@@ -33,14 +33,12 @@ from .axioms import (
 )
 from .engine import (
     Branch,
-    LocalUtilitySample,
     RepresentationContext,
     chord_point,
     context_for,
     find_extremes,
     implicit_utility,
     implicit_utility_many,
-    local_utility,
     local_value,
     one_sided_limits,
     solve_mixing,
@@ -108,7 +106,6 @@ __all__ = [
     "Infeasible",
     "IterationLimit",
     "LevelCurve",
-    "LocalUtilitySample",
     "Lottery",
     "MembershipViolation",
     "MultipleFixedPoints",
@@ -141,7 +138,6 @@ __all__ = [
     "implicit_utility_many",
     "jump_oracle",
     "load_model",
-    "local_utility",
     "local_value",
     "lottery",
     "mix",

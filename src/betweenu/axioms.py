@@ -29,6 +29,10 @@ import numpy as np
 from .models import Ordering, PreferenceModel, classify
 from .simplex import Lottery, degenerate, lottery_rows, mix, mix_rows
 
+#: Steps of the coarse approach in :func:`check_continuity`: the weights
+#: toward the limit run down to ``0.5 ** _APPROACH_STEPS``.
+_APPROACH_STEPS = 10
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -321,11 +325,12 @@ def check_mixing_neutrality(model: PreferenceModel, samples, lambdas) -> AxiomRe
     )
 
 
-def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> AxiomReport:
+def check_continuity(model: PreferenceModel, samples) -> AxiomReport:
     """Finite-resolution consistency of comparisons under limits.
 
     For each sample ``x``, walk a sequence toward it along segments from
-    each simplex vertex, comparing every step against each reference
+    each simplex vertex (weights on the vertex ``0.5 ** k`` up to
+    ``k = 10``), comparing every step against each reference
     sample ``y``.  If the comparisons settle on one strict ordering along
     the tail of the sequence but the limit point compares strictly the
     other way, a discontinuity may have been observed.  It is recorded
@@ -338,13 +343,10 @@ def check_continuity(model: PreferenceModel, samples, n_steps: int = 10) -> Axio
     samples, rows, keys = _keyed(model, samples)
     if not samples:
         raise ValueError("continuity needs at least one sample")
-    n_steps = int(n_steps)
-    if n_steps < 5:
-        raise ValueError(f"need at least 5 steps for a tail, got {n_steps}")
     m = len(samples)
     anchors = [degenerate(i, model.n_outcomes) for i in range(model.n_outcomes)]
-    last = 0.5**n_steps
-    tail_lams = np.asarray([0.5**k for k in range(n_steps - 3, n_steps + 1)])
+    last = 0.5**_APPROACH_STEPS
+    tail_lams = np.asarray([0.5**k for k in range(_APPROACH_STEPS - 3, _APPROACH_STEPS + 1)])
     fine_lams = np.asarray([0.5**k for k in range(37, 41)])
 
     def gaps_along(lams, z: Lottery, x_row, ky) -> np.ndarray:

@@ -16,24 +16,25 @@ Everything is driven by pairwise comparisons:
 3. For an interior level ``t``, mix ``x`` toward the extreme on the
    opposite side of the chord point until the mixture is indifferent to
    it (:func:`solve_mixing`); inverting mixture linearity along that
-   segment yields the local utility (:func:`local_value`).
+   segment yields the local utility ``u(x, t)`` (:func:`local_value`,
+   :func:`implicit_utility`).
 4. At the endpoint levels, ``u(x, 0)`` and ``u(x, 1)`` are indicators of
    the indifference classes of the worst and best extremes.
 5. The fixed point ``t = u(x, t)`` is located without step 2
    (:func:`utility_fixed_point_many`): a scan of uniform levels per
    lottery checks that the residual ``u(x, t) - t`` crosses zero once,
-   then one vectorized bisection narrows the two plateau edges of every
-   lottery in the batch, evaluating only the edges not yet within
-   tolerance at each step.
+   then one batched bisection narrows the two plateau edges of every
+   lottery.
 
 Every solver is written once, over arrays of lottery rows and the
 model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
-and ``gaps``): brackets steer on the sign of a gap, a zero gap stops a
-row at its midpoint, and the ``eps_pref`` band grants only the endpoint
-and on-chord shortcuts.  Value models therefore steer on raw value
-signs, while oracles, whose gaps are infinite or zero, stop at an
-indifferent midpoint.  Scalar calls are one-row batches, so scalar and
-batched results are bitwise identical and independent of batch
+and ``gaps``), and every bisection, the triangle's scanlines included,
+runs in one loop, :func:`_bisect`: brackets steer on the sign of a gap,
+a zero gap stops a row at its midpoint, and the ``eps_pref`` band grants
+only the endpoint and on-chord shortcuts.  Value models therefore steer
+on raw value signs, while oracles, whose gaps are infinite or zero, stop
+at an indifferent midpoint.  Scalar calls are one-row batches, so scalar
+and batched results are bitwise identical and independent of batch
 composition, for oracles as for value models.
 """
 
@@ -62,6 +63,8 @@ DEFAULT_MAX_ITER = 200
 #: at interior levels the opposite extreme lies strictly across the chord
 #: point, which bounds the true crossing weight away from zero.
 MU_FLOOR = 1e-12
+
+_LIMIT_DELTA = 1e-4
 
 #: Rows of a context's ``_ends`` (and ``_end_keys``): the best extreme, then the worst.
 _BEST, _WORST = 0, 1
@@ -98,22 +101,6 @@ def local_value(t: float, mix_weight: float, branch: Branch) -> float:
     return 1.0 - (1.0 - t) / mix_weight
 
 
-@dataclass(frozen=True)
-class LocalUtilitySample:
-    """One evaluation of the local utility at an interior level.
-
-    ``branch`` is USED_WORST exactly when ``x`` is weakly preferred to
-    the chord point at ``level``; ``value`` always equals
-    ``local_value(level, mix_weight, branch)``.
-    """
-
-    x: Lottery
-    level: float
-    mix_weight: float
-    branch: Branch
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
 class RepresentationContext:
     """A model, its preference extremes, and the solver tolerances.
@@ -148,7 +135,7 @@ class RepresentationContext:
         object.__setattr__(self, "_end_keys", self.model.keys(ends))
 
 
-def find_extremes(model: PreferenceModel, n: int | None = None) -> tuple[Lottery, Lottery]:
+def find_extremes(model: PreferenceModel) -> tuple[Lottery, Lottery]:
     """Best and worst degenerate lotteries under the model.
 
     Betweenness makes preference both quasiconcave and quasiconvex, so
@@ -157,9 +144,7 @@ def find_extremes(model: PreferenceModel, n: int | None = None) -> tuple[Lottery
     :class:`DegeneratePreference` when every vertex is indifferent to
     every other.
     """
-    n = model.n_outcomes if n is None else int(n)
-    if n != model.n_outcomes:
-        raise ValueError(f"model has {model.n_outcomes} outcomes, asked for {n}")
+    n = model.n_outcomes
     best = worst = degenerate(0, n)
     for i in range(1, n):
         vertex = degenerate(i, n)
@@ -205,38 +190,39 @@ def _as_levels(rows: np.ndarray, ts) -> np.ndarray:
     return ts
 
 
-def _bisect(ctx: RepresentationContext, gap_at, per_row: tuple, what: str) -> np.ndarray:
-    """One bisection per row on [0, 1], down to the context tolerance.
+def _bisect(gap_at, per_row: tuple, lo, hi, tol: float, max_iter: int, what: str):
+    """One bisection per row from the bracket ``[lo, hi]`` (a bound or one
+    per row) until it is at most ``tol`` wide; returns the final brackets.
 
     ``per_row`` holds arrays with one entry per row, and ``gap_at(s,
     *per_row)`` gives the rows' gaps at parameters ``s``.  A positive gap
     raises the row's lower end, any other its upper end, and a zero gap
-    stops the row at ``s``.  Finished rows leave every array, so each
-    step evaluates only the rows still running.
+    closes the bracket at ``s``.  Every row takes at least one step.
+    Finished rows leave every array, so each step evaluates only the
+    rows still running; a row still wider than ``tol`` after ``max_iter``
+    steps raises :class:`IterationLimit`.
     """
     k = len(per_row[0])
-    out = np.empty(k)
-    sel = np.arange(k)
-    lo = np.zeros(k)
-    hi = np.ones(k)
-    for _ in range(ctx.max_iter):
+    lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
+    # ``sel`` indexes the running rows and ``[a, b]`` holds their brackets.
+    sel, a, b = np.arange(k), lo, hi
+    for _ in range(max_iter):
         if not sel.size:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (a + b)
         g = gap_at(mid, *per_row)
-        lo = np.where(g >= 0.0, mid, lo)
-        hi = np.where(g > 0.0, hi, mid)
-        done = hi - lo <= ctx.tol_t
+        a = np.where(g >= 0.0, mid, a)
+        b = np.where(g > 0.0, b, mid)
+        done = b - a <= tol
         if done.any():
-            out[sel[done]] = 0.5 * (lo[done] + hi[done])
+            finished = sel[done]
+            lo[finished], hi[finished] = a[done], b[done]
             keep = ~done
-            sel, lo, hi = sel[keep], lo[keep], hi[keep]
-            per_row = tuple(a[keep] for a in per_row)
+            sel, a, b = sel[keep], a[keep], b[keep]
+            per_row = tuple(p[keep] for p in per_row)
     if sel.size:
-        raise IterationLimit(
-            f"{what} bisection missed tol {ctx.tol_t} within {ctx.max_iter} iterations"
-        )
-    return out
+        raise IterationLimit(f"{what} bisection missed tol {tol} within {max_iter} iterations")
+    return lo, hi
 
 
 def solve_utility(ctx: RepresentationContext, x: Lottery) -> float:
@@ -273,7 +259,8 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     def gap_at(s, k_in):
         return model.gaps(k_in, model.keys(mix_rows(s, ctx._ends[_BEST], ctx._ends[_WORST])))
 
-    out[inner] = _bisect(ctx, gap_at, (kx[inner],), "level")
+    lo, hi = _bisect(gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level")
+    out[inner] = 0.5 * (lo + hi)
     return out
 
 
@@ -338,19 +325,11 @@ def _solve_mixing_rows(
         return steer * model.gaps(model.keys(mix_rows(lam, x_rows, anchor_rows)), k_target)
 
     per_row = (rows[inner], ctx._ends[anchor], steer, k_target)
-    weights[inner] = _bisect(ctx, gap_at, per_row, "mixing")
+    lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing")
+    weights[inner] = 0.5 * (lo + hi)
     if (weights <= MU_FLOOR).any():
         raise NoCrossing("mixing weight collapsed to zero; no interior crossing exists")
     return weights, used_worst
-
-
-def local_utility(ctx: RepresentationContext, x: Lottery, t: float) -> LocalUtilitySample:
-    """Solve the mixing weight at level ``t`` and assemble the full sample."""
-    t = float(t)
-    weight, branch = solve_mixing(ctx, x, t)
-    return LocalUtilitySample(
-        x=x, level=t, mix_weight=weight, branch=branch, value=local_value(t, weight, branch)
-    )
 
 
 def implicit_utility(ctx: RepresentationContext, x: Lottery, t: float) -> float:
@@ -417,7 +396,9 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     Value ties within ``eps_pref`` count as on-chord, which makes the
     residual exactly zero on a short plateau around the fixed point.  A
     single bisection would stop anywhere on that plateau, so the search
-    brackets both plateau edges and returns their midpoint.
+    brackets both plateau edges and returns their midpoint; an edge still
+    wider than ``tol_t`` after ``max_iter`` steps raises
+    :class:`IterationLimit`.
     """
     n_scan = int(n_scan)
     if n_scan < 3:
@@ -462,40 +443,30 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
         inside.append(i)
         cell_lo.append(a)
         cell_hi.append(b)
-    if not inside:
-        return out
+
     # Each lottery contributes two rows: the lower plateau edge (even
     # rows, which move up on a positive residual) and the upper one (odd
-    # rows, which also move up on a zero residual).  Every step evaluates
-    # only the rows still wider than the tolerance.
-    edge_rows = np.repeat(rows[inside], 2, axis=0)
-    lo = np.repeat(cell_lo, 2)
-    hi = np.repeat(cell_hi, 2)
-    upper = np.tile([False, True], len(inside))
-    for _ in range(ctx.max_iter):
-        run = np.flatnonzero(hi - lo > ctx.tol_t)
-        if not run.size:
-            break
-        mid = 0.5 * (lo[run] + hi[run])
-        g = implicit_utility_many(eval_ctx, edge_rows[run], mid) - mid
-        up = (g > 0.0) | (upper[run] & (g == 0.0))
-        lo[run] = np.where(up, mid, lo[run])
-        hi[run] = np.where(up, hi[run], mid)
+    # rows, which also move up on a zero residual, through ``tie``).
+    def gap_at(mid, edge_rows, tie):
+        g = implicit_utility_many(eval_ctx, edge_rows, mid) - mid
+        return np.where(g == 0.0, tie, g)
+
+    edge_lo, edge_hi = np.repeat(cell_lo, 2), np.repeat(cell_hi, 2)
+    per_row = (np.repeat(rows[inside], 2, axis=0), np.tile([-1.0, 1.0], len(inside)))
+    lo, hi = _bisect(gap_at, per_row, edge_lo, edge_hi, ctx.tol_t, ctx.max_iter, "plateau edge")
     out[inside] = 0.25 * (lo[0::2] + hi[0::2] + lo[1::2] + hi[1::2])
     return out
 
 
-def one_sided_limits(ctx: RepresentationContext, x: Lottery, delta: float = 1e-4) -> dict:
-    """Report ``u(x, t)`` just inside the endpoint levels, next to the
+def one_sided_limits(ctx: RepresentationContext, x: Lottery) -> dict:
+    """Report ``u(x, t)`` at 1e-4 inside the endpoint levels, next to the
     endpoint indicator values.
 
     The endpoints are pinned to indicators of the extreme indifference
     classes; nothing in the construction forces the interior values to
     approach them, so both sides are reported without asserting equality.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
     at_zero, near_zero, near_one, at_one = implicit_utility_many(
-        ctx, [x] * 4, [0.0, delta, 1.0 - delta, 1.0]
+        ctx, [x] * 4, [0.0, _LIMIT_DELTA, 1.0 - _LIMIT_DELTA, 1.0]
     ).tolist()
     return {"at_zero": at_zero, "near_zero": near_zero, "near_one": near_one, "at_one": at_one}

@@ -25,8 +25,7 @@ def oracle_from_value(
     """Wrap a scalar lottery-value function as a comparison oracle.
 
     Unlike :class:`~betweenu.models.ValueModel` subclasses, the result
-    only exposes ``compare``; the checkers cannot peek at values.  The
-    wrapped function is kept on the oracle as ``value_fn`` for tests.
+    only exposes ``compare``; the checkers cannot peek at values.
     """
     band = float(eps_pref)
 
@@ -36,9 +35,7 @@ def oracle_from_value(
             return Ordering.INDIFFERENT
         return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
 
-    oracle = BlackBoxOracle(compare_fn, n_outcomes, eps_pref)
-    oracle.value_fn = value_fn
-    return oracle
+    return BlackBoxOracle(compare_fn, n_outcomes, eps_pref)
 
 
 #: The planted intransitive triple used by :func:`cyclic_oracle`.  All

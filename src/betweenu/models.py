@@ -14,8 +14,8 @@ Built-in families, with ``x`` a lottery and ``u`` outcome utilities:
   ``V = (sum_i x_i u_i + beta * sum_{i: u_i <= V} x_i u_i)
   / (1 + beta * sum_{i: u_i <= V} x_i)``
 * implicit kernel             the unique ``t`` solving
-  ``t = sum_i x_i phi(i, t)`` for a kernel ``phi`` that is a contraction
-  in ``t``.
+  ``t = sum_i x_i phi(i, t)`` for a kernel ``phi`` tabulated on a level
+  grid and a contraction in ``t``.
 
 Outcome utilities (and kernel values) are constrained to [0, 1] so the
 value scale of every family lines up with the unit normalization used by
@@ -257,43 +257,16 @@ class DisappointmentAversion(ValueModel):
 class ImplicitKernel(ValueModel):
     """Implicitly defined utility ``t = sum_i x_i phi(i, t)``.
 
-    ``phi`` maps (outcome index, level) to [0, 1] and must be Lipschitz in
-    the level with constant < 1, which makes the defining map a contraction
-    with a unique fixed point.  The fixed point is found by plain iteration;
-    failure to converge raises :class:`FixedPointDivergence`.
-
-    The usual way to build one is :meth:`from_table`: values of phi on a
-    level grid per outcome, linearly interpolated in between.  A raw
-    callable with a declared Lipschitz constant is also accepted.
+    ``phi`` is tabulated on a level grid: ``t_grid`` increases from 0 to 1
+    and ``phi_values[i]`` holds the values in [0, 1] for outcome ``i`` on
+    that grid, linearly interpolated in between.  Every slope must stay
+    below 1, which makes the defining map a contraction with a unique
+    fixed point; the largest one is kept as ``lipschitz``.  The fixed
+    point is found by plain iteration; failure to converge within
+    ``max_fp_iter`` steps raises :class:`FixedPointDivergence`.
     """
 
-    def __init__(
-        self,
-        phi,
-        n_outcomes: int,
-        lipschitz: float,
-        eps_pref: float = DEFAULT_EPS_PREF,
-    ):
-        lipschitz = float(lipschitz)
-        if not 0.0 <= lipschitz < 1.0:
-            raise ValueError(f"Lipschitz constant must lie in [0, 1), got {lipschitz!r}")
-        super().__init__(n_outcomes, eps_pref)
-        self.phi = phi
-        self.lipschitz = lipschitz
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
-        if lipschitz > 0.0:
-            guess = int(math.log(_FP_TOL) / math.log(lipschitz)) + 20
-        else:
-            guess = 60
-        self.max_fp_iter = min(max(guess, 60), 20000)
-
-    @classmethod
-    def from_table(cls, t_grid, phi_values, eps_pref: float = DEFAULT_EPS_PREF) -> "ImplicitKernel":
-        """Kernel tabulated on a level grid, linearly interpolated.
-
-        ``t_grid`` must increase from 0 to 1; ``phi_values[i]`` holds the
-        kernel values for outcome ``i`` on that grid, each within [0, 1].
-        """
+    def __init__(self, t_grid, phi_values, eps_pref: float = DEFAULT_EPS_PREF):
         t_grid = np.asarray(t_grid, dtype=float)
         phi_values = np.asarray(phi_values, dtype=float)
         if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -310,25 +283,15 @@ class ImplicitKernel(ValueModel):
             raise ValueError(
                 f"tabulated kernel has Lipschitz constant {lipschitz:.6g}; it must be < 1"
             )
-
-        def phi(i: int, t: float) -> float:
-            return float(np.interp(t, t_grid, phi_values[i]))
-
-        model = cls(phi, phi_values.shape[0], lipschitz, eps_pref)
-        model._table = (t_grid, phi_values)
-        return model
-
-    def _phi_sum(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            t_grid, phi_values = self._table
-            acc = np.zeros(len(rows))
-            for i in range(self.n_outcomes):
-                acc += rows[:, i] * np.interp(t, t_grid, phi_values[i])
-            return acc
-        acc = np.zeros(len(rows))
-        for i in range(self.n_outcomes):
-            acc += rows[:, i] * np.asarray([self.phi(i, float(tv)) for tv in t])
-        return acc
+        super().__init__(phi_values.shape[0], eps_pref)
+        self.t_grid = t_grid
+        self.phi_values = phi_values
+        self.lipschitz = lipschitz
+        if lipschitz > 0.0:
+            guess = int(math.log(_FP_TOL) / math.log(lipschitz)) + 20
+        else:
+            guess = 60
+        self.max_fp_iter = min(max(guess, 60), 20000)
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
         k = len(rows)
@@ -339,7 +302,9 @@ class ImplicitKernel(ValueModel):
         for _ in range(self.max_fp_iter):
             if done.all():
                 break
-            g = self._phi_sum(rows, t)
+            g = np.zeros(k)
+            for i in range(self.n_outcomes):
+                g += rows[:, i] * np.interp(t, self.t_grid, self.phi_values[i])
             converged = ~done & (np.abs(g - t) <= _FP_TOL)
             t = np.where(done, t, g)
             done |= converged

@@ -90,7 +90,7 @@ def model_from_spec(spec: dict) -> PreferenceModel:
     if kind == "disappointment_aversion":
         return DisappointmentAversion(*arrays("u"), _field(spec, "beta", kind), eps_pref)
     if kind == "implicit_kernel":
-        return ImplicitKernel.from_table(*arrays("t_grid", "phi"), eps_pref)
+        return ImplicitKernel(*arrays("t_grid", "phi"), eps_pref)
     if kind == "cyclic_oracle":
         return cyclic_oracle(eps_pref)
     if kind == "jump":

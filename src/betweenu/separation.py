@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .engine import RepresentationContext, chord_point, local_utility, solve_mixing_many
+from .engine import RepresentationContext, chord_point, implicit_utility, solve_mixing_many
 from .errors import Infeasible, MembershipViolation
 from .models import classify
 from .simplex import Lottery, Polytope, lottery_rows, mix
@@ -301,19 +301,22 @@ def cross_polytope_consistency(
 
     Solves the separation program inside every polytope (each must
     contain ``x`` and both extremes) and compares all resulting values at
-    ``x`` with one another and with the engine's mixing-based value.
+    ``x`` with one another and with the engine's mixing-based value
+    :func:`~betweenu.engine.implicit_utility`.
     """
+    t = float(t)
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
     polytopes = list(polytopes)
     if not polytopes:
         raise ValueError("need at least one polytope")
-    t = float(t)
     for polytope in polytopes:
         _require_extremes(ctx, polytope)
         if not polytope.contains(x):
             raise MembershipViolation(
                 f"lottery {x.probs} is outside one of the supplied polytopes"
             )
-    engine_value = local_utility(ctx, x, t).value
+    engine_value = implicit_utility(ctx, x, t)
     separator_values = []
     for polytope in polytopes:
         samples = contour_samples(ctx, t, polytope, include=(x,))

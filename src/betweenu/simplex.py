@@ -142,8 +142,7 @@ def grid(n: int, resolution: int) -> list[Lottery]:
 class Polytope:
     """A convex polytope given by a finite list of generating lotteries.
 
-    Duplicate generators are permitted (they do not change the hull) but
-    are flagged through :attr:`has_duplicates`.
+    Duplicate generators are permitted: they do not change the hull.
     """
 
     vertices: tuple[Lottery, ...]
@@ -158,10 +157,6 @@ class Polytope:
     @property
     def n_outcomes(self) -> int:
         return self.vertices[0].n_outcomes
-
-    @property
-    def has_duplicates(self) -> bool:
-        return len(set(v.probs for v in self.vertices)) < len(self.vertices)
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray([v.probs for v in self.vertices], dtype=float)

@@ -14,7 +14,7 @@ combination of the corners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .engine import RepresentationContext, _bisect, chord_point
 from .simplex import Lottery, degenerate, mix, mix_rows
 
 _SCAN_TOL = 1e-12
+_SCANLINES = 24
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,10 @@ class LevelCurve:
     points: tuple[Lottery, ...]
 
 
-def trace_level_curves(
-    ctx: RepresentationContext,
-    levels,
-    scanlines: int = 24,
-) -> list[LevelCurve]:
+def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
     """Trace the indifference curves of the given utility levels.
 
-    Two scanline families sweep the triangle: lines of constant
+    Two families of 24 scanlines sweep the triangle: lines of constant
     best-outcome mass (from the best-worst chord to the best-third edge)
     and lines of constant worst-outcome mass (from the chord to the
     worst-third edge).  Betweenness guarantees each scanline meets a
@@ -52,15 +49,12 @@ def trace_level_curves(
     model = ctx.model
     if model.n_outcomes != 3:
         raise ValueError(f"triangle tracing needs 3 outcomes, got {model.n_outcomes}")
-    scanlines = int(scanlines)
-    if scanlines < 2:
-        raise ValueError(f"need at least 2 scanlines, got {scanlines}")
     vertices = [degenerate(i, 3) for i in range(3)]
     if ctx.best not in vertices or ctx.worst not in vertices:
         raise ValueError("triangle tracing expects vertex extremes")
     third = next(v for v in vertices if v != ctx.best and v != ctx.worst)
     segments = []
-    for s in np.linspace(0.0, 1.0, scanlines):
+    for s in np.linspace(0.0, 1.0, _SCANLINES):
         s = float(s)
         for a, b in (
             (chord_point(ctx, s), mix(s, ctx.best, third)),
@@ -70,7 +64,6 @@ def trace_level_curves(
                 segments.append((a, b))
     a_rows, b_rows = (np.asarray([seg[i].probs for seg in segments]) for i in (0, 1))
     ka, kb = model.keys(a_rows), model.keys(b_rows)
-    scan_ctx = replace(ctx, tol_t=_SCAN_TOL)
     curves = []
     for level in levels:
         level = float(level)
@@ -87,7 +80,8 @@ def trace_level_curves(
             return steer * model.gaps(model.keys(mix_rows(lam, b, a)), kt)
 
         per_row = (a_rows[inner], b_rows[inner], np.where(ga[inner] > 0.0, 1.0, -1.0))
-        at = dict(zip(inner.tolist(), _bisect(scan_ctx, gap_at, per_row, "scanline").tolist()))
+        lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, _SCAN_TOL, ctx.max_iter, "scanline")
+        at = dict(zip(inner.tolist(), (0.5 * (lo + hi)).tolist()))
         found = [target]
         for i, (a, b) in enumerate(segments):
             if ga[i] == 0.0:

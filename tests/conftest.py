@@ -40,7 +40,7 @@ NOT_LOTTERIES = (
 
 
 def make_kernel() -> ImplicitKernel:
-    return ImplicitKernel.from_table(KERNEL_T_GRID, KERNEL_PHI)
+    return ImplicitKernel(KERNEL_T_GRID, KERNEL_PHI)
 
 
 def family_models() -> dict:

@@ -1,13 +1,16 @@
-"""Byte-identity of the audit subcommands against recorded digests.
+"""Byte-identity of the CLI subcommands against recorded digests.
 
 ``check``, ``triangle`` and ``separation`` (at ``--levels 0.5``) run on
-every model kind; each output file's sha256, the exit code and the
-printed lines (with the output directory masked) must match ``GOLDEN``.
-The digests were recorded from the scalar audit code that preceded the
-batched ``keys``/``gaps`` checks (commit 4bbb492), so any change to a
-printed number shows up here.  To re-record after an intended output
-change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
-its output over ``GOLDEN``.
+every model kind, ``repr`` on six of them; each output file's sha256,
+the exit code and the printed lines of stdout and stderr (with the
+output directory masked) must match ``GOLDEN``.  The ``check``,
+``triangle`` and ``separation`` digests were recorded from the scalar
+audit code that preceded the batched ``keys``/``gaps`` checks (commit
+4bbb492); the ``repr`` digests and every ``stderr`` digest from the
+plateau-edge loop that preceded the shared ``engine._bisect`` (commit
+118c7b3).  So any change to a printed number shows up here.  To
+re-record after an intended output change, run ``PYTHONPATH=src python
+tests/test_cli_golden.py`` and paste its output over ``GOLDEN``.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
@@ -39,25 +42,35 @@ MODELS = {
 #: planted triple; the separation audit's cost barely depends on it.
 GRIDS = {"check": 6, "triangle": 6, "separation": 4}
 
-JOBS = [(cmd, model) for cmd in GRIDS for model in MODELS]
+#: ``repr`` scans 1,000 levels per grid lottery, so its grids are chosen
+#: per model: DA grid 1 holds one interior plateau vertex, kernel grid 3
+#: the full-support lottery, and jump exits 3 (``MultipleFixedPoints``).
+REPR_GRIDS = {"eu": 6, "wu": 6, "da": 1, "kernel": 3, "cyclic": 2, "jump": 3}
+
+JOBS = [(cmd, model, GRIDS[cmd]) for cmd in GRIDS for model in MODELS] + [
+    ("repr", model, res) for model, res in REPR_GRIDS.items()
+]
 
 
-def run_job(root: str, cmd: str, model: str) -> dict:
+def run_job(root: str, cmd: str, model: str, res: int) -> dict:
     spec = os.path.join(root, f"{model}.json")
     with open(spec, "w", encoding="utf-8") as fh:
         json.dump(MODELS[model], fh)
     out = os.path.join(root, f"{cmd}.{model}")
-    argv = [cmd, "--model", spec, "--grid", str(GRIDS[cmd]), "--levels", "0.5", "--out", out]
-    printed = StringIO()
-    with redirect_stdout(printed):
+    argv = [cmd, "--model", spec, "--grid", str(res), "--levels", "0.5", "--out", out]
+    printed, errors = StringIO(), StringIO()
+    with redirect_stdout(printed), redirect_stderr(errors):
         code = main(argv)
     files = {}
     if os.path.isdir(out):
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
                 files[name] = hashlib.sha256(fh.read()).hexdigest()
-    stdout = printed.getvalue().replace(out, "OUT").encode()
-    return {"exit": code, "stdout": hashlib.sha256(stdout).hexdigest(), "files": files}
+    digest = {
+        name: hashlib.sha256(stream.getvalue().replace(out, "OUT").encode()).hexdigest()
+        for name, stream in (("stdout", printed), ("stderr", errors))
+    }
+    return {"exit": code, "files": files, **digest}
 
 
 GOLDEN = {
@@ -66,6 +79,7 @@ GOLDEN = {
         "files": {
             "axioms.json": "b95c3efbaff24d3c790de9e692881a1e13e7325fd32291960d56c0dabf458f17"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "6077a1517286daeb01c77b246fe076c71b4796abcacbbc9eb01acbd886c77d4c"
     },
     "check.da": {
@@ -73,6 +87,7 @@ GOLDEN = {
         "files": {
             "axioms.json": "92f85cb9629b1032d5969d71db06b6232bbea197a7ff8b3d75946383d42b99a2"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
     },
     "check.eu": {
@@ -80,6 +95,7 @@ GOLDEN = {
         "files": {
             "axioms.json": "36a8cd3deef804dc52365dfd0564bbea7f0d72850167b1ed5b2b2fb300adbbca"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
     },
     "check.jump": {
@@ -87,6 +103,7 @@ GOLDEN = {
         "files": {
             "axioms.json": "feaa9042121611194a6abc0bf3394db7ae1030cd81f26ba6bfc8c14e01acc098"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "492b37907f5d95d6e2854af5536057b1cddad0857ad916efdd31b875d985eebc"
     },
     "check.kernel": {
@@ -94,6 +111,7 @@ GOLDEN = {
         "files": {
             "axioms.json": "dd47824060ae4077ed65cfd36fe80f48c2603a003e5446624fe5ea3f8c11ed30"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
     },
     "check.quadratic": {
@@ -101,6 +119,7 @@ GOLDEN = {
         "files": {
             "axioms.json": "0aa46ca24f688382901c14203a7a7c1a674d46e1daf972d7cd8c6103d54720ae"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "46ed170628f5dc8baa1f62cd6c4df807d11cfa759df57d7a18cb3a002e12b2cb"
     },
     "check.wu": {
@@ -108,13 +127,74 @@ GOLDEN = {
         "files": {
             "axioms.json": "36a8cd3deef804dc52365dfd0564bbea7f0d72850167b1ed5b2b2fb300adbbca"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "4350877a439d449929aa4ec1c3fc4dba6e766a4ff1fc212fe2cd38541c5d20ad"
+    },
+    "repr.cyclic": {
+        "exit": 0,
+        "files": {
+            "U.csv": "ea1bb80bb429b87bf7971d0ab88a927cfcfa531f35eeb0ecdcff15c3254ba5d2",
+            "summary.json": "5a7ee493f33ac9fb5c92fe0f3f224195f33a9774e3b308f19bc1fdaad6296775",
+            "u.csv": "47813b03d6426186d77aa11b473e71c88c83724f978492384f2597ea778c36f1"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
+    },
+    "repr.da": {
+        "exit": 0,
+        "files": {
+            "U.csv": "2c1569287037c3ea821a6ce26fd837dd78a59cd204e87a1e916ae00ca1ef877c",
+            "summary.json": "b26004371a876b6cc29fc10bf84572bb06c27c8232728159cfc4641af64c3d61",
+            "u.csv": "85d956c9800202fa12e500a6157027f9cb06b7c15fecb7fbf4a051c6ccaa762c"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
+    },
+    "repr.eu": {
+        "exit": 0,
+        "files": {
+            "U.csv": "03722c4771d3e24faa245b4730924d80e7cb950d63fa2ee206874b3edee49f07",
+            "summary.json": "fe440c36ce323d9ede138ba7677e11700e5d0dad539ab527cacdfb19b4d5c697",
+            "u.csv": "5d13426a63d2303cd6e164f621bc6429f994a30161edb316c9695fb28bc0c7e8"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
+    },
+    "repr.jump": {
+        "exit": 3,
+        "files": {
+            "U.csv": "584cd17a085564db6a43599a135b7b1add63ce38e94f4fb82931e3187d0c4c53",
+            "u.csv": "a1b34b2cdf9dad9d4cdd4b591511a1a67d863b7f8939f416ca4ca879a4749bc3"
+        },
+        "stderr": "d579f5836fb231ceba63e33267767b2918d639a45790ff67147b52bd758fafa4",
+        "stdout": "4e7269f38cb14600f159471bfad32fcec99a025a18cd211c0f498e1d82927313"
+    },
+    "repr.kernel": {
+        "exit": 0,
+        "files": {
+            "U.csv": "94d7331b5d47f9ac79d6e46c88c0a25dae463c994ae5d0da2f35ad60335f6ca5",
+            "summary.json": "028a85094f6d2f8a2cf13eee223d77ea84fb25afb3c94f1e160848beeedb638e",
+            "u.csv": "185c1e18da26b9beda832300e104423b286ef60fb7513c117c56794063f34448"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
+    },
+    "repr.wu": {
+        "exit": 0,
+        "files": {
+            "U.csv": "5c3d2c886d77074ba60633fedccd10be4b3d06139edea6e6bf971ef79ebd4eb3",
+            "summary.json": "efc9c017a5553e2b73e7d42381b8136ff223dcc0f26986bc4147a6b885204a4a",
+            "u.csv": "eb0476d8f4292b6f23b9cb1e7bdc8ae2207e1e22df74d4c5fe4fb13de2ddfb3a"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
     },
     "separation.cyclic": {
         "exit": 0,
         "files": {
             "separation.json": "893217f4e0bed666ec8f528a6e9eb72b80674199eaf777667edfda018940de82"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
     },
     "separation.da": {
@@ -122,6 +202,7 @@ GOLDEN = {
         "files": {
             "separation.json": "6dbd342165ee0dcff243ae24efc02110c74469cbf67520f4a4d7261f899b8ec1"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
     },
     "separation.eu": {
@@ -129,6 +210,7 @@ GOLDEN = {
         "files": {
             "separation.json": "0560b3ce6abe1d91d0f06be6ba3083a748fa089df6b071fa85d78f071e82c17f"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
     },
     "separation.jump": {
@@ -136,6 +218,7 @@ GOLDEN = {
         "files": {
             "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
     },
     "separation.kernel": {
@@ -143,6 +226,7 @@ GOLDEN = {
         "files": {
             "separation.json": "980a236177d71426decc2756c8d1df45e4c1964efa33acbc561172a0aeddab82"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
     },
     "separation.quadratic": {
@@ -150,6 +234,7 @@ GOLDEN = {
         "files": {
             "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
     },
     "separation.wu": {
@@ -157,6 +242,7 @@ GOLDEN = {
         "files": {
             "separation.json": "fff59262088cbbbef47f7c9741b6e5ee11d729bbdfa5688089e6d13d172c79c9"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
     },
     "triangle.cyclic": {
@@ -165,6 +251,7 @@ GOLDEN = {
             "curves.csv": "0572418aa0c3d917f344fd82c53abe9671dc60b7a087c0fcaca280d0f41efcb7",
             "triangle.svg": "2e08860033b34a618886d0860a65793a260792ad2fb6dbdb38252e209bb8d4ec"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c344706082156bb74e5d8d55013e5cdb2b4334add9bc430d28b87360429ceb44"
     },
     "triangle.da": {
@@ -173,6 +260,7 @@ GOLDEN = {
             "curves.csv": "09a9d27b2df9242512f8eac70f202699aa19e85038fef32dfef5f3a0b4eefc95",
             "triangle.svg": "d328129458c32469c7a7f05edbd2a120df2bff3f57edfd9b4a6cab01bfb622f0"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "68778ca64ed70adf6342a6a6cab94bd6343ae38db4320e3468f7a5b1d84c48a6"
     },
     "triangle.eu": {
@@ -181,11 +269,13 @@ GOLDEN = {
             "curves.csv": "764420af5dbf2c5ab2edb5304907242061f4a5ed24045779c304bdd4e8522776",
             "triangle.svg": "4db7b4efe9b73043bb14de5f06442df293c94c62599640515bdff628cd124bec"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "8122c9d1fbc2a1101bcdacce0085bb12ed4cc0890706a813bd2eaa8af49f5bc2"
     },
     "triangle.jump": {
         "exit": 2,
         "files": {},
+        "stderr": "2c5265fe4cb654738216227b434f9168402aa36249c4cc524b6f07f820ba6616",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     },
     "triangle.kernel": {
@@ -194,6 +284,7 @@ GOLDEN = {
             "curves.csv": "a294c098c920b93120aab62d730993c913b89222e0354169fc326fc704611d65",
             "triangle.svg": "2e08860033b34a618886d0860a65793a260792ad2fb6dbdb38252e209bb8d4ec"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "4cf18d1cef64ccdc648aee03d94955f3d3454e4286fab9f293d7161e6388d471"
     },
     "triangle.quadratic": {
@@ -202,6 +293,7 @@ GOLDEN = {
             "curves.csv": "77544ca33048559f298e7cb6b1eb9d94550a5782785b2c2661d077ed125dccd3",
             "triangle.svg": "2308d619020bdc2f1b09bb25cbc5a07abb306e24086ca6622428d301a223f115"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "f0b36fc869704a991c6851ef774ae09ddcd0505bd91a92a2d2b708460dea1ee5"
     },
     "triangle.wu": {
@@ -210,17 +302,18 @@ GOLDEN = {
             "curves.csv": "eca9be22347c84fa7df793447bc192116e626fc6df1dccce84654d4d67d4262f",
             "triangle.svg": "7c68e86136aa37973029c0f3440e0c09fa9e2747411c8d5c4e941dcfcaafbd2c"
         },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c78806d7d8d55e794606875e37abd7557efa1a270ab929416f0e9c3abe31d4ba"
     }
 }
 
 
-@pytest.mark.parametrize("cmd, model", JOBS, ids=[f"{c}.{m}" for c, m in JOBS])
-def test_outputs_match_recorded_digests(tmp_path, cmd, model):
-    assert run_job(str(tmp_path), cmd, model) == GOLDEN[f"{cmd}.{model}"]
+@pytest.mark.parametrize("cmd, model, res", JOBS, ids=[f"{c}.{m}" for c, m, _ in JOBS])
+def test_outputs_match_recorded_digests(tmp_path, cmd, model, res):
+    assert run_job(str(tmp_path), cmd, model, res) == GOLDEN[f"{cmd}.{model}"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        records = {f"{cmd}.{model}": run_job(root, cmd, model) for cmd, model in JOBS}
+        records = {f"{c}.{m}": run_job(root, c, m, res) for c, m, res in JOBS}
     print("GOLDEN = " + json.dumps(records, indent=4, sort_keys=True))

@@ -18,7 +18,6 @@ from betweenu import (
     grid,
     implicit_utility,
     implicit_utility_many,
-    local_utility,
     local_value,
     lottery,
     mix,
@@ -99,9 +98,7 @@ class TestContext:
         assert worst == lottery((1.0, 0.0, 0.0))
 
     def test_degenerate_preference_rejected(self):
-        flat = ImplicitKernel.from_table(
-            (0.0, 1.0), ((0.3, 0.7), (0.3, 0.7), (0.3, 0.7))
-        )
+        flat = ImplicitKernel((0.0, 1.0), ((0.3, 0.7), (0.3, 0.7), (0.3, 0.7)))
         with pytest.raises(DegeneratePreference):
             context_for(flat)
 
@@ -269,9 +266,7 @@ class TestLocalValueAlgebra:
     def test_sample_assembly(self, wu_model):
         ctx = context_for(wu_model)
         x = lottery((0.2, 0.5, 0.3))
-        s = local_utility(ctx, x, 0.4)
-        assert s.x == x and s.level == 0.4
-        assert s.value == local_value(0.4, s.mix_weight, s.branch)
+        assert implicit_utility(ctx, x, 0.4) == local_value(0.4, *solve_mixing(ctx, x, 0.4))
 
 
 class TestImplicitUtility:
@@ -361,6 +356,16 @@ class TestFixedPoint:
 
         monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
         with pytest.raises(MultipleFixedPoints):
+            utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
+
+    def test_plateau_edge_iteration_limit(self, eu_model, monkeypatch):
+        # A flat u(x, t) = 0.45 puts the fixed point inside a scan cell about
+        # 1e-3 wide, which five halvings cannot narrow to tol_t.
+        ctx = context_for(eu_model, max_iter=5)
+        monkeypatch.setattr(
+            "betweenu.engine.implicit_utility_many", lambda _ctx, xs, ts: np.full(len(ts), 0.45)
+        )
+        with pytest.raises(IterationLimit, match="plateau edge"):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
 
     def test_first_bad_lottery_of_a_batch_is_named(self, eu_model, monkeypatch):

@@ -152,20 +152,21 @@ class TestImplicitKernel:
 
     def test_rejects_expanding_table(self):
         with pytest.raises(ValueError):
-            ImplicitKernel.from_table((0.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
+            ImplicitKernel((0.0, 1.0), ((0.0, 1.0), (1.0, 0.0)))
 
     def test_rejects_bad_grid_and_range(self):
         with pytest.raises(ValueError):
-            ImplicitKernel.from_table((0.0, 0.5), ((0.0, 0.1),))
+            ImplicitKernel((0.0, 0.5), ((0.0, 0.1),))
         with pytest.raises(ValueError):
-            ImplicitKernel.from_table((0.0, 1.0), ((0.0, 1.5),))
+            ImplicitKernel((0.0, 1.0), ((0.0, 1.5),))
 
     def test_understated_contraction_bound_is_caught(self):
-        # actual slope 0.85, declared 0.05: the iteration budget runs
-        # out long before the fixed point is pinned to tolerance
-        m = ImplicitKernel(lambda i, t: 0.1 + 0.85 * t, 2, lipschitz=0.05)
+        # slope 0.9999: pinning the fixed point 0.25 from the start at 0.5
+        # takes about 300,000 steps, past the 20,000-step budget
+        m = ImplicitKernel((0.0, 1.0), ((0.0, 0.9999), (0.0001, 1.0)))
+        assert m.max_fp_iter == 20000
         with pytest.raises(FixedPointDivergence):
-            m.value(lottery((0.5, 0.5)))
+            m.value(lottery((0.75, 0.25)))
 
 
 class TestOrderingAndCompare:

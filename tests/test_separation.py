@@ -12,13 +12,14 @@ from betweenu import (
     cross_polytope_consistency,
     degenerate,
     grid,
-    local_utility,
+    implicit_utility,
     lottery,
     mix,
     quadratic_oracle,
     separate,
     verify_separation,
 )
+from betweenu import separation
 
 
 def full_simplex(n: int) -> Polytope:
@@ -99,7 +100,7 @@ class TestVerifySeparation:
         samples = audit_samples(ctx, t, full_simplex(3))
         functional = separate(ctx, t, full_simplex(3), samples)
         for x in grid(3, 6):
-            engine_value = local_utility(ctx, x, t).value
+            engine_value = implicit_utility(ctx, x, t)
             assert functional.value(x) == pytest.approx(engine_value, abs=1e-6)
 
 
@@ -138,6 +139,18 @@ class TestCrossPolytope:
         off_chord = lottery((0.2, 0.5, 0.3))
         with pytest.raises(MembershipViolation):
             cross_polytope_consistency(ctx, off_chord, 0.5, [chord])
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, float("nan")])
+    def test_level_must_be_interior(self, eu_model, t, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before the level was checked")
+
+        monkeypatch.setattr(separation, "implicit_utility", no_solve)
+        monkeypatch.setattr(separation, "contour_samples", no_solve)
+        monkeypatch.setattr(Polytope, "contains", no_solve)
+        ctx = context_for(eu_model)
+        with pytest.raises(ValueError, match="level"):
+            cross_polytope_consistency(ctx, lottery((0.2, 0.5, 0.3)), t, [full_simplex(3)])
 
 
 class TestAffineFunctional:

@@ -101,8 +101,6 @@ class TestTraceLevelCurves:
         ctx = context_for(eu_model)
         with pytest.raises(ValueError):
             trace_level_curves(ctx, (0.0,))
-        with pytest.raises(ValueError):
-            trace_level_curves(ctx, (0.5,), scanlines=1)
         two = context_for(ExpectedUtility((0.0, 1.0)))
         with pytest.raises(ValueError):
             trace_level_curves(two, (0.5,))
