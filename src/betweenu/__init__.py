@@ -51,7 +51,6 @@ from .engine import (
 from .errors import (
     BetweenuError,
     DegeneratePreference,
-    FixedPointDivergence,
     Infeasible,
     IterationLimit,
     MembershipViolation,
@@ -101,7 +100,6 @@ __all__ = [
     "DegeneratePreference",
     "DisappointmentAversion",
     "ExpectedUtility",
-    "FixedPointDivergence",
     "ImplicitKernel",
     "Infeasible",
     "IterationLimit",

@@ -96,9 +96,12 @@ def local_value(t: float, mix_weight: float, branch: Branch) -> float:
         raise ValueError(f"level must lie in (0, 1), got {t!r}")
     if not 0.0 < mix_weight <= 1.0:
         raise ValueError(f"mixing weight must lie in (0, 1], got {mix_weight!r}")
-    if branch is Branch.USED_WORST:
-        return t / mix_weight
-    return 1.0 - (1.0 - t) / mix_weight
+    return float(_local_values(t, mix_weight, branch is Branch.USED_WORST))
+
+
+def _local_values(ts, weights, used_worst):
+    """:func:`local_value` over arrays, ``used_worst`` True for ``USED_WORST``."""
+    return np.where(used_worst, ts / weights, 1.0 - (1.0 - ts) / weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +366,7 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     if inner.any():
         t_in = ts[inner]
         weights, used_worst = _solve_mixing_rows(ctx, rows[inner], t_in, kx[inner])
-        out[inner] = np.where(used_worst, t_in / weights, 1.0 - (1.0 - t_in) / weights)
+        out[inner] = _local_values(t_in, weights, used_worst)
     return out
 
 

@@ -32,10 +32,6 @@ class MultipleFixedPoints(BetweenuError):
         self.row = row
 
 
-class FixedPointDivergence(BetweenuError):
-    """Fixed-point iteration did not converge; the kernel is likely not a contraction."""
-
-
 class Infeasible(BetweenuError):
     """The separation program has no solution on the sampled data."""
 

@@ -17,6 +17,9 @@ Built-in families, with ``x`` a lottery and ``u`` outcome utilities:
   ``t = sum_i x_i phi(i, t)`` for a kernel ``phi`` tabulated on a level
   grid and a contraction in ``t``.
 
+The last two residuals are piecewise linear in the value, so both values
+are solved exactly, one linear root on the right cell, with no iteration.
+
 Outcome utilities (and kernel values) are constrained to [0, 1] so the
 value scale of every family lines up with the unit normalization used by
 the representation engine.  Attaining 0 and 1 is not enforced here: the
@@ -31,15 +34,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FixedPointDivergence
 from .simplex import Lottery, lottery_rows
 
 #: Default half-width of the indifference band used by ``compare``.
 DEFAULT_EPS_PREF = 1e-9
-
-_DA_WIDTH_TOL = 1e-14
-_DA_MAX_ITER = 80
-_FP_TOL = 1e-13
 
 
 class Ordering(Enum):
@@ -218,9 +216,17 @@ class DisappointmentAversion(ValueModel):
         g(V) = sum_i x_i u_i - V + beta * sum_i x_i min(u_i - V, 0)
 
     is continuous and strictly decreasing for beta > -1, with
-    g(min u) >= 0 >= g(max u), so the value is found by plain bisection on
-    [min u, max u].  Writing the disappointment term through ``min(., 0)``
-    keeps the residual exact at the kink points u_i = V.
+    g(min u) >= 0 >= g(max u), and linear in V between two neighbouring
+    distinct utilities ``c_j < c_j+1`` (Gul, Econometrica 59(3), 1991).  So
+    the value is solved exactly: on the cell of the last cut with
+    ``g(c_j) >= 0`` it is ``(sum_i x_i u_i + beta * S_j) / (1 + beta * P_j)``,
+    where ``S_j`` and ``P_j`` are the utility and probability mass at or
+    below ``c_j``, and ``c_j`` itself where ``g(c_j) == 0``.  On a lottery
+    ``g(c) = gain(c) - (1 + beta) * loss(c)``, with ``gain`` the expected
+    excess of ``u`` over ``c`` and ``loss`` the expected shortfall, and the
+    sign of g is read by comparing ``gain / (1 + beta)`` with ``loss``: both
+    are exact at a kink ``u_i = c``, and neither underflows to a false tie,
+    so a degenerate lottery is worth its outcome's utility exactly.
     """
 
     def __init__(self, u, beta: float, eps_pref: float = DEFAULT_EPS_PREF):
@@ -231,27 +237,28 @@ class DisappointmentAversion(ValueModel):
         super().__init__(len(u), eps_pref)
         self.u = u
         self.beta = beta
+        cuts = np.unique(u)
+        at_or_below = u[None, :] <= cuts[:, None]
+        self._cuts = cuts
+        self._gains = np.maximum(u[None, :] - cuts[:, None], 0.0)
+        self._losses = np.maximum(cuts[:, None] - u[None, :], 0.0)
+        self._mass = at_or_below.astype(float)
+        self._mass_u = np.where(at_or_below, u, 0.0)
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
-        u, beta = self.u, self.beta
-        base = (rows * u).sum(axis=1)
-        u_lo, u_hi = float(u.min()), float(u.max())
-        if u_hi == u_lo:
-            return base
-        k = len(rows)
-        lo = np.full(k, u_lo)
-        hi = np.full(k, u_hi)
-        for _ in range(_DA_MAX_ITER):
-            active = (hi - lo) > _DA_WIDTH_TOL
-            if not active.any():
-                break
-            mid = 0.5 * (lo + hi)
-            slack = (rows * np.minimum(u[None, :] - mid[:, None], 0.0)).sum(axis=1)
-            g = base - mid + beta * slack
-            go_up = g > 0.0
-            lo = np.where(active & go_up, mid, lo)
-            hi = np.where(active & ~go_up, mid, hi)
-        return 0.5 * (lo + hi)
+        cuts = self._cuts
+        gain = (rows[:, None, :] * self._gains).sum(axis=2) / (1.0 + self.beta)
+        loss = (rows[:, None, :] * self._losses).sum(axis=2)
+        # g is decreasing with g(min u) >= 0, so the value lies in the cell
+        # starting at the last cut where g is still nonnegative.
+        j = len(cuts) - 1 - np.argmax((gain >= loss)[:, ::-1], axis=1)
+        s = (rows * self._mass_u[j]).sum(axis=1)
+        p = (rows * self._mass[j]).sum(axis=1)
+        v = ((rows * self.u).sum(axis=1) + self.beta * s) / (1.0 + self.beta * p)
+        # Rounding can put the root an ulp outside the cell where g changes sign.
+        v = np.clip(v, cuts[j], cuts[np.minimum(j + 1, len(cuts) - 1)])
+        r = np.arange(len(rows))
+        return np.where(gain[r, j] == loss[r, j], cuts[j], v)
 
 
 class ImplicitKernel(ValueModel):
@@ -261,9 +268,12 @@ class ImplicitKernel(ValueModel):
     and ``phi_values[i]`` holds the values in [0, 1] for outcome ``i`` on
     that grid, linearly interpolated in between.  Every slope must stay
     below 1, which makes the defining map a contraction with a unique
-    fixed point; the largest one is kept as ``lipschitz``.  The fixed
-    point is found by plain iteration; failure to converge within
-    ``max_fp_iter`` steps raises :class:`FixedPointDivergence`.
+    fixed point; the largest one is kept as ``lipschitz``.  The residual
+    ``h(t) = sum_i x_i phi(i, t) - t`` is linear on each grid cell and
+    strictly decreasing, so the fixed point is solved exactly: it is the
+    root of the linear residual on the cell of the last grid level with
+    ``h >= 0`` (the final cell at most), or that level itself where ``h`` is
+    exactly 0 there.
     """
 
     def __init__(self, t_grid, phi_values, eps_pref: float = DEFAULT_EPS_PREF):
@@ -287,32 +297,17 @@ class ImplicitKernel(ValueModel):
         self.t_grid = t_grid
         self.phi_values = phi_values
         self.lipschitz = lipschitz
-        if lipschitz > 0.0:
-            guess = int(math.log(_FP_TOL) / math.log(lipschitz)) + 20
-        else:
-            guess = 60
-        self.max_fp_iter = min(max(guess, 60), 20000)
+        self._phi_by_level = np.ascontiguousarray(phi_values.T)
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
-        k = len(rows)
-        t = np.full(k, 0.5)
-        done = np.zeros(k, dtype=bool)
-        # Each element freezes the moment its own step shrinks below
-        # tolerance, so results do not depend on what else is in the batch.
-        for _ in range(self.max_fp_iter):
-            if done.all():
-                break
-            g = np.zeros(k)
-            for i in range(self.n_outcomes):
-                g += rows[:, i] * np.interp(t, self.t_grid, self.phi_values[i])
-            converged = ~done & (np.abs(g - t) <= _FP_TOL)
-            t = np.where(done, t, g)
-            done |= converged
-        if not done.all():
-            raise FixedPointDivergence(
-                f"kernel fixed point did not converge within {self.max_fp_iter} iterations"
-            )
-        return t
+        t = self.t_grid
+        h = (rows[:, None, :] * self._phi_by_level).sum(axis=2) - t
+        last = len(t) - 1 - np.argmax(h[:, ::-1] >= 0.0, axis=1)
+        j = np.minimum(last, len(t) - 2)
+        r = np.arange(len(rows))
+        h_lo, h_hi = h[r, j], h[r, j + 1]
+        root = t[j] + (t[j + 1] - t[j]) * h_lo / (h_lo - h_hi)
+        return np.where(h[r, last] == 0.0, t[last], root)
 
 
 class BlackBoxOracle(PreferenceModel):

@@ -8,9 +8,12 @@ output directory masked) must match ``GOLDEN``.  The ``check``,
 audit code that preceded the batched ``keys``/``gaps`` checks (commit
 4bbb492); the ``repr`` digests and every ``stderr`` digest from the
 plateau-edge loop that preceded the shared ``engine._bisect`` (commit
-118c7b3).  So any change to a printed number shows up here.  To
-re-record after an intended output change, run ``PYTHONPATH=src python
-tests/test_cli_golden.py`` and paste its output over ``GOLDEN``.
+118c7b3), except ``repr.da``, re-recorded when the exact per-cell value
+solver replaced disappointment aversion's value bisection (one ``u.csv``
+cell moved by 2.2e-11; every other file and record held).  So any change
+to a printed number shows up here.  To re-record after an intended output
+change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
+its output over ``GOLDEN``.
 """
 
 import hashlib
@@ -145,7 +148,7 @@ GOLDEN = {
         "files": {
             "U.csv": "2c1569287037c3ea821a6ce26fd837dd78a59cd204e87a1e916ae00ca1ef877c",
             "summary.json": "b26004371a876b6cc29fc10bf84572bb06c27c8232728159cfc4641af64c3d61",
-            "u.csv": "85d956c9800202fa12e500a6157027f9cb06b7c15fecb7fbf4a051c6ccaa762c"
+            "u.csv": "69171fb018af1e271a46bd68dbb53a2bd1a5e20ca163b79f689f64a5210c96f8"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"

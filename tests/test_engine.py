@@ -61,6 +61,41 @@ def da_utility_oracle(model, x) -> float:
     return v * (1.0 + model.beta) / (1.0 + model.beta * v)
 
 
+def kernel_value_oracle(model, p) -> float:
+    """Kernel fixed point by per-cell case analysis, as ``bench/checks.py``.
+
+    phi is linear between two table levels, so on each cell the fixed point
+    is a ratio of linear forms; keep the candidate inside its own cell.
+    """
+    t_grid, phi, p = model.t_grid, model.phi_values, np.asarray(p, dtype=float)
+    for j in range(len(t_grid) - 1):
+        a, b = t_grid[j], t_grid[j + 1]
+        slope = p @ ((phi[:, j + 1] - phi[:, j]) / (b - a))
+        cand = (p @ phi[:, j] - a * slope) / (1.0 - slope)
+        if a - 1e-15 <= cand <= b + 1e-15:
+            return cand
+    raise AssertionError("no cell holds the fixed point")
+
+
+def local_utility_oracle(ctx, kind: str, x, t) -> float:
+    """``u(x, t)`` in closed form for disappointment aversion and the kernel.
+
+    At level ``t`` the chord point's value ``v`` fixes the indifference
+    hyperplane ``L(x) = sum_i x_i a_i = 0``, with ``a_i = (u_i - v)(1 + beta
+    [u_i <= v])`` (DA) or ``a_i = phi(i, v) - v`` (kernel); the local utility
+    is the mixture-linear function worth ``t`` there and 1 at the best extreme.
+    """
+    m = ctx.model
+    if kind == "da":
+        v = t / (1.0 + m.beta * (1.0 - t))
+        a = (m.u - v) * (1.0 + m.beta * (m.u <= v))
+    else:
+        chord = t * np.asarray(ctx.best.probs) + (1.0 - t) * np.asarray(ctx.worst.probs)
+        v = kernel_value_oracle(m, chord)
+        a = np.asarray([np.interp(v, m.t_grid, phi) for phi in m.phi_values]) - v
+    return t + (1.0 - t) * float(np.asarray(x.probs) @ a) / float(np.asarray(ctx.best.probs) @ a)
+
+
 def wu_mixing_oracle(model, x, t) -> float:
     """Weight putting the x/worst mixture on the chord, in closed form."""
     u, w = np.asarray(model.u), np.asarray(model.w)
@@ -297,6 +332,15 @@ class TestImplicitUtility:
         batch = implicit_utility_many(ctx, points, ts)
         for x, t, u in zip(points, ts, batch):
             assert implicit_utility(ctx, x, float(t)) == u
+
+    @pytest.mark.parametrize("kind", ["da", "kernel"])
+    def test_closed_form_local_utility(self, kind, da_model, kernel_model):
+        ctx = context_for(da_model if kind == "da" else kernel_model)
+        points = sorted(grid(3, 6))
+        for t in np.round(np.arange(0.1, 1.0, 0.1), 1):
+            got = implicit_utility_many(ctx, points, np.full(len(points), t))
+            want = [local_utility_oracle(ctx, kind, x, t) for x in points]
+            assert np.abs(got - want).max() <= 1e-9
 
     def test_weighted_utility_vertex_value(self, wu_model):
         ctx = context_for(wu_model)

@@ -1,16 +1,16 @@
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betweenu import (
     BlackBoxOracle,
     DisappointmentAversion,
     ExpectedUtility,
-    FixedPointDivergence,
     ImplicitKernel,
     Lottery,
     Ordering,
@@ -28,7 +28,7 @@ from conftest import KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, ma
 def da_value_oracle(u, beta, x) -> float:
     """Disappointment-averse value by closed-form case analysis.
 
-    Independent of the package's bisection route: on each interval
+    Independent of the package's solver: on each interval
     between consecutive outcome utilities the defining residual is
     linear in the candidate value, so solve it per interval and keep
     the root lying inside its own interval.
@@ -160,13 +160,107 @@ class TestImplicitKernel:
         with pytest.raises(ValueError):
             ImplicitKernel((0.0, 1.0), ((0.0, 1.5),))
 
-    def test_understated_contraction_bound_is_caught(self):
-        # slope 0.9999: pinning the fixed point 0.25 from the start at 0.5
-        # takes about 300,000 steps, past the 20,000-step budget
+    def test_slope_near_one_solved_exactly(self):
+        # slope 0.9999: iterating from 0.5 would take about 300,000 steps to
+        # pin the fixed point 0.25; the per-cell root takes none.  Its error
+        # is the rounding of h (an ulp of 1) over 1 - 0.9999, about 1e-12.
         m = ImplicitKernel((0.0, 1.0), ((0.0, 0.9999), (0.0001, 1.0)))
-        assert m.max_fp_iter == 20000
-        with pytest.raises(FixedPointDivergence):
-            m.value(lottery((0.75, 0.25)))
+        assert m.value(lottery((0.75, 0.25))) == pytest.approx(0.25, abs=1e-12)
+
+
+@st.composite
+def lottery_batches(draw, n: int) -> np.ndarray:
+    """One to eight lottery rows on ``n`` outcomes, zeros and vertices included."""
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    k = draw(st.integers(1, 8))
+    row = st.lists(weights, min_size=n, max_size=n)
+    rows = np.asarray(draw(st.lists(row, min_size=k, max_size=k)))
+    rows[rows.sum(axis=1) == 0.0, draw(st.integers(0, n - 1))] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def da_models(draw) -> DisappointmentAversion:
+    """Utilities attaining 0 and 1, ties likely, beta in (-1, 5]."""
+    n = draw(st.integers(2, 6))
+    inner = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    u = draw(st.permutations([0.0, 1.0] + draw(st.lists(inner, min_size=n - 2, max_size=n - 2))))
+    beta = draw(st.floats(-1.0, 5.0, exclude_min=True))
+    return DisappointmentAversion(u, beta)
+
+
+@st.composite
+def kernel_models(draw) -> ImplicitKernel:
+    """Random strictly increasing level grids, every slope below 1."""
+    n = draw(st.integers(2, 6))
+    inner = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=6, unique=True))
+    t_grid = np.asarray([0.0, *sorted(inner), 1.0])
+    assume(np.diff(t_grid).min() >= 1e-3)
+    phi = np.empty((n, len(t_grid)))
+    phi[:, 0] = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    for j, dt in enumerate(np.diff(t_grid)):
+        slopes = np.asarray(draw(st.lists(st.floats(-0.999, 0.999), min_size=n, max_size=n)))
+        phi[:, j + 1] = np.clip(phi[:, j] + slopes * dt, 0.0, 1.0)
+    return ImplicitKernel(t_grid, phi)
+
+
+def da_residual(m: DisappointmentAversion, row: np.ndarray, v: float) -> float:
+    return (row * m.u).sum() - v + m.beta * (row * np.minimum(m.u - v, 0.0)).sum()
+
+
+def da_exact_cell(m: DisappointmentAversion, row: np.ndarray) -> tuple[float, float]:
+    """The cell [c_j, c_j+1] of the last cut with g(c_j) >= 0, g in exact arithmetic.
+
+    g is written as ``sum_i x_i (u_i - c) + beta * sum_i x_i min(u_i - c, 0)``,
+    its form on lotteries: a row whose float probabilities miss a sum of 1
+    by an ulp would otherwise shift g by about 1e-16, which decides the
+    cell when beta is near -1 and g is nearly flat.
+    """
+    x, u, beta = [Fraction(p) for p in row], [Fraction(v) for v in m.u], Fraction(m.beta)
+
+    def g(c):
+        return sum(p * ((v - c) + beta * min(v - c, 0)) for p, v in zip(x, u))
+
+    cuts = np.unique(m.u)
+    j = max(j for j, c in enumerate(cuts) if g(Fraction(c)) >= 0)
+    return cuts[j], cuts[min(j + 1, len(cuts) - 1)]
+
+
+def kernel_residual(m: ImplicitKernel, row: np.ndarray, t: float) -> float:
+    return sum(p * np.interp(t, m.t_grid, phi) for p, phi in zip(row, m.phi_values)) - t
+
+
+def assert_rows_independent_of_batch(m, rows: np.ndarray) -> None:
+    values = m.values(rows)
+    assert np.array_equal(m.values(rows[::-1]), values[::-1])
+    assert np.array_equal(m.values(rows[1::2]), values[1::2])
+    for row, v in zip(rows, values):
+        assert m.values(row[None, :])[0] == v
+
+
+class TestExactSolverResiduals:
+    """The per-cell DA and kernel solvers against their defining residuals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_disappointment_aversion(self, data):
+        m = data.draw(da_models())
+        rows = data.draw(lottery_batches(m.n_outcomes))
+        for row, v in zip(rows, m.values(rows)):
+            assert abs(da_residual(m, row, v)) <= 1e-12
+            lo, hi = da_exact_cell(m, row)
+            assert lo <= v <= hi
+        assert m.values(np.eye(m.n_outcomes)).tolist() == m.u.tolist()
+        assert_rows_independent_of_batch(m, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_implicit_kernel(self, data):
+        m = data.draw(kernel_models())
+        rows = data.draw(lottery_batches(m.n_outcomes))
+        for row, t in zip(rows, m.values(rows)):
+            assert abs(kernel_residual(m, row, t)) <= 1e-12
+        assert_rows_independent_of_batch(m, rows)
 
 
 class TestOrderingAndCompare:
