@@ -20,11 +20,13 @@ Built-in families, with ``x`` a lottery and ``u`` outcome utilities:
 The last two residuals are piecewise linear in the value, so both values
 are solved exactly, one linear root on the right cell, with no iteration.
 
-Outcome utilities (and kernel values) are constrained to [0, 1] so the
-value scale of every family lines up with the unit normalization used by
-the representation engine.  Attaining 0 and 1 is not enforced here: the
-engine checks nondegeneracy itself, and constant families are legitimate
-negative fixtures for the axiom checkers.
+Outcome utilities must lie in [0, 1] and attain both ends, so the value
+scale of the first three families lines up with the unit normalization
+used by the representation engine and none of them is constant; a
+constant preference (a negative fixture for the nondegeneracy check) is
+built as an oracle with :func:`~betweenu.fixtures.oracle_from_value`.
+Kernel values must lie in [0, 1] but need not attain either end, so a
+kernel table can be constant; the engine checks nondegeneracy itself.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ class Ordering(Enum):
         return (cls.INDIFFERENT, cls.STRICTLY_PREFERS, cls.STRICTLY_DISPREFERRED)[int(sign)]
 
 
-_GAP = {
-    Ordering.STRICTLY_PREFERS: math.inf,
-    Ordering.INDIFFERENT: 0.0,
-    Ordering.STRICTLY_DISPREFERRED: -math.inf,
-}
+_PREFERS, _INDIFFERENT, _DISPREFERRED = (
+    Ordering.STRICTLY_PREFERS,
+    Ordering.INDIFFERENT,
+    Ordering.STRICTLY_DISPREFERRED,
+)
 
 
 def classify(gaps, band: float) -> np.ndarray:
@@ -85,12 +87,17 @@ class PreferenceModel:
     Solvers compare through one primitive, :meth:`keys` then :meth:`gaps`:
     a key is computed once per lottery row, and the gap of ``kx`` over
     ``ky`` is positive when the ``x`` lottery is strictly preferred,
-    negative when it is strictly dispreferred, and zero on a tie.  The
-    defaults here serve comparison oracles: a key is the row's
-    :class:`Lottery` and a gap is ``+inf``, ``0.0`` or ``-inf`` from
-    ``compare(x, y)``, so no indifference band ever changes an oracle's
-    verdict.  :class:`ValueModel` keys are values and its gaps are raw
-    value differences.
+    negative when it is strictly dispreferred, and zero on a tie.
+    :class:`ValueModel` keys are values and its gaps are raw value
+    differences; :class:`BlackBoxOracle` keys are lotteries and its gaps
+    are infinite or zero.
+
+    Validation happens once, where data enters: :meth:`compare` and the
+    public value methods check what they are given, and the solvers check
+    their input rows (:func:`~betweenu.simplex.lottery_rows`).  ``keys``
+    and ``gaps`` trust their arguments: every row reaching ``keys`` is
+    such a checked row or a :func:`~betweenu.simplex.mix_rows` mixture of
+    them, and every key reaching ``gaps`` came from ``keys``.
     """
 
     def __init__(self, n_outcomes: int, eps_pref: float = DEFAULT_EPS_PREF):
@@ -106,19 +113,14 @@ class PreferenceModel:
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """Comparison keys for a ``(k, n)`` array of lottery rows."""
-        return np.fromiter(
-            (Lottery(tuple(row)) for row in rows.tolist()), dtype=object, count=len(rows)
-        )
+        raise NotImplementedError
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         """Preference gaps of keys ``kx`` over keys ``ky``.
 
         ``ky`` holds one key per ``kx`` key, or a single key for all of them.
         """
-        ys = ky.tolist() * len(kx) if len(ky) == 1 else ky.tolist()
-        return np.asarray(
-            [_GAP[self.compare(x, y)] for x, y in zip(kx.tolist(), ys)], dtype=float
-        )
+        raise NotImplementedError
 
     def _check_dim(self, x: Lottery) -> None:
         if x.n_outcomes != self.n_outcomes:
@@ -316,6 +318,13 @@ class BlackBoxOracle(PreferenceModel):
     ``compare_fn(x, y)`` must return an :class:`Ordering`.  The oracle is
     assumed deterministic.  Exceptions raised by the callable propagate to
     the caller (the axiom checkers record them as completeness failures).
+
+    :meth:`compare` checks both lotteries' outcome counts and the return
+    type on every call.  The solvers' path does the same work once per
+    batch instead: :meth:`keys` checks the rows' width and wraps each
+    trusted row in a :class:`Lottery` without validating it again, and
+    :meth:`gaps` calls ``compare_fn`` once per pair and rejects a return
+    that is not an :class:`Ordering` with the same ``TypeError``.
     """
 
     def __init__(self, compare_fn, n_outcomes: int, eps_pref: float = DEFAULT_EPS_PREF):
@@ -327,5 +336,36 @@ class BlackBoxOracle(PreferenceModel):
         self._check_dim(y)
         out = self.compare_fn(x, y)
         if not isinstance(out, Ordering):
-            raise TypeError(f"oracle returned {out!r}, expected an Ordering")
+            raise _not_an_ordering(out)
         return out
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != self.n_outcomes:
+            raise ValueError(
+                f"rows have {rows.shape[1]} outcomes, model expects {self.n_outcomes}"
+            )
+        trusted = Lottery._trusted
+        return np.fromiter(
+            (trusted(tuple(row)) for row in rows.tolist()), dtype=object, count=len(rows)
+        )
+
+    def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+        compare_fn = self.compare_fn
+        ys = ky.tolist() * len(kx) if len(ky) == 1 else ky.tolist()
+        out = []
+        for x, y in zip(kx.tolist(), ys):
+            verdict = compare_fn(x, y)
+            # Identity tests: the fastest map from the three members to gaps.
+            if verdict is _PREFERS:
+                out.append(math.inf)
+            elif verdict is _INDIFFERENT:
+                out.append(0.0)
+            elif verdict is _DISPREFERRED:
+                out.append(-math.inf)
+            else:
+                raise _not_an_ordering(verdict)
+        return np.asarray(out, dtype=float)
+
+
+def _not_an_ordering(out) -> TypeError:
+    return TypeError(f"oracle returned {out!r}, expected an Ordering")

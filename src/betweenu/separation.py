@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .engine import RepresentationContext, chord_point, implicit_utility, solve_mixing_many
 from .errors import Infeasible, MembershipViolation
@@ -32,6 +31,17 @@ from .simplex import Lottery, Polytope, lottery_rows, mix
 SEPARATION_BAND = 1e-7
 
 _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
+
+
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported on the first call.
+
+    ``scipy.optimize`` takes about half a second to import, so only
+    :func:`separate` pays for it, not every command that imports this module.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

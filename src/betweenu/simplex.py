@@ -36,6 +36,17 @@ class Lottery:
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"lottery components must sum to 1 within {SUM_TOL}, got {total!r}")
 
+    @classmethod
+    def _trusted(cls, probs: tuple[float, ...]) -> "Lottery":
+        """A lottery over ``probs`` built without validation.
+
+        Only for rows known to be lotteries: checked by :func:`lottery_rows`
+        or mixed by :func:`mix_rows` from such rows.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "probs", probs)
+        return obj
+
     @property
     def n_outcomes(self) -> int:
         return len(self.probs)

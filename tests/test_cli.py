@@ -26,6 +26,14 @@ def write_model(tmp_path, name: str, spec: dict) -> str:
     return str(path)
 
 
+def package_env() -> dict:
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(betweenu.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -187,14 +195,11 @@ class TestInputErrors:
         assert main(["separation", "--model", model, "--levels", "0.5,1.0"]) == 2
 
     def test_module_entry_point_reports_input_error(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(betweenu.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "betweenu.cli", "repr", "--model", str(tmp_path / "nope.json")],
             capture_output=True,
             text=True,
-            env=env,
+            env=package_env(),
             timeout=120,
         )
         assert result.returncode == 2
@@ -230,3 +235,21 @@ class TestDeterminism:
                     blob[name] = fh.read()
             blobs.append(blob)
         assert blobs[0] == blobs[1]
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize dominates a cold start; only the separation LP loads it.
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, betweenu.cli; print('scipy.optimize' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=package_env(),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

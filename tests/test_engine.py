@@ -14,6 +14,7 @@ from betweenu import (
     ValueModel,
     chord_point,
     context_for,
+    cyclic_oracle,
     find_extremes,
     grid,
     implicit_utility,
@@ -348,6 +349,30 @@ class TestImplicitUtility:
         t = 0.1
         expected = t / wu_mixing_oracle(wu_model, x, t)
         assert implicit_utility(ctx, x, t) == pytest.approx(expected, abs=1e-7)
+
+
+class TestOracleCompareSchedule:
+    """The number of comparisons the solvers ask of an oracle, pinned: a
+    change to how oracles are keyed or compared must not change it."""
+
+    def test_cyclic_oracle_call_counts(self):
+        oracle = cyclic_oracle()
+        ctx = context_for(oracle)
+        calls = []
+        answer = oracle.compare_fn
+
+        def counted(x, y):
+            calls.append(None)
+            return answer(x, y)
+
+        oracle.compare_fn = counted
+        points = sorted(grid(3, 3))
+        solve_utility_many(ctx, points)
+        assert len(calls) == 196
+        calls.clear()
+        levels = np.linspace(0.0, 1.0, 11)
+        implicit_utility_many(ctx, [x for x in points for _ in levels], np.tile(levels, len(points)))
+        assert len(calls) == 1986
 
 
 class TestRejectsNonLotteryRows:

@@ -15,12 +15,17 @@ from betweenu import (
     Lottery,
     Ordering,
     WeightedUtility,
+    context_for,
+    cyclic_oracle,
+    degenerate,
     grid,
     lottery,
     oracle_from_value,
     run_all_checks,
+    solve_utility_many,
 )
 from betweenu.models import classify
+from betweenu.simplex import SUM_TOL, lottery_rows, mix_rows
 
 from conftest import KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, make_kernel
 
@@ -177,6 +182,17 @@ def lottery_batches(draw, n: int) -> np.ndarray:
     rows = np.asarray(draw(st.lists(row, min_size=k, max_size=k)))
     rows[rows.sum(axis=1) == 0.0, draw(st.integers(0, n - 1))] = 1.0
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def drifted_batches(draw, n: int) -> np.ndarray:
+    """:func:`lottery_batches` rows whose sums miss 1 by up to 0.4 ``SUM_TOL``,
+    as rows that pass :func:`~betweenu.simplex.lottery_rows` may."""
+    rows = draw(lottery_batches(n))
+    k = len(rows)
+    drift = draw(st.lists(st.floats(-0.4 * SUM_TOL, 0.4 * SUM_TOL), min_size=k, max_size=k))
+    rows[np.arange(k), rows.argmax(axis=1)] += drift
+    return rows
 
 
 @st.composite
@@ -358,3 +374,38 @@ class TestBlackBoxOracle:
         m = oracle_from_value(lambda x: x.probs[0], 2)
         with pytest.raises(ValueError):
             m.compare(lottery((0.5, 0.5)), lottery((0.2, 0.3, 0.5)))
+
+    def test_batch_path_rejects_bad_return_type(self):
+        # Orderings on vertex pairs let context_for succeed; any other pair
+        # gets an int, which the solvers' gaps must reject like compare does.
+        answer = cyclic_oracle().compare_fn
+        vertices = {degenerate(i, 3).probs for i in range(3)}
+
+        def compare_fn(x, y):
+            return answer(x, y) if {x.probs, y.probs} <= vertices else 1
+
+        ctx = context_for(BlackBoxOracle(compare_fn, 3))
+        with pytest.raises(TypeError, match="expected an Ordering"):
+            solve_utility_many(ctx, [lottery((0.2, 0.5, 0.3))])
+
+    def test_keys_check_row_width(self):
+        m = oracle_from_value(lambda x: x.probs[0], 2)
+        with pytest.raises(ValueError, match="model expects 2"):
+            m.keys(np.asarray([[0.2, 0.3, 0.5]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_trusted_keys_equal_validated_lotteries(self, data):
+        """Keys skip validation because every row reaching them is a checked
+        row or a mixture of checked rows; both kinds pass the check again,
+        and their keys equal fully validated lotteries."""
+        n = data.draw(st.integers(2, 6))
+        xs = lottery_rows(data.draw(drifted_batches(n)), n)
+        ys = lottery_rows(data.draw(drifted_batches(n)), n)
+        k = len(xs)
+        lams = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+        mixed = lottery_rows(mix_rows(lams, xs, ys[np.arange(k) % len(ys)]), n)
+        oracle = BlackBoxOracle(lambda x, y: Ordering.INDIFFERENT, n)
+        for rows in (xs, mixed):
+            keys = oracle.keys(rows)
+            assert keys.tolist() == [Lottery(tuple(r)) for r in rows.tolist()]
