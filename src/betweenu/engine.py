@@ -417,35 +417,24 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     # One scan per lottery keeps the working set at n_scan rows.
     for i, row in enumerate(rows):
         g = implicit_utility_many(eval_ctx, np.repeat(row[None, :], n_scan, axis=0), ts) - ts
-        pos = np.flatnonzero(g > 0.0)
-        neg = np.flatnonzero(g < 0.0)
-        zero = np.flatnonzero(g == 0.0)
-        multiple = bool(pos.size and neg.size and pos.max() > neg.min()) or zero.size > 1
-        if zero.size == 1:
-            z = int(zero[0])
-            multiple = (
-                multiple
-                or bool(pos.size and pos.max() > z)
-                or bool(neg.size and neg.min() < z)
-            )
-        if multiple:
+        sign = np.sign(g)
+        # One crossing: positive signs, at most one zero, then negative ones.
+        zeros = int(np.count_nonzero(sign == 0.0))
+        if zeros > 1 or (np.diff(sign) > 0.0).any():
             probs = tuple(row.tolist())
             raise MultipleFixedPoints(
                 f"the residual u(x, t) - t crosses zero more than once for "
                 f"Lottery(probs={probs!r})",
                 row=probs,
             )
-        if zero.size:
-            z = int(zero[0])
-            if z in (0, n_scan - 1):
-                out[i] = ts[z]
-                continue
-            a, b = ts[z - 1], ts[z + 1]
-        else:
-            a, b = ts[int(pos.max())], ts[int(neg.min())]
+        k = int(np.count_nonzero(sign > 0.0))
+        if zeros and k in (0, n_scan - 1):
+            out[i] = ts[k]
+            continue
+        # The cell from the last positive residual to the first negative one.
         inside.append(i)
-        cell_lo.append(a)
-        cell_hi.append(b)
+        cell_lo.append(ts[k - 1])
+        cell_hi.append(ts[k + zeros])
 
     # Each lottery contributes two rows: the lower plateau edge (even
     # rows, which move up on a positive residual) and the upper one (odd

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RepresentationContext, chord_point, implicit_utility, solve_mixing_many
+from .engine import Branch, RepresentationContext, chord_point, local_value, solve_mixing_many
 from .errors import Infeasible, MembershipViolation
 from .models import classify
 from .simplex import Lottery, Polytope, lottery_rows, mix
@@ -113,15 +113,13 @@ def _require_extremes(ctx: RepresentationContext, polytope: Polytope) -> None:
         raise ValueError("polytope must list both preference extremes among its vertices")
 
 
-def _classify(ctx: RepresentationContext, t: float, samples) -> tuple[list, list, list]:
-    """The samples strictly preferred, strictly dispreferred and indifferent
-    to the chord point at level ``t``."""
-    samples = list(samples)
+def _classify(ctx: RepresentationContext, t: float, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The samples as rows, and each one's side of the chord point at level
+    ``t``: 1 strictly preferred, -1 strictly dispreferred, 0 indifferent."""
     model = ctx.model
     rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
     target = model.keys(chord_point(ctx, t).as_array()[None, :])
-    side = classify(model.gaps(model.keys(rows), target), model.eps_pref).tolist()
-    return tuple([x for x, s in zip(samples, side) if s == want] for want in (1, -1, 0))
+    return rows, classify(model.gaps(model.keys(rows), target), model.eps_pref)
 
 
 def separate(
@@ -149,42 +147,33 @@ def separate(
     if not 0.0 < t < 1.0:
         raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
     _require_extremes(ctx, polytope)
-    samples = list(samples)
     n = ctx.model.n_outcomes
-    upper, lower, level_set = _classify(ctx, t, samples)
+    rows, side = _classify(ctx, t, samples)
 
     # Variables: coeffs split into positive and negative parts, so the
-    # L1 objective is linear and all variables are >= 0.
-    def split_row(row: np.ndarray) -> np.ndarray:
-        return np.concatenate([row, -row])
+    # L1 objective is linear and all variables are >= 0.  Each constraint
+    # row carries its right-hand side as a last column, so negating a row
+    # flips its inequality.
+    def split(rows: np.ndarray, rhs) -> np.ndarray:
+        return np.column_stack([rows, -rows, np.full(len(rows), rhs)])
 
-    a_eq = np.asarray([split_row(ctx.best.as_array()), split_row(ctx.worst.as_array())])
-    b_eq = np.asarray([1.0, 0.0])
-    rows_ub = []
-    rhs_ub = []
-    for x in upper:
-        rows_ub.append(-split_row(x.as_array()))
-        rhs_ub.append(-t)
-    for x in lower:
-        rows_ub.append(split_row(x.as_array()))
-        rhs_ub.append(t)
+    eq = split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
+    upper, lower, level_set = (rows[side == s] for s in (1, -1, 0))
     # Half the published band: the L1 objective parks the solution on a
     # constraint boundary, and verification at the full band must not
-    # flip on the rounding of that boundary value.
+    # flip on the rounding of that boundary value.  Each indifferent
+    # sample gives two rows in turn, its upper and its lower band edge.
     half_band = 0.5 * SEPARATION_BAND
-    for x in level_set:
-        rows_ub.append(split_row(x.as_array()))
-        rhs_ub.append(t + half_band)
-        rows_ub.append(-split_row(x.as_array()))
-        rhs_ub.append(-(t - half_band))
+    band = np.stack([split(level_set, t + half_band), -split(level_set, t - half_band)], axis=1)
+    ub = np.vstack([-split(upper, t), split(lower, t), band.reshape(-1, 2 * n + 1)])
     # The solver's feasibility tolerance must sit far below the band,
     # or constraint residuals eat the verification headroom.
     result = linprog(
         c=np.ones(2 * n),
-        A_ub=np.asarray(rows_ub) if rows_ub else None,
-        b_ub=np.asarray(rhs_ub) if rhs_ub else None,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_ub=ub[:, :-1] if len(ub) else None,
+        b_ub=ub[:, -1] if len(ub) else None,
+        A_eq=eq[:, :-1],
+        b_eq=eq[:, -1],
         bounds=[(0.0, None)] * (2 * n),
         method="highs",
         options={
@@ -230,40 +219,28 @@ def verify_separation(
     t = float(t)
     if not 0.0 < t < 1.0:
         raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
-    upper, lower, level_set = _classify(ctx, t, samples)
-    violations = []
-
-    def record(x: Lottery, kind: str, fv: float) -> None:
-        violations.append(
-            {
-                "lottery": list(x.probs),
-                "class": kind,
-                "functional_value": fv,
-                "level": t,
-            }
-        )
-
-    for x in upper:
-        fv = functional.value(x)
-        if fv < t - SEPARATION_BAND:
-            record(x, "upper", fv)
-    for x in lower:
-        fv = functional.value(x)
-        if fv > t + SEPARATION_BAND:
-            record(x, "lower", fv)
-    for x in level_set:
-        fv = functional.value(x)
-        if abs(fv - t) > SEPARATION_BAND:
-            record(x, "indifferent", fv)
-    chord_value = functional.value(chord_point(ctx, t))
-    passed = not violations and abs(chord_value - t) <= SEPARATION_BAND
+    samples = list(samples)
+    rows, side = _classify(ctx, t, samples)
+    values = np.asarray([functional.value(x) for x in samples], dtype=float)
+    bad = np.where(
+        side == 1,
+        values < t - SEPARATION_BAND,
+        np.where(side == -1, values > t + SEPARATION_BAND, np.abs(values - t) > SEPARATION_BAND),
+    )
+    kinds = {1: "upper", -1: "lower", 0: "indifferent"}
+    violations = [
+        {"lottery": rows[i].tolist(), "class": kinds[side[i]],
+         "functional_value": float(values[i]), "level": t}
+        for i in np.flatnonzero(bad)
+    ]
     violations.sort(key=lambda rec: (rec["lottery"], rec["class"]))
+    chord_value = functional.value(chord_point(ctx, t))
     return SeparationCheck(
         level=t,
-        passed=passed,
-        n_upper=len(upper),
-        n_lower=len(lower),
-        n_indifferent=len(level_set),
+        passed=not violations and abs(chord_value - t) <= SEPARATION_BAND,
+        n_upper=int(np.count_nonzero(side == 1)),
+        n_lower=int(np.count_nonzero(side == -1)),
+        n_indifferent=int(np.count_nonzero(side == 0)),
         chord_value=chord_value,
         violations=tuple(violations),
     )
@@ -290,11 +267,23 @@ def contour_samples(
         raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
     _require_extremes(ctx, polytope)
     points = list(polytope.vertices) + list(include)
+    return _sample_set(ctx, t, points, _crossings(ctx, t, points))
+
+
+def _crossings(ctx: RepresentationContext, t: float, points) -> dict:
+    """One mixing solve at level ``t``: each point's probs mapped to its
+    weight and whether the worst extreme anchored it."""
+    weights, used_worst = solve_mixing_many(ctx, points, t)
+    return {x.probs: (w, u) for x, w, u in zip(points, weights.tolist(), used_worst.tolist())}
+
+
+def _sample_set(ctx: RepresentationContext, t: float, points, crossings: dict) -> list[Lottery]:
+    """:func:`contour_samples` of ``points``, given their ``crossings``."""
     out = list(points)
     out.extend(chord_point(ctx, s) for s in _CHORD_LEVELS)
     out.append(chord_point(ctx, t))
-    weights, used_worst = solve_mixing_many(ctx, points, t)
-    for x, w, to_worst in zip(points, weights.tolist(), used_worst.tolist()):
+    for x in points:
+        w, to_worst = crossings[x.probs]
         out.append(mix(w, x, ctx.worst if to_worst else ctx.best))
     unique = {x.probs: x for x in out}
     return sorted(unique.values())
@@ -311,8 +300,11 @@ def cross_polytope_consistency(
 
     Solves the separation program inside every polytope (each must
     contain ``x`` and both extremes) and compares all resulting values at
-    ``x`` with one another and with the engine's mixing-based value
-    :func:`~betweenu.engine.implicit_utility`.
+    ``x`` with one another and with the engine's mixing-based value.  One
+    mixing solve over ``x`` and the polytopes' distinct vertices gives both:
+    the engine value through :func:`~betweenu.engine.local_value` (bitwise
+    :func:`~betweenu.engine.implicit_utility`), and every polytope's
+    :func:`contour_samples`.
     """
     t = float(t)
     if not 0.0 < t < 1.0:
@@ -326,10 +318,13 @@ def cross_polytope_consistency(
             raise MembershipViolation(
                 f"lottery {x.probs} is outside one of the supplied polytopes"
             )
-    engine_value = implicit_utility(ctx, x, t)
+    points = {p.probs: p for p in (x, *(v for poly in polytopes for v in poly.vertices))}
+    crossings = _crossings(ctx, t, list(points.values()))
+    w, to_worst = crossings[x.probs]
+    engine_value = local_value(t, w, Branch.USED_WORST if to_worst else Branch.USED_BEST)
     separator_values = []
     for polytope in polytopes:
-        samples = contour_samples(ctx, t, polytope, include=(x,))
+        samples = _sample_set(ctx, t, [*polytope.vertices, x], crossings)
         functional = separate(ctx, t, polytope, samples)
         separator_values.append(functional.value(x))
     spread = [engine_value, *separator_values]

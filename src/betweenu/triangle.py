@@ -23,6 +23,10 @@ from .simplex import Lottery, degenerate, mix, mix_rows
 
 _SCAN_TOL = 1e-12
 _SCANLINES = 24
+#: Points whose probabilities all lie this close are one point: both
+#: scanline families meet a curve at the same lattice point, a bisection
+#: error apart.
+_MERGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,10 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
     level curve at most once; the chord point of the level is always
     included, and the two families keep the point count healthy whether
     the curve hugs the best corner or the worst one.  Points are ordered
-    by their plane embedding, which is monotone along a straight curve.
+    by their plane embedding, which is monotone along a straight curve,
+    and a point within ``_MERGE_TOL`` of the last kept one in every
+    probability is dropped: where the two families cross on the curve,
+    both find the point.
     Requires a three-outcome context whose extremes are simplex vertices.
     """
     model = ctx.model
@@ -90,11 +97,12 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
                 found.append(b)
             elif i in at:
                 found.append(mix(at[i], b, a))
-        order = np.lexsort(embed_coords(found).T[::-1])
-        unique: dict[tuple, Lottery] = {}
-        for i in order:
-            unique.setdefault(found[int(i)].probs, found[int(i)])
-        curves.append(LevelCurve(level=level, points=tuple(unique.values())))
+        kept: list[Lottery] = []
+        for i in np.lexsort(embed_coords(found).T[::-1]):
+            x = found[int(i)]
+            if not kept or np.abs(np.subtract(x.probs, kept[-1].probs)).max() > _MERGE_TOL:
+                kept.append(x)
+        curves.append(LevelCurve(level=level, points=tuple(kept)))
     return curves
 
 

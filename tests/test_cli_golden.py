@@ -10,7 +10,9 @@ audit code that preceded the batched ``keys``/``gaps`` checks (commit
 plateau-edge loop that preceded the shared ``engine._bisect`` (commit
 118c7b3), except ``repr.da``, re-recorded when the exact per-cell value
 solver replaced disappointment aversion's value bisection (one ``u.csv``
-cell moved by 2.2e-11; every other file and record held).  So any change
+cell moved by 2.2e-11; every other file and record held), and
+``triangle.{wu,da,kernel,cyclic}``, re-recorded when the tracer began to
+list a point found by both scanline families once.  So any change
 to a printed number shows up here.  To re-record after an intended output
 change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
 its output over ``GOLDEN``.
@@ -251,20 +253,20 @@ GOLDEN = {
     "triangle.cyclic": {
         "exit": 0,
         "files": {
-            "curves.csv": "0572418aa0c3d917f344fd82c53abe9671dc60b7a087c0fcaca280d0f41efcb7",
-            "triangle.svg": "2e08860033b34a618886d0860a65793a260792ad2fb6dbdb38252e209bb8d4ec"
+            "curves.csv": "84483315732716c61c66b59b202300c6a429404514f30cc17ad2c6c4f6affa6f",
+            "triangle.svg": "b918a7ecc00f7a90bc3d8f1403bb43b3385bcfe278a25dc3af855ba5066b7b63"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stdout": "c344706082156bb74e5d8d55013e5cdb2b4334add9bc430d28b87360429ceb44"
+        "stdout": "b8369c275f7ffd1ee62950ca942dc95dc04da463600f41d341de65badfb92a88"
     },
     "triangle.da": {
         "exit": 0,
         "files": {
-            "curves.csv": "09a9d27b2df9242512f8eac70f202699aa19e85038fef32dfef5f3a0b4eefc95",
-            "triangle.svg": "d328129458c32469c7a7f05edbd2a120df2bff3f57edfd9b4a6cab01bfb622f0"
+            "curves.csv": "4462df1660866b92719ee3ccf7eebf6fac44ca3014a8ea864f5d972f5bd4e0f1",
+            "triangle.svg": "fc6a7dc18b0f54aae6d07e4fcd1b8dfd2be5de46c539ff450e85dc05a6bdd099"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stdout": "68778ca64ed70adf6342a6a6cab94bd6343ae38db4320e3468f7a5b1d84c48a6"
+        "stdout": "ad2d3aef78f55542e98cfb9a497fc82c253594892612871b9b31bccfd3544edf"
     },
     "triangle.eu": {
         "exit": 0,
@@ -284,11 +286,11 @@ GOLDEN = {
     "triangle.kernel": {
         "exit": 0,
         "files": {
-            "curves.csv": "a294c098c920b93120aab62d730993c913b89222e0354169fc326fc704611d65",
-            "triangle.svg": "2e08860033b34a618886d0860a65793a260792ad2fb6dbdb38252e209bb8d4ec"
+            "curves.csv": "bdc52caa72a0f1c97d776f5c17889cfa232a5f376cff48fdf6a66b5ed6cc8679",
+            "triangle.svg": "b918a7ecc00f7a90bc3d8f1403bb43b3385bcfe278a25dc3af855ba5066b7b63"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stdout": "4cf18d1cef64ccdc648aee03d94955f3d3454e4286fab9f293d7161e6388d471"
+        "stdout": "7540c570ee3a26ae5e27c0815e74599d9270ea320a81fca2b4f46a2b725d221e"
     },
     "triangle.quadratic": {
         "exit": 0,
@@ -302,11 +304,11 @@ GOLDEN = {
     "triangle.wu": {
         "exit": 0,
         "files": {
-            "curves.csv": "eca9be22347c84fa7df793447bc192116e626fc6df1dccce84654d4d67d4262f",
-            "triangle.svg": "7c68e86136aa37973029c0f3440e0c09fa9e2747411c8d5c4e941dcfcaafbd2c"
+            "curves.csv": "bb6b2accc30ea29b8505c4966a6c4ff6d5183a25beadef6ad90279840827de63",
+            "triangle.svg": "da2d7ca0d581660cea89451439b52895e01dfe3766221cfdfa06a43812064e9e"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "stdout": "c78806d7d8d55e794606875e37abd7557efa1a270ab929416f0e9c3abe31d4ba"
+        "stdout": "7e75d16eb61f82baff7880d46a87fbc8492d70d5122be3d3b8171a43eeaeb54a"
     }
 }
 

@@ -403,6 +403,9 @@ FIXED_POINT_LOTTERIES = (
 #: A coarse scan keeps the batch tests fast; results are bitwise
 #: comparable at any scan size.
 FIXED_POINT_SCAN = 64
+#: The levels of :func:`utility_fixed_point`'s default scan, where the
+#: rigged residuals below put their exact zeros.
+SCAN = np.linspace(0.0, 1.0, 1000)
 
 
 class TestFixedPoint:
@@ -416,16 +419,42 @@ class TestFixedPoint:
         assert utility_fixed_point(ctx, ctx.best) == 1.0
         assert utility_fixed_point(ctx, ctx.worst) == 0.0
 
-    def test_multiple_crossings_detected(self, eu_model, monkeypatch):
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            # A sign change back up: negative, then positive again.
+            lambda ts: np.where(ts < 0.3, 0.1, np.where(ts < 0.6, -0.1, 0.1)),
+            # Two exact zeros, back to back.
+            lambda ts: np.where(ts < SCAN[300], 0.1, np.where(ts <= SCAN[301], 0.0, -0.1)),
+            # An exact zero, then positive residuals again.
+            lambda ts: np.where(ts == SCAN[200], 0.0, np.where(ts < 0.6, 0.1, -0.1)),
+            # Negative residuals, then an exact zero.
+            lambda ts: np.where(ts == SCAN[800], 0.0, np.where(ts < 0.3, 0.1, -0.1)),
+        ],
+        ids=["negative-then-positive", "two-zeros", "zero-then-positive", "negative-then-zero"],
+    )
+    def test_multiple_crossings_detected(self, eu_model, monkeypatch, residual):
         ctx = context_for(eu_model)
 
         def rigged(_ctx, xs, ts):
             ts = np.asarray(ts, dtype=float)
-            return ts + np.where(ts < 0.3, 0.1, np.where(ts < 0.6, -0.1, 0.1))
+            return ts + residual(ts)
 
         monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
         with pytest.raises(MultipleFixedPoints):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
+
+    def test_single_interior_zero_is_the_fixed_point(self, eu_model, monkeypatch):
+        ctx = context_for(eu_model)
+
+        def rigged(_ctx, xs, ts):
+            ts = np.asarray(ts, dtype=float)
+            return ts + np.where(ts == SCAN[500], 0.0, np.where(ts < SCAN[500], 0.1, -0.1))
+
+        monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+        assert utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3))) == pytest.approx(
+            SCAN[500], abs=ctx.tol_t
+        )
 
     def test_plateau_edge_iteration_limit(self, eu_model, monkeypatch):
         # A flat u(x, t) = 0.45 puts the fixed point inside a scan cell about

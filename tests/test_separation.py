@@ -19,11 +19,24 @@ from betweenu import (
     separate,
     verify_separation,
 )
-from betweenu import separation
+from betweenu import engine, separation
 
 
 def full_simplex(n: int) -> Polytope:
     return Polytope(tuple(sorted(degenerate(i, n) for i in range(n))))
+
+
+def query_polytopes(ctx, x) -> list[Polytope]:
+    """The hull of ``x`` and the extremes, the simplex, and a widened hull."""
+    third = next(
+        v for v in (degenerate(i, 3) for i in range(3))
+        if v not in (ctx.best, ctx.worst)
+    )
+    return [
+        Polytope(tuple(sorted((ctx.best, ctx.worst, x)))),
+        full_simplex(3),
+        Polytope(tuple(sorted((ctx.best, ctx.worst, x, mix(0.5, third, x))))),
+    ]
 
 
 def audit_samples(ctx, t, polytope, resolution=6):
@@ -62,6 +75,22 @@ class TestSeparate:
         chordless = Polytope((degenerate(0, 3), degenerate(1, 3)))
         with pytest.raises(ValueError):
             separate(ctx, 0.5, chordless, sorted(grid(3, 4)))
+
+    def test_no_samples_leaves_out_the_inequalities(self, wu_model, monkeypatch):
+        ctx = context_for(wu_model)
+        calls = []
+        solve = separation.linprog
+
+        def recorded(**kwargs):
+            calls.append(kwargs)
+            return solve(**kwargs)
+
+        monkeypatch.setattr(separation, "linprog", recorded)
+        functional = separate(ctx, 0.5, full_simplex(3), [])
+        assert len(calls) == 1
+        assert calls[0]["A_ub"] is None and calls[0]["b_ub"] is None
+        assert functional.value(ctx.best) == 1.0
+        assert functional.value(ctx.worst) == 0.0
 
     def test_nonconvex_contours_are_infeasible(self):
         ctx = context_for(quadratic_oracle())
@@ -119,19 +148,37 @@ class TestCrossPolytope:
     def test_polytope_independence(self, family_model):
         ctx = context_for(family_model)
         x = lottery((0.2, 0.5, 0.3))
-        third = next(
-            v for v in (degenerate(i, 3) for i in range(3))
-            if v not in (ctx.best, ctx.worst)
-        )
-        polys = [
-            Polytope(tuple(sorted((ctx.best, ctx.worst, x)))),
-            full_simplex(3),
-            Polytope(tuple(sorted((ctx.best, ctx.worst, x, mix(0.5, third, x))))),
-        ]
-        result = cross_polytope_consistency(ctx, x, 0.5, polys)
+        result = cross_polytope_consistency(ctx, x, 0.5, query_polytopes(ctx, x))
         assert result.passed
         assert len(result.separator_values) == 3
         assert result.max_discrepancy <= 1e-6
+
+    def test_one_mixing_solve_serves_every_polytope(self, wu_model, monkeypatch):
+        ctx = context_for(wu_model)
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return engine.solve_mixing_many(*args)
+
+        def never(*args):
+            raise AssertionError("the crossings were solved again")
+
+        monkeypatch.setattr(separation, "solve_mixing_many", counted)
+        monkeypatch.setattr(separation, "contour_samples", never)
+        monkeypatch.setattr(engine, "implicit_utility", never)
+        monkeypatch.setattr(engine, "implicit_utility_many", never)
+        x = lottery((0.2, 0.5, 0.3))
+        result = cross_polytope_consistency(ctx, x, 0.5, query_polytopes(ctx, x))
+        assert result.passed
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
+    def test_engine_value_is_implicit_utility(self, solver_model, t):
+        ctx = context_for(solver_model)
+        for x in grid(3, 3):
+            result = cross_polytope_consistency(ctx, x, t, [full_simplex(3)])
+            assert result.engine_value.hex() == implicit_utility(ctx, x, t).hex()
 
     def test_membership_enforced(self, eu_model):
         ctx = context_for(eu_model)
@@ -145,7 +192,7 @@ class TestCrossPolytope:
         def no_solve(*args):
             raise AssertionError("solved before the level was checked")
 
-        monkeypatch.setattr(separation, "implicit_utility", no_solve)
+        monkeypatch.setattr(separation, "solve_mixing_many", no_solve)
         monkeypatch.setattr(separation, "contour_samples", no_solve)
         monkeypatch.setattr(Polytope, "contains", no_solve)
         ctx = context_for(eu_model)

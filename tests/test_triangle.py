@@ -97,6 +97,15 @@ class TestTraceLevelCurves:
             keys = [tuple(c) for c in coords]
             assert keys == sorted(keys)
 
+    def test_point_found_by_both_families_listed_once(self, eu_model):
+        # Both scanline families meet this curve at the lattice point
+        # (16/23, 4/23, 3/23), each a bisection error away from it.
+        ctx = context_for(eu_model)
+        (curve,) = trace_level_curves(ctx, (0.2,))
+        lattice = np.array([16.0, 4.0, 3.0]) / 23.0
+        near = [p for p in curve.points if np.abs(p.as_array() - lattice).max() <= 1e-9]
+        assert len(near) == 1
+
     def test_validates_inputs(self, eu_model):
         ctx = context_for(eu_model)
         with pytest.raises(ValueError):
