@@ -24,7 +24,11 @@ Everything is driven by pairwise comparisons:
    (:func:`utility_fixed_point_many`): a scan of uniform levels per
    lottery checks that the residual ``u(x, t) - t`` crosses zero once,
    then one batched bisection narrows the two plateau edges of every
-   lottery.
+   lottery.  The residual has the sign of the comparison between ``x``
+   and the chord point (``u = t / w`` above it and ``1 - (1-t) / w``
+   below it, with ``w < 1``, and ``u = t`` on it), so each scan level
+   costs one comparison plus the step 3 checks that can fail, not a
+   full mixing solve; the plateau edges evaluate ``u`` itself.
 
 Every solver is written once, over arrays of lottery rows and the
 model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
@@ -193,7 +197,16 @@ def _as_levels(rows: np.ndarray, ts) -> np.ndarray:
     return ts
 
 
-def _bisect(gap_at, per_row: tuple, lo, hi, tol: float, max_iter: int, what: str):
+def _bisect(
+    gap_at,
+    per_row: tuple,
+    lo,
+    hi,
+    tol: float,
+    max_iter: int,
+    what: str,
+    floor: float = math.inf,
+):
     """One bisection per row from the bracket ``[lo, hi]`` (a bound or one
     per row) until it is at most ``tol`` wide; returns the final brackets.
 
@@ -201,9 +214,11 @@ def _bisect(gap_at, per_row: tuple, lo, hi, tol: float, max_iter: int, what: str
     *per_row)`` gives the rows' gaps at parameters ``s``.  A positive gap
     raises the row's lower end, any other its upper end, and a zero gap
     closes the bracket at ``s``.  Every row takes at least one step.
-    Finished rows leave every array, so each step evaluates only the
-    rows still running; a row still wider than ``tol`` after ``max_iter``
-    steps raises :class:`IterationLimit`.
+    A row also finishes once its lower end exceeds ``floor``: lower ends
+    only rise, so every later bracket would stay above it.  Finished rows
+    leave every array, so each step evaluates only the rows still
+    running; a row still running after ``max_iter`` steps raises
+    :class:`IterationLimit`.
     """
     k = len(per_row[0])
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
@@ -216,7 +231,7 @@ def _bisect(gap_at, per_row: tuple, lo, hi, tol: float, max_iter: int, what: str
         g = gap_at(mid, *per_row)
         a = np.where(g >= 0.0, mid, a)
         b = np.where(g > 0.0, b, mid)
-        done = b - a <= tol
+        done = (b - a <= tol) | (a > floor)
         if done.any():
             finished = sel[done]
             lo[finished], hi[finished] = a[done], b[done]
@@ -260,7 +275,7 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     # endpoint shortcuts above, since banded midpoint exits would cap a
     # value model's accuracy at eps_pref, well short of tol_t.
     def gap_at(s, k_in):
-        return model.gaps(k_in, model.keys(mix_rows(s, ctx._ends[_BEST], ctx._ends[_WORST])))
+        return model.gaps(k_in, _chord_keys(ctx, s))
 
     lo, hi = _bisect(gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level")
     out[inner] = 0.5 * (lo + hi)
@@ -294,14 +309,41 @@ def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, n
     ts = _as_levels(rows, ts)
     if not ((ts > 0.0) & (ts < 1.0)).all():
         raise ValueError("mixing levels must lie strictly inside (0, 1)")
-    return _solve_mixing_rows(ctx, rows, ts, ctx.model.keys(rows))
+    weights, used_worst, _ = _solve_mixing_rows(
+        ctx, rows, ts, ctx.model.keys(rows), _chord_keys(ctx, ts)
+    )
+    return weights, used_worst
+
+
+def _chord_keys(ctx: RepresentationContext, ts) -> np.ndarray:
+    """Comparison keys of the chord points at levels ``ts``."""
+    return ctx.model.keys(mix_rows(ts, ctx._ends[_BEST], ctx._ends[_WORST]))
 
 
 def _solve_mixing_rows(
-    ctx: RepresentationContext, rows: np.ndarray, ts: np.ndarray, kx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    ctx: RepresentationContext,
+    rows: np.ndarray,
+    ts: np.ndarray,
+    kx: np.ndarray,
+    k_chord: np.ndarray,
+    floor: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixing solves of paired rows and interior levels, given the rows'
+    keys ``kx`` and the keys ``k_chord`` of their chord points.
+
+    Returns ``(weights, used_worst, signs)``.  ``signs`` holds the sign
+    of the residual ``u(x, t) - t``, read off the comparison of ``x``
+    with its chord point alone: 0 on the chord, where ``w = 1`` and
+    ``u = t``; +1 above it, where ``u = t / w > t``; -1 below it, where
+    ``u = 1 - (1-t) / w < t``.  A bisected weight is a bracket midpoint,
+    so it lies strictly inside (0, 1).  The best extreme counts as above
+    the chord and the worst as below, as their closed forms give.
+
+    A finite ``floor`` stops each bisection once its weight is known to
+    exceed ``floor``; such weights are only bounds, while ``signs`` and
+    the :data:`MU_FLOOR` verdict stay exact for ``floor = MU_FLOOR``.
+    """
     model = ctx.model
-    k_chord = model.keys(mix_rows(ts, ctx._ends[_BEST], ctx._ends[_WORST]))
     d = model.gaps(kx, k_chord)
     # The extremes solve in closed form: their mixture with the opposite
     # extreme is the chord point at the mixing weight itself.
@@ -311,6 +353,8 @@ def _solve_mixing_rows(
     up = d > 0.0
     used_worst = is_best | (~is_worst & (on_chord | up))
     weights = np.where(is_best, ts, np.where(is_worst, 1.0 - ts, 1.0))
+    signs = np.where(used_worst, 1.0, -1.0)
+    signs[on_chord & ~(is_best | is_worst)] = 0.0
     inner = np.flatnonzero(~(on_chord | is_best | is_worst))
     anchor = np.where(up[inner], _WORST, _BEST)
     # A positive steered gap puts a point on the anchor's side of the
@@ -319,20 +363,29 @@ def _solve_mixing_rows(
     k_target = k_chord[inner]
     blocked = np.flatnonzero(steer * model.gaps(ctx._end_keys[anchor], k_target) <= 0.0)
     if blocked.size:
+        j = inner[blocked[0]]
         raise NoCrossing(
-            f"at level {float(ts[inner[blocked[0]]])!r} the opposite extreme does not sit "
-            f"strictly across the chord point; the model violates chord monotonicity"
+            f"at level {float(ts[j])!r} the opposite extreme does not sit "
+            f"strictly across the chord point; the model violates chord monotonicity",
+            level=float(ts[j]),
+            row=tuple(rows[j].tolist()),
         )
 
     def gap_at(lam, x_rows, anchor_rows, steer, k_target):
         return steer * model.gaps(model.keys(mix_rows(lam, x_rows, anchor_rows)), k_target)
 
     per_row = (rows[inner], ctx._ends[anchor], steer, k_target)
-    lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing")
+    lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor)
     weights[inner] = 0.5 * (lo + hi)
-    if (weights <= MU_FLOOR).any():
-        raise NoCrossing("mixing weight collapsed to zero; no interior crossing exists")
-    return weights, used_worst
+    collapsed = np.flatnonzero(weights <= MU_FLOOR)
+    if collapsed.size:
+        j = collapsed[0]
+        raise NoCrossing(
+            "mixing weight collapsed to zero; no interior crossing exists",
+            level=float(ts[j]),
+            row=tuple(rows[j].tolist()),
+        )
+    return weights, used_worst, signs
 
 
 def implicit_utility(ctx: RepresentationContext, x: Lottery, t: float) -> float:
@@ -365,7 +418,9 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     inner = ~(at0 | at1)
     if inner.any():
         t_in = ts[inner]
-        weights, used_worst = _solve_mixing_rows(ctx, rows[inner], t_in, kx[inner])
+        weights, used_worst, _ = _solve_mixing_rows(
+            ctx, rows[inner], t_in, kx[inner], _chord_keys(ctx, t_in)
+        )
         out[inner] = _local_values(t_in, weights, used_worst)
     return out
 
@@ -390,11 +445,27 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     raise :class:`MultipleFixedPoints`, whose ``row`` holds the first
     offending lottery in input order.
 
+    The scan needs only the residual's sign, and at an interior level
+    that is the side of the chord point that ``x`` lies on: 0 on the
+    chord, where the mixing weight is 1 and ``u = t``; +1 above it, where
+    ``u = t / w > t``; -1 below it, where ``u = 1 - (1-t) / w < t``; the
+    weight ``w`` of a bisected mixture lies strictly inside (0, 1).  So
+    each scan level costs one comparison in place of a full mixing solve
+    (see :func:`_residual_signs`), and the chord points' keys are computed
+    once per call.  The scan keeps the checks those solves made: a level
+    whose opposite extreme does not sit strictly across the chord point
+    raises :class:`NoCrossing`, and so does one whose weight collapses to
+    :data:`MU_FLOOR`, which is settled by bisecting each weight only until
+    it is known to clear the floor (usually 1 to 3 probes).  A
+    ``max_iter`` too small for the evaluation tolerance therefore raises
+    :class:`IterationLimit` at the plateau edges' mixing solves.
+
     The residual's slope is ``du/dt - 1``, which approaches zero when
     the level dependence is strong, so evaluation error moves the
-    located root by more than its own size.  Evaluations therefore run
-    two digits tighter than the context tolerance, keeping the root
-    within the published accuracy.
+    located root by more than its own size.  The plateau edges therefore
+    evaluate :func:`implicit_utility_many` itself, two digits tighter than
+    the context tolerance, keeping the root within the published
+    accuracy.
 
     Value ties within ``eps_pref`` count as on-chord, which makes the
     residual exactly zero on a short plateau around the fixed point.  A
@@ -410,14 +481,14 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     eval_tol = min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12))
     eval_ctx = replace(ctx, tol_t=eval_tol)
     ts = np.linspace(0.0, 1.0, n_scan)
+    k_chord = _chord_keys(eval_ctx, ts[1:-1])
     out = np.empty(len(rows))
     # Lotteries whose fixed point lies strictly inside a scan cell, with
     # the cell's ends.
     inside, cell_lo, cell_hi = [], [], []
     # One scan per lottery keeps the working set at n_scan rows.
     for i, row in enumerate(rows):
-        g = implicit_utility_many(eval_ctx, np.repeat(row[None, :], n_scan, axis=0), ts) - ts
-        sign = np.sign(g)
+        sign = _residual_signs(eval_ctx, row, ts, k_chord)
         # One crossing: positive signs, at most one zero, then negative ones.
         zeros = int(np.count_nonzero(sign == 0.0))
         if zeros > 1 or (np.diff(sign) > 0.0).any():
@@ -448,6 +519,31 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     lo, hi = _bisect(gap_at, per_row, edge_lo, edge_hi, ctx.tol_t, ctx.max_iter, "plateau edge")
     out[inside] = 0.25 * (lo[0::2] + hi[0::2] + lo[1::2] + hi[1::2])
     return out
+
+
+def _residual_signs(
+    ctx: RepresentationContext, row: np.ndarray, ts: np.ndarray, k_chord: np.ndarray
+) -> np.ndarray:
+    """Signs of ``u(x, t) - t`` for one lottery row at the scan levels
+    ``ts`` (endpoints included), given the keys ``k_chord`` of the
+    interior levels' chord points.
+
+    The endpoint signs follow the indicators of :func:`implicit_utility`,
+    and the interior ones come from :func:`_solve_mixing_rows` with its
+    bisections stopped at :data:`MU_FLOOR`.
+    """
+    model = ctx.model
+    eps = model.eps_pref
+    kx = model.keys(row[None, :])
+    to_worst = model.gaps(kx, ctx._end_keys[[_WORST]])[0]
+    to_best = model.gaps(kx, ctx._end_keys[[_BEST]])[0]
+    k = len(k_chord)
+    _, _, signs = _solve_mixing_rows(
+        ctx, np.repeat(row[None, :], k, axis=0), ts[1:-1], np.repeat(kx, k), k_chord, MU_FLOOR
+    )
+    start = 0.0 if abs(to_worst) <= eps else 1.0
+    end = 0.0 if abs(to_best) <= eps else -1.0
+    return np.concatenate(([start], signs, [end]))
 
 
 def one_sided_limits(ctx: RepresentationContext, x: Lottery) -> dict:

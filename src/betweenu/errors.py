@@ -18,7 +18,21 @@ class IterationLimit(BetweenuError):
 
 
 class NoCrossing(BetweenuError):
-    """A segment expected to straddle an indifference level does not."""
+    """A segment expected to straddle an indifference level does not.
+
+    ``level`` holds the chord level and ``row`` the lottery's
+    probabilities of the first failing mixing solve, or None.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        level: float | None = None,
+        row: tuple[float, ...] | None = None,
+    ):
+        super().__init__(message)
+        self.level = level
+        self.row = row
 
 
 class MultipleFixedPoints(BetweenuError):

@@ -173,10 +173,16 @@ class Polytope:
         return np.asarray([v.probs for v in self.vertices], dtype=float)
 
     def contains(self, x: Lottery) -> bool:
-        """Numerical hull membership via a small feasibility program."""
-        if x.n_outcomes != self.n_outcomes:
+        """Numerical hull membership via a small feasibility program.
+
+        Every lottery lies in the simplex, so a polytope generated by all
+        the degenerate lotteries contains it without one.
+        """
+        n = self.n_outcomes
+        if x.n_outcomes != n:
             raise ValueError("point lives on a different outcome set")
-        if any(x.probs == v.probs for v in self.vertices):
+        generators = {v.probs for v in self.vertices}
+        if x.probs in generators or all(degenerate(i, n).probs in generators for i in range(n)):
             return True
         from scipy.optimize import linprog
 

@@ -117,18 +117,28 @@ def test_02_mixture_linearity():
 def test_03_unique_fixed_point():
     """u(x, t) - t changes sign exactly once; its root matches solve_utility."""
     points = sorted(grid(3, 6))
+    ts = np.linspace(0.0, 1.0, 1000)
+    rows = np.repeat([x.probs for x in points], len(ts), axis=0)
     worst_gap = 0.0
+    single = True
     scanned = 0
     for name, model in sorted(family_models().items()):
         ctx = context_for(model)
         roots = utility_fixed_point_many(ctx, points, n_scan=1000)
         worst_gap = max(worst_gap, float(np.abs(roots - solve_utility_many(ctx, points)).max()))
+        # The search reads its scan signs off chord comparisons; the
+        # single crossing is checked here on u itself.
+        u = implicit_utility_many(ctx, rows, np.tile(ts, len(points)))
+        signs = np.sign(u.reshape(len(points), len(ts)) - ts)
+        zeros = np.count_nonzero(signs == 0.0, axis=1)
+        single &= bool(((zeros <= 1) & ~(np.diff(signs, axis=1) > 0.0).any(axis=1)).all())
         scanned += len(points)
     tol = 10.0 * 1e-10
     _report(
         "unique fixed point",
-        worst_gap <= tol,
-        f"{scanned} lotteries scanned at 1000 levels each, single crossing everywhere, "
+        single and worst_gap <= tol,
+        f"{scanned} lotteries scanned at 1000 levels each, single crossing of u(x, t) - t "
+        f"{'everywhere' if single else 'violated'}, "
         f"max |root - solve_utility| {worst_gap:.3e} (tol {tol:.0e})",
     )
 

@@ -47,9 +47,11 @@ MODELS = {
 #: planted triple; the separation audit's cost barely depends on it.
 GRIDS = {"check": 6, "triangle": 6, "separation": 4}
 
-#: ``repr`` scans 1,000 levels per grid lottery, so its grids are chosen
-#: per model: DA grid 1 holds one interior plateau vertex, kernel grid 3
-#: the full-support lottery, and jump exits 3 (``MultipleFixedPoints``).
+#: ``repr``'s fixed-point search scans 1,000 levels per grid lottery (one
+#: comparison each) and bisects two plateau edges on full ``u(x, t)``
+#: solves, so its grids are chosen per model: DA grid 1 holds one interior
+#: plateau vertex, kernel grid 3 the full-support lottery, and jump exits
+#: 3 (``MultipleFixedPoints``).
 REPR_GRIDS = {"eu": 6, "wu": 6, "da": 1, "kernel": 3, "cyclic": 2, "jump": 3}
 
 JOBS = [(cmd, model, GRIDS[cmd]) for cmd in GRIDS for model in MODELS] + [

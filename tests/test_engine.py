@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from betweenu import (
+    BetweenuError,
     Branch,
     DegeneratePreference,
     ExpectedUtility,
@@ -19,11 +22,13 @@ from betweenu import (
     grid,
     implicit_utility,
     implicit_utility_many,
+    jump_oracle,
     local_value,
     lottery,
     mix,
     one_sided_limits,
     oracle_from_value,
+    quadratic_oracle,
     solve_mixing,
     solve_mixing_many,
     solve_utility,
@@ -31,8 +36,9 @@ from betweenu import (
     utility_fixed_point,
     utility_fixed_point_many,
 )
+from betweenu import engine
 
-from conftest import NOT_LOTTERIES, WU_U, WU_W
+from conftest import NOT_LOTTERIES, WU_U, WU_W, solver_models
 
 BISECT_TOL = 5e-11  # half of the default bracket tolerance
 
@@ -125,6 +131,18 @@ class RidgeValue(ValueModel):
 
     def _values(self, rows):
         return rows[:, 2] + 4.4 * rows[:, 0] * rows[:, 1]
+
+
+class SpikeValue(ValueModel):
+    """Value jumping to the top off the worst-best edge: mixing a lottery
+    with a third or more of its mass on outcome 1 toward the worst extreme
+    crosses every chord point at a weight below ``MU_FLOOR``."""
+
+    def __init__(self):
+        super().__init__(3)
+
+    def _values(self, rows):
+        return np.minimum(1.0, rows[:, 2] + 1e13 * rows[:, 0] * rows[:, 1])
 
 
 class TestContext:
@@ -274,6 +292,23 @@ class TestSolveMixing:
         with pytest.raises(NoCrossing):
             solve_mixing(ctx, lottery((0.9, 0.05, 0.05)), 0.7)
 
+    def test_no_crossing_names_level_and_row(self):
+        ctx = context_for(CappedValue())
+        with pytest.raises(NoCrossing, match="opposite extreme") as info:
+            solve_mixing_many(
+                ctx, [lottery((0.2, 0.5, 0.3)), lottery((0.9, 0.05, 0.05))], [0.3, 0.7]
+            )
+        assert info.value.level == 0.7
+        assert info.value.row == (0.9, 0.05, 0.05)
+
+    def test_collapsed_weight_names_level_and_row(self):
+        # The crossing weight is 1e-13, so a bisection to 1e-12 ends below MU_FLOOR.
+        ctx = context_for(SpikeValue(), tol_t=1e-12)
+        with pytest.raises(NoCrossing, match="collapsed to zero") as info:
+            solve_mixing(ctx, lottery((0.5, 0.5, 0.0)), 0.5)
+        assert info.value.level == 0.5
+        assert info.value.row == (0.5, 0.5, 0.0)
+
     def test_batch_matches_scalar_bitwise(self, solver_model):
         ctx = context_for(solver_model)
         points = sorted(grid(3, 5))
@@ -355,7 +390,9 @@ class TestOracleCompareSchedule:
     """The number of comparisons the solvers ask of an oracle, pinned: a
     change to how oracles are keyed or compared must not change it."""
 
-    def test_cyclic_oracle_call_counts(self):
+    @staticmethod
+    def counted_context():
+        """A context on the cyclic oracle, and the list its comparisons append to."""
         oracle = cyclic_oracle()
         ctx = context_for(oracle)
         calls = []
@@ -366,6 +403,10 @@ class TestOracleCompareSchedule:
             return answer(x, y)
 
         oracle.compare_fn = counted
+        return ctx, calls
+
+    def test_cyclic_oracle_call_counts(self):
+        ctx, calls = self.counted_context()
         points = sorted(grid(3, 3))
         solve_utility_many(ctx, points)
         assert len(calls) == 196
@@ -373,6 +414,14 @@ class TestOracleCompareSchedule:
         levels = np.linspace(0.0, 1.0, 11)
         implicit_utility_many(ctx, [x for x in points for _ in levels], np.tile(levels, len(points)))
         assert len(calls) == 1986
+
+    def test_cyclic_oracle_fixed_point_call_count(self):
+        # One comparison per scan level, plus the opposite-extreme check
+        # and the few probes that clear MU_FLOOR, then the plateau edges'
+        # full mixing solves.
+        ctx, calls = self.counted_context()
+        utility_fixed_point_many(ctx, sorted(grid(3, 3)))
+        assert len(calls) == 44387
 
 
 class TestRejectsNonLotteryRows:
@@ -408,6 +457,17 @@ FIXED_POINT_SCAN = 64
 SCAN = np.linspace(0.0, 1.0, 1000)
 
 
+def rig_implicit_utility(monkeypatch, rigged):
+    """Make ``rigged(ctx, xs, ts)`` the ``u(x, t)`` that the fixed-point
+    search sees: in the residual signs of its scan and at its plateau edges."""
+
+    def signs(ctx, row, ts, _k_chord):
+        return np.sign(rigged(ctx, np.repeat(row[None, :], len(ts), axis=0), ts) - ts)
+
+    monkeypatch.setattr("betweenu.engine._residual_signs", signs)
+    monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+
+
 class TestFixedPoint:
     def test_agrees_with_solve_utility(self, family_model):
         ctx = context_for(family_model)
@@ -440,7 +500,7 @@ class TestFixedPoint:
             ts = np.asarray(ts, dtype=float)
             return ts + residual(ts)
 
-        monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+        rig_implicit_utility(monkeypatch, rigged)
         with pytest.raises(MultipleFixedPoints):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
 
@@ -451,7 +511,7 @@ class TestFixedPoint:
             ts = np.asarray(ts, dtype=float)
             return ts + np.where(ts == SCAN[500], 0.0, np.where(ts < SCAN[500], 0.1, -0.1))
 
-        monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+        rig_implicit_utility(monkeypatch, rigged)
         assert utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3))) == pytest.approx(
             SCAN[500], abs=ctx.tol_t
         )
@@ -460,9 +520,7 @@ class TestFixedPoint:
         # A flat u(x, t) = 0.45 puts the fixed point inside a scan cell about
         # 1e-3 wide, which five halvings cannot narrow to tol_t.
         ctx = context_for(eu_model, max_iter=5)
-        monkeypatch.setattr(
-            "betweenu.engine.implicit_utility_many", lambda _ctx, xs, ts: np.full(len(ts), 0.45)
-        )
+        rig_implicit_utility(monkeypatch, lambda _ctx, xs, ts: np.full(len(ts), 0.45))
         with pytest.raises(IterationLimit, match="plateau edge"):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
 
@@ -481,7 +539,7 @@ class TestFixedPoint:
             wiggle = np.where(ts < 0.3, 0.1, np.where(ts < 0.6, -0.1, 0.1))
             return np.where(np.asarray(xs)[:, 0] > 0.5, ts + wiggle, 0.45)
 
-        monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+        rig_implicit_utility(monkeypatch, rigged)
         with pytest.raises(MultipleFixedPoints) as info:
             utility_fixed_point_many(ctx, [good, bad, also_bad])
         assert info.value.row == bad.probs
@@ -515,6 +573,66 @@ class TestFixedPoint:
         out = utility_fixed_point_many(ctx, batch, FIXED_POINT_SCAN)
         assert out[0] == 1.0
         assert out[2] == 0.0
+
+    def test_mixing_iteration_limit_reaches_the_caller(self, eu_model):
+        # Twenty halvings clear MU_FLOOR at every scan level but cannot
+        # narrow a mixing weight to the evaluation tolerance 1e-12, so the
+        # plateau edges' mixing solves raise.
+        ctx = context_for(eu_model, max_iter=20)
+        with pytest.raises(IterationLimit) as info:
+            utility_fixed_point_many(ctx, [lottery((0.2, 0.5, 0.3))])
+        assert str(info.value) == "mixing bisection missed tol 1e-12 within 20 iterations"
+
+    def test_collapsed_weight_names_level_and_row(self):
+        ctx = context_for(SpikeValue())
+        with pytest.raises(NoCrossing, match="collapsed to zero") as info:
+            utility_fixed_point(ctx, lottery((0.5, 0.5, 0.0)))
+        assert info.value.level == SCAN[1]
+        assert info.value.row == (0.5, 0.5, 0.0)
+
+
+def scan_models() -> dict:
+    """The solver models, the curved and discontinuous fixtures, and two
+    value models whose mixing solves raise :class:`NoCrossing`."""
+    return {
+        **solver_models(),
+        "quadratic": quadratic_oracle(),
+        "jump": jump_oracle(),
+        "capped": CappedValue(),
+        "spike": SpikeValue(),
+    }
+
+
+def outcome(solve):
+    """``solve()``'s result, or the type, message and attributes of its error."""
+    try:
+        return solve()
+    except BetweenuError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+class TestScanSigns:
+    """The scan reads each level's residual sign from one comparison with
+    the chord point; it must agree with the full residual ``u(x, t) - t``,
+    errors included, at the default scan and evaluation tolerance."""
+
+    @pytest.mark.parametrize("name", sorted(scan_models()))
+    def test_signs_match_full_residual(self, name):
+        model = scan_models()[name]
+        ctx = context_for(model)
+        # The evaluation tolerance of the search at the default tol_t.
+        eval_ctx = replace(ctx, tol_t=1e-12)
+        k_chord = engine._chord_keys(eval_ctx, SCAN[1:-1])
+        for x in sorted(grid(model.n_outcomes, 3)):
+            row = np.asarray(x.probs)
+            rows = np.repeat(row[None, :], len(SCAN), axis=0)
+            full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, SCAN) - SCAN))
+            scan = outcome(lambda: engine._residual_signs(eval_ctx, row, SCAN, k_chord))
+            if isinstance(full, np.ndarray):
+                assert isinstance(scan, np.ndarray), (x, scan)
+                assert np.array_equal(scan, full), x
+            else:
+                assert scan == full, x
 
 
 class TestOneSidedLimits:

@@ -116,6 +116,38 @@ class TestSegmentAndPolytope:
         assert chord.contains(lottery((0.4, 0.0, 0.6)))
         assert not chord.contains(lottery((0.2, 0.3, 0.5)))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_full_simplex_membership_needs_no_program(self, n, monkeypatch):
+        import scipy.optimize
+
+        # Generators in any order, with a duplicate and an interior point.
+        simplex = Polytope(
+            tuple(degenerate(i, n) for i in reversed(range(n)))
+            + (degenerate(0, n), lottery([1.0 / n] * n))
+        )
+        rng = np.random.default_rng(0)
+        points = sorted(grid(n, 6)) + [lottery(p) for p in rng.dirichlet(np.ones(n), 50)]
+        V = simplex.vertex_array()
+        k = len(V)
+
+        def program(x):
+            return scipy.optimize.linprog(
+                c=np.zeros(k),
+                A_eq=np.vstack([V.T, np.ones((1, k))]),
+                b_eq=np.append(x.as_array(), 1.0),
+                bounds=[(0.0, None)] * k,
+                method="highs",
+            ).status == 0
+
+        expected = [program(x) for x in points]
+        assert all(expected)
+
+        def no_program(*args, **kwargs):
+            raise AssertionError("solved a membership program for the full simplex")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_program)
+        assert [simplex.contains(x) for x in points] == expected
+
     def test_polytope_vertex_fast_path(self):
         chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
         assert chord.contains(degenerate(0, 3))
