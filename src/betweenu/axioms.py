@@ -330,10 +330,12 @@ def check_continuity(model: PreferenceModel, samples) -> AxiomReport:
 
     For each sample ``x``, walk a sequence toward it along segments from
     each simplex vertex (weights on the vertex ``0.5 ** k`` up to
-    ``k = 10``), comparing every step against each reference
-    sample ``y``.  If the comparisons settle on one strict ordering along
-    the tail of the sequence but the limit point compares strictly the
-    other way, a discontinuity may have been observed.  It is recorded
+    ``k = 10``), comparing the steps against each reference sample ``y``.
+    If the comparisons settle on one strict ordering along the tail of
+    the sequence (``k = 7`` to ``10``) but the limit point compares
+    strictly the other way, a discontinuity may have been observed.  The
+    nearest step is compared with every ``y`` first, the rest of the tail
+    only where it reverses the limit robustly.  A reversal is recorded
     only if a far finer approach toward the same anchor still settles
     on that side: a continuous preference whose value gap to ``y`` is
     smaller than the last coarse step is then back on the limit's side.
@@ -346,7 +348,7 @@ def check_continuity(model: PreferenceModel, samples) -> AxiomReport:
     m = len(samples)
     anchors = [degenerate(i, model.n_outcomes) for i in range(model.n_outcomes)]
     last = 0.5**_APPROACH_STEPS
-    tail_lams = np.asarray([0.5**k for k in range(_APPROACH_STEPS - 3, _APPROACH_STEPS + 1)])
+    coarse_lams = np.asarray([0.5**k for k in range(_APPROACH_STEPS - 3, _APPROACH_STEPS)])
     fine_lams = np.asarray([0.5**k for k in range(37, 41)])
 
     def gaps_along(lams, z: Lottery, x_row, ky) -> np.ndarray:
@@ -364,17 +366,17 @@ def check_continuity(model: PreferenceModel, samples) -> AxiomReport:
             if z.probs == x.probs:
                 continue
             checked += m
-            tail, tail_robust = _signs(model, gaps_along(tail_lams, z, rows[xi], keys))
-            settled = tail[0]
+            settled, near_robust = _signs(model, gaps_along([last], z, rows[xi], keys)[0])
             suspects = np.flatnonzero(
-                (settled != 0)
-                & (tail == settled).all(axis=0)
-                & (limit_robust == -settled)
-                & (tail_robust[-1] == settled)
+                (settled != 0) & (limit_robust == -settled) & (near_robust == settled)
             )
-            if suspects.size:
-                fine = classify(gaps_along(fine_lams, z, rows[xi], keys[suspects]), model.eps_pref)
-                suspects = suspects[(fine == settled[suspects]).all(axis=0)]
+            # The coarser tail steps, then the finer approach, must agree
+            # with the nearest step; only the references left are compared.
+            for lams in (coarse_lams, fine_lams):
+                if suspects.size:
+                    gaps = gaps_along(lams, z, rows[xi], keys[suspects])
+                    steady = (classify(gaps, model.eps_pref) == settled[suspects]).all(axis=0)
+                    suspects = suspects[steady]
             witnesses += [
                 Witness(
                     (x, z, samples[yi], mix(last, z, x)),

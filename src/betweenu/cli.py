@@ -171,6 +171,9 @@ def cmd_repr(model, args) -> int:
 
 def cmd_check(model, args) -> int:
     samples = sorted(grid(model.n_outcomes, args.grid))
+    if len(samples) < 3:
+        _fail(f"check needs at least 3 grid lotteries, got {len(samples)}; raise --grid")
+        return 2
     reports = run_all_checks(model, samples, LAMBDA_GRID, seed=args.seed)
     payload = {
         "grid_resolution": args.grid,

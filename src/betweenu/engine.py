@@ -68,6 +68,9 @@ DEFAULT_MAX_ITER = 200
 #: point, which bounds the true crossing weight away from zero.
 MU_FLOOR = 1e-12
 
+#: Halvings from 1 to the smallest power of two above :data:`MU_FLOOR`.
+_FLOOR_STEPS = -math.floor(math.log2(MU_FLOOR)) - 1
+
 _LIMIT_DELTA = 1e-4
 
 #: Rows of a context's ``_ends`` (and ``_end_keys``): the best extreme, then the worst.
@@ -327,6 +330,7 @@ def _solve_mixing_rows(
     kx: np.ndarray,
     k_chord: np.ndarray,
     floor: float = math.inf,
+    across: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mixing solves of paired rows and interior levels, given the rows'
     keys ``kx`` and the keys ``k_chord`` of their chord points.
@@ -339,9 +343,14 @@ def _solve_mixing_rows(
     so it lies strictly inside (0, 1).  The best extreme counts as above
     the chord and the worst as below, as their closed forms give.
 
-    A finite ``floor`` stops each bisection once its weight is known to
-    exceed ``floor``; such weights are only bounds, while ``signs`` and
-    the :data:`MU_FLOOR` verdict stay exact for ``floor = MU_FLOOR``.
+    ``floor = MU_FLOOR`` settles only the :data:`MU_FLOOR` verdict: the
+    weights are then only bounds, while ``signs`` and the verdict stay
+    exact.  A row whose gap is >= 0 at ``0.5 ** _FLOOR_STEPS``, a weight
+    its bisection passes while its gaps are negative, clears the floor by
+    then, so only rows failing that probe bisect (all rows, if ``max_iter``
+    is too short to get there).  ``across``, if given, holds the best
+    (row 0) and worst (row 1) extremes' gaps over ``k_chord``, NaN until
+    compared, and is filled in place: calls sharing it compare each once.
     """
     model = ctx.model
     d = model.gaps(kx, k_chord)
@@ -361,7 +370,11 @@ def _solve_mixing_rows(
     # chord point, where the crossing lies at a larger weight.
     steer = np.where(up[inner], -1.0, 1.0)
     k_target = k_chord[inner]
-    blocked = np.flatnonzero(steer * model.gaps(ctx._end_keys[anchor], k_target) <= 0.0)
+    if across is None:
+        across = np.full((2, len(rows)), np.nan)
+    fresh = np.isnan(across[anchor, inner])
+    across[anchor[fresh], inner[fresh]] = model.gaps(ctx._end_keys[anchor[fresh]], k_target[fresh])
+    blocked = np.flatnonzero(steer * across[anchor, inner] <= 0.0)
     if blocked.size:
         j = inner[blocked[0]]
         raise NoCrossing(
@@ -375,6 +388,10 @@ def _solve_mixing_rows(
         return steer * model.gaps(model.keys(mix_rows(lam, x_rows, anchor_rows)), k_target)
 
     per_row = (rows[inner], ctx._ends[anchor], steer, k_target)
+    if floor == MU_FLOOR and ctx.max_iter >= _FLOOR_STEPS:
+        cleared = gap_at(0.5**_FLOOR_STEPS, *per_row) >= 0.0
+        weights[inner[cleared]] = 0.5**_FLOOR_STEPS
+        inner, per_row = inner[~cleared], tuple(p[~cleared] for p in per_row)
     lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor)
     weights[inner] = 0.5 * (lo + hi)
     collapsed = np.flatnonzero(weights <= MU_FLOOR)
@@ -455,9 +472,11 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     once per call.  The scan keeps the checks those solves made: a level
     whose opposite extreme does not sit strictly across the chord point
     raises :class:`NoCrossing`, and so does one whose weight collapses to
-    :data:`MU_FLOOR`, which is settled by bisecting each weight only until
-    it is known to clear the floor (usually 1 to 3 probes).  A
-    ``max_iter`` too small for the evaluation tolerance therefore raises
+    :data:`MU_FLOOR`.  The extreme's side depends only on the level, so a
+    per-call table keeps both extremes' gaps over the chord points, filled
+    where a lottery needs them, and one probe at the deepest weight that
+    clears the floor spares most rows its bisection.  A ``max_iter`` too
+    small for the evaluation tolerance therefore raises
     :class:`IterationLimit` at the plateau edges' mixing solves.
 
     The residual's slope is ``du/dt - 1``, which approaches zero when
@@ -482,13 +501,15 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     eval_ctx = replace(ctx, tol_t=eval_tol)
     ts = np.linspace(0.0, 1.0, n_scan)
     k_chord = _chord_keys(eval_ctx, ts[1:-1])
+    # The extremes' gaps over the chord points, shared by every lottery.
+    across = np.full((2, n_scan - 2), np.nan)
     out = np.empty(len(rows))
     # Lotteries whose fixed point lies strictly inside a scan cell, with
     # the cell's ends.
     inside, cell_lo, cell_hi = [], [], []
     # One scan per lottery keeps the working set at n_scan rows.
     for i, row in enumerate(rows):
-        sign = _residual_signs(eval_ctx, row, ts, k_chord)
+        sign = _residual_signs(eval_ctx, row, ts, k_chord, across)
         # One crossing: positive signs, at most one zero, then negative ones.
         zeros = int(np.count_nonzero(sign == 0.0))
         if zeros > 1 or (np.diff(sign) > 0.0).any():
@@ -522,15 +543,15 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
 
 
 def _residual_signs(
-    ctx: RepresentationContext, row: np.ndarray, ts: np.ndarray, k_chord: np.ndarray
+    ctx: RepresentationContext, row: np.ndarray, ts: np.ndarray, k_chord: np.ndarray, across=None
 ) -> np.ndarray:
     """Signs of ``u(x, t) - t`` for one lottery row at the scan levels
     ``ts`` (endpoints included), given the keys ``k_chord`` of the
-    interior levels' chord points.
+    interior levels' chord points, and their table ``across`` if shared.
 
     The endpoint signs follow the indicators of :func:`implicit_utility`,
-    and the interior ones come from :func:`_solve_mixing_rows` with its
-    bisections stopped at :data:`MU_FLOOR`.
+    and the interior ones come from :func:`_solve_mixing_rows` with only
+    its :data:`MU_FLOOR` verdict settled.
     """
     model = ctx.model
     eps = model.eps_pref
@@ -538,8 +559,9 @@ def _residual_signs(
     to_worst = model.gaps(kx, ctx._end_keys[[_WORST]])[0]
     to_best = model.gaps(kx, ctx._end_keys[[_BEST]])[0]
     k = len(k_chord)
+    rows = np.repeat(row[None, :], k, axis=0)
     _, _, signs = _solve_mixing_rows(
-        ctx, np.repeat(row[None, :], k, axis=0), ts[1:-1], np.repeat(kx, k), k_chord, MU_FLOOR
+        ctx, rows, ts[1:-1], np.repeat(kx, k), k_chord, MU_FLOOR, across
     )
     start = 0.0 if abs(to_worst) <= eps else 1.0
     end = 0.0 if abs(to_best) <= eps else -1.0

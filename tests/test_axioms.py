@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from betweenu import (
@@ -14,13 +15,20 @@ from betweenu import (
     check_nondegeneracy,
     check_rationality,
     cyclic_oracle,
+    degenerate,
     grid,
     jump_oracle,
+    lottery,
     mix,
     oracle_from_value,
     quadratic_oracle,
     run_all_checks,
 )
+from betweenu.axioms import _finish, _keyed, _orderings, _signs
+from betweenu.models import classify
+from betweenu.simplex import mix_rows
+
+from conftest import solver_models
 
 LAMBDAS = tuple(k / 10 for k in range(1, 10))
 
@@ -194,6 +202,118 @@ class TestContinuity:
         # confirmation tells the continuous model from a jump.
         model = WeightedUtility((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5))
         assert check_continuity(model, sorted(grid(4, 6))).passed
+
+
+def four_step_continuity(model, samples) -> dict:
+    """The continuity rule that compares all four tail steps with every
+    reference sample, as ``check_continuity`` did before it compared the
+    nearest step first."""
+    samples, rows, keys = _keyed(model, samples)
+    m = len(samples)
+    tail_lams = np.asarray([0.5**k for k in range(7, 11)])
+    fine_lams = np.asarray([0.5**k for k in range(37, 41)])
+
+    def gaps_along(lams, z, x_row, ky):
+        kp = model.keys(mix_rows(lams, z.as_array(), x_row))
+        gaps = model.gaps(np.repeat(kp, len(ky)), np.tile(ky, len(lams)))
+        return gaps.reshape(len(lams), len(ky))
+
+    witnesses, checked = [], 0
+    for xi, x in enumerate(samples):
+        at_limit, limit_robust = _signs(model, model.gaps(keys[[xi] * m], keys))
+        for i in range(model.n_outcomes):
+            z = degenerate(i, model.n_outcomes)
+            if z.probs == x.probs:
+                continue
+            checked += m
+            tail, tail_robust = _signs(model, gaps_along(tail_lams, z, rows[xi], keys))
+            settled = tail[0]
+            suspects = np.flatnonzero(
+                (settled != 0)
+                & (tail == settled).all(axis=0)
+                & (limit_robust == -settled)
+                & (tail_robust[-1] == settled)
+            )
+            if suspects.size:
+                fine = classify(gaps_along(fine_lams, z, rows[xi], keys[suspects]), model.eps_pref)
+                suspects = suspects[(fine == settled[suspects]).all(axis=0)]
+            witnesses += [
+                Witness(
+                    (x, z, samples[yi], mix(0.5**10, z, x)),
+                    0.5**10,
+                    _orderings(settled[yi], at_limit[yi]),
+                    "strict comparison reverses at the limit of the approach",
+                )
+                for yi in suspects
+            ]
+    note = "consistent at tested resolution" if not witnesses else ""
+    return _finish("Continuity", witnesses, samples_checked=checked, note=note).to_dict()
+
+
+def continuity_models() -> dict:
+    return {
+        **solver_models(),
+        "quadratic": quadratic_oracle(),
+        "jump": jump_oracle(),
+    }
+
+
+def pocket_oracle(width: float) -> BlackBoxOracle:
+    """Two outcomes, valued ``p1 - 0.2`` except on the pocket ``0.5 - width
+    < p1 < 0.5``, which is worth 1.  Approaching (0.5, 0.5) from (1, 0)
+    with weight ``lam`` on the vertex lands at ``p1 = 0.5 - lam / 2``, so
+    a pocket of width ``2 ** -10`` holds only the nearest tail step and
+    one of width ``2 ** -7`` holds all four."""
+
+    def value(x):
+        p1 = x.probs[1]
+        return 1.0 if 0.5 - width < p1 < 0.5 else p1 - 0.2
+
+    return oracle_from_value(value, 2)
+
+
+#: The limit (0.5, 0.5) is worth 0.3 and the reference (0.3, 0.7) 0.5.
+POCKET_SAMPLES = (lottery((0.3, 0.7)), lottery((0.5, 0.5)))
+
+
+class TestNearestStepFirst:
+    @pytest.mark.parametrize("name", sorted(continuity_models()))
+    def test_matches_four_step_rule(self, name):
+        model = continuity_models()[name]
+        samples = sorted(grid(model.n_outcomes, 6))
+        assert check_continuity(model, samples).to_dict() == four_step_continuity(model, samples)
+
+    def test_reversal_at_the_nearest_step_alone_is_no_witness(self):
+        model = pocket_oracle(0.5**10)
+        x, y = POCKET_SAMPLES[1], POCKET_SAMPLES[0]
+        z = degenerate(0, 2)
+        assert model.compare(mix(0.5**10, z, x), y) is Ordering.STRICTLY_PREFERS
+        assert model.compare(mix(0.5**9, z, x), y) is Ordering.STRICTLY_DISPREFERRED
+        report = check_continuity(model, POCKET_SAMPLES)
+        assert report.passed
+        assert report.to_dict() == four_step_continuity(model, POCKET_SAMPLES)
+
+    def test_reversal_along_the_whole_tail_is_a_witness(self):
+        model = pocket_oracle(0.5**7)
+        report = check_continuity(model, POCKET_SAMPLES)
+        x, y = POCKET_SAMPLES[1], POCKET_SAMPLES[0]
+        assert [w.lotteries for w in report.witnesses] == [
+            (x, degenerate(0, 2), y, mix(0.5**10, degenerate(0, 2), x))
+        ]
+        assert report.to_dict() == four_step_continuity(model, POCKET_SAMPLES)
+
+    def test_cyclic_oracle_call_count(self):
+        # The four-step rule made 9,880 comparisons here.
+        oracle = cyclic_oracle()
+        answer, calls = oracle.compare_fn, []
+
+        def counted(x, y):
+            calls.append(None)
+            return answer(x, y)
+
+        oracle.compare_fn = counted
+        check_continuity(oracle, sorted(grid(3, 6)))
+        assert len(calls) == 3094
 
 
 class TestDeterminism:

@@ -210,6 +210,15 @@ class TestInputErrors:
         assert main(["repr", "--model", model, "--grid", "0"]) == 2
         assert main(["repr", "--model", model, "--t-grid", "1"]) == 2
 
+    def test_check_grid_too_small_for_rationality(self, tmp_path, capsys):
+        # Two outcomes at resolution 1 give only the two vertices.
+        model = write_model(tmp_path, "jump.json", {"kind": "jump"})
+        out = tmp_path / "out"
+        assert main(["check", "--model", model, "--grid", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (out / "axioms.json").exists()
+
 
 class TestNumericFailure:
     def test_degenerate_model_exits_three(self, tmp_path, capsys):

@@ -38,7 +38,7 @@ from betweenu import (
 )
 from betweenu import engine
 
-from conftest import NOT_LOTTERIES, WU_U, WU_W, solver_models
+from conftest import EU_U, NOT_LOTTERIES, WU_U, WU_W, solver_models
 
 BISECT_TOL = 5e-11  # half of the default bracket tolerance
 
@@ -134,15 +134,31 @@ class RidgeValue(ValueModel):
 
 
 class SpikeValue(ValueModel):
-    """Value jumping to the top off the worst-best edge: mixing a lottery
-    with a third or more of its mass on outcome 1 toward the worst extreme
-    crosses every chord point at a weight below ``MU_FLOOR``."""
+    """Value jumping to the top off the worst-best edge: at the default
+    ``height``, mixing a lottery with a third or more of its mass on
+    outcome 1 toward the worst extreme crosses every chord point at a
+    weight below ``MU_FLOOR``."""
 
-    def __init__(self):
+    def __init__(self, height=1e13):
         super().__init__(3)
+        self.height = height
 
     def _values(self, rows):
-        return np.minimum(1.0, rows[:, 2] + 1e13 * rows[:, 0] * rows[:, 1])
+        return np.minimum(1.0, rows[:, 2] + self.height * rows[:, 0] * rows[:, 1])
+
+
+class WorstPocketValue(ExpectedUtility):
+    """Expected utility, except that lotteries within 1e-9 of the worst
+    vertex, the vertex aside, are worth 1: no full mixing solve reaches
+    them, but the scan's deepest floor probe does."""
+
+    def __init__(self):
+        super().__init__(EU_U)
+
+    def _values(self, rows):
+        off_worst = rows[:, 1] + rows[:, 2]
+        pocket = (off_worst > 0.0) & (off_worst < 1e-9)
+        return np.where(pocket, 1.0, super()._values(rows))
 
 
 class TestContext:
@@ -416,12 +432,19 @@ class TestOracleCompareSchedule:
         assert len(calls) == 1986
 
     def test_cyclic_oracle_fixed_point_call_count(self):
-        # One comparison per scan level, plus the opposite-extreme check
-        # and the few probes that clear MU_FLOOR, then the plateau edges'
-        # full mixing solves.
+        # One comparison per scan level and one probe that clears MU_FLOOR
+        # per inner level, each extreme's check against a chord point once
+        # per call, then the plateau edges' full mixing solves.
         ctx, calls = self.counted_context()
         utility_fixed_point_many(ctx, sorted(grid(3, 3)))
-        assert len(calls) == 44387
+        assert len(calls) == 30169
+
+    def test_one_lottery_fixed_point_call_count(self):
+        # A lone lottery shares its extreme checks with no other, so only
+        # the MU_FLOOR probe saves comparisons; 5,163 before that probe.
+        ctx, calls = self.counted_context()
+        utility_fixed_point_many(ctx, [lottery((0.2, 0.5, 0.3))])
+        assert len(calls) == 4173
 
 
 class TestRejectsNonLotteryRows:
@@ -461,7 +484,7 @@ def rig_implicit_utility(monkeypatch, rigged):
     """Make ``rigged(ctx, xs, ts)`` the ``u(x, t)`` that the fixed-point
     search sees: in the residual signs of its scan and at its plateau edges."""
 
-    def signs(ctx, row, ts, _k_chord):
+    def signs(ctx, row, ts, _k_chord, _across=None):
         return np.sign(rigged(ctx, np.repeat(row[None, :], len(ts), axis=0), ts) - ts)
 
     monkeypatch.setattr("betweenu.engine._residual_signs", signs)
@@ -590,6 +613,20 @@ class TestFixedPoint:
         assert info.value.level == SCAN[1]
         assert info.value.row == (0.5, 0.5, 0.0)
 
+    def test_failed_floor_probe_falls_back_to_bisection(self, eu_model):
+        # Mixing toward the worst extreme jumps above every chord point at
+        # the probe weight 2^-39 but not at 2^-20, where a bisection from
+        # [0, 1] clears MU_FLOOR, so every such scan level fails the probe
+        # and must still find no collapse.
+        ctx = context_for(WorstPocketValue())
+        x = lottery((0.2, 0.5, 0.3))
+        level = float(SCAN[1])
+        assert ctx.model.value(mix(0.5**39, x, ctx.worst)) > level
+        assert ctx.model.value(mix(0.5**20, x, ctx.worst)) < level
+        points = sorted(grid(3, 3))
+        expected = utility_fixed_point_many(context_for(eu_model), points)
+        assert np.array_equal(utility_fixed_point_many(ctx, points), expected)
+
 
 def scan_models() -> dict:
     """The solver models, the curved and discontinuous fixtures, and two
@@ -633,6 +670,20 @@ class TestScanSigns:
                 assert np.array_equal(scan, full), x
             else:
                 assert scan == full, x
+
+    def test_short_max_iter_errors_match_full_residual(self):
+        # Mixing (0.5, 0.5, 0) toward the worst vertex crosses the chord
+        # points at weights from 2e-11 to 2e-8: above the floor probe, but
+        # deeper than 20 halvings reach, so the scan raises as the full
+        # solves do rather than trusting the probe.
+        model = SpikeValue(1e8)
+        eval_ctx = replace(context_for(model), tol_t=1e-12, max_iter=20)
+        row = np.asarray([0.5, 0.5, 0.0])
+        rows = np.repeat(row[None, :], len(SCAN), axis=0)
+        full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, SCAN) - SCAN))
+        k_chord = engine._chord_keys(eval_ctx, SCAN[1:-1])
+        assert outcome(lambda: engine._residual_signs(eval_ctx, row, SCAN, k_chord)) == full
+        assert full[0] is IterationLimit
 
 
 class TestOneSidedLimits:
