@@ -76,6 +76,7 @@ from .separation import (
     SeparationCheck,
     contour_samples,
     cross_polytope_consistency,
+    cross_polytope_consistency_many,
     separate,
     verify_separation,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "context_for",
     "contour_samples",
     "cross_polytope_consistency",
+    "cross_polytope_consistency_many",
     "cyclic_oracle",
     "degenerate",
     "embed_coords",

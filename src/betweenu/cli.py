@@ -11,7 +11,8 @@ results into an output directory:
 ``check``       axioms.json with all five axiom reports.
 ``triangle``    curves.csv and triangle.svg for three-outcome models.
 ``separation``  separation.json: per-level separating functionals, the
-                sample-by-sample audit, and cross-polytope agreement.
+                sample-by-sample audit, and cross-polytope agreement, or
+                the message of a level's infeasible program.
 
 CSV layout: lottery components first, then inputs such as the level,
 then computed quantities.  Input columns are printed with full
@@ -43,7 +44,9 @@ from .engine import (
 )
 from .errors import BetweenuError, Infeasible
 from .modelspec import load_model
-from .separation import contour_samples, cross_polytope_consistency, separate, verify_separation
+from .separation import (
+    contour_samples, cross_polytope_consistency_many, separate, verify_separation
+)
 from .simplex import Polytope, degenerate, grid, mix
 from .triangle import collinearity_residual, embed_coords, render_svg, trace_level_curves
 
@@ -219,9 +222,7 @@ def cmd_triangle(model, args, levels) -> int:
     return 0
 
 
-def _query_polytopes(ctx, x) -> list[Polytope]:
-    n = ctx.model.n_outcomes
-    simplex = Polytope(tuple(sorted(degenerate(i, n) for i in range(n))))
+def _query_polytopes(ctx, simplex: Polytope, x) -> list[Polytope]:
     hull_of_x = Polytope(tuple(sorted((ctx.best, ctx.worst, x))))
     pulled = [mix(0.5, v, x) for v in simplex.vertices if v not in (ctx.best, ctx.worst)]
     widened = Polytope(tuple(sorted((ctx.best, ctx.worst, x, *pulled))))
@@ -234,6 +235,7 @@ def cmd_separation(model, args, levels) -> int:
     simplex = Polytope(tuple(sorted(degenerate(i, n) for i in range(n))))
     grid_samples = sorted(grid(n, args.grid))
     queries = sorted(grid(n, 3))
+    polytopes = [_query_polytopes(ctx, simplex, x) for x in queries]
     entries = []
     all_ok = True
     for t in levels:
@@ -246,19 +248,14 @@ def cmd_separation(model, args, levels) -> int:
             entry["functional"] = functional.to_dict()
             entry["separation"] = check.to_dict()
             level_ok = check.passed
+            if level_ok:
+                results = cross_polytope_consistency_many(ctx, queries, t, polytopes)
+                entry["cross_polytope"] = [result.to_dict() for result in results]
+                entry["max_cross_discrepancy"] = max(0.0, *(r.max_discrepancy for r in results))
+                level_ok = all(result.passed for result in results)
         except Infeasible as exc:
             entry["infeasible"] = str(exc)
             level_ok = False
-        if level_ok:
-            cross = []
-            worst_gap = 0.0
-            for x in queries:
-                result = cross_polytope_consistency(ctx, x, t, _query_polytopes(ctx, x))
-                worst_gap = max(worst_gap, result.max_discrepancy)
-                level_ok = level_ok and result.passed
-                cross.append({"lottery": list(x.probs), **result.to_dict()})
-            entry["cross_polytope"] = cross
-            entry["max_cross_discrepancy"] = worst_gap
         entries.append(entry)
         all_ok = all_ok and level_ok
     payload = {
@@ -298,9 +295,6 @@ def main(argv=None) -> int:
         if args.command == "triangle":
             return cmd_triangle(model, args, levels)
         return cmd_separation(model, args, levels)
-    except Infeasible as exc:
-        _fail(f"Infeasible: {exc}")
-        return 1
     except BetweenuError as exc:
         _fail(f"{type(exc).__name__}: {exc}")
         return 3

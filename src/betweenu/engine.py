@@ -209,6 +209,8 @@ def _bisect(
     max_iter: int,
     what: str,
     floor: float = math.inf,
+    levels=None,
+    rows=None,
 ):
     """One bisection per row from the bracket ``[lo, hi]`` (a bound or one
     per row) until it is at most ``tol`` wide; returns the final brackets.
@@ -221,7 +223,8 @@ def _bisect(
     only rise, so every later bracket would stay above it.  Finished rows
     leave every array, so each step evaluates only the rows still
     running; a row still running after ``max_iter`` steps raises
-    :class:`IterationLimit`.
+    :class:`IterationLimit`, which takes its level and lottery from the
+    rows' ``levels`` (a bound or one per row) and ``rows`` where given.
     """
     k = len(per_row[0])
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
@@ -242,7 +245,11 @@ def _bisect(
             sel, a, b = sel[keep], a[keep], b[keep]
             per_row = tuple(p[keep] for p in per_row)
     if sel.size:
-        raise IterationLimit(f"{what} bisection missed tol {tol} within {max_iter} iterations")
+        j = sel[0]
+        level = None if levels is None else float(np.broadcast_to(levels, k)[j])
+        row = None if rows is None else tuple(rows[j].tolist())
+        message = f"{what} bisection missed tol {tol} within {max_iter} iterations"
+        raise IterationLimit(message, what, max_iter, level, row)
     return lo, hi
 
 
@@ -280,7 +287,9 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     def gap_at(s, k_in):
         return model.gaps(k_in, _chord_keys(ctx, s))
 
-    lo, hi = _bisect(gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level")
+    lo, hi = _bisect(
+        gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level", rows=rows[inner]
+    )
     out[inner] = 0.5 * (lo + hi)
     return out
 
@@ -392,7 +401,9 @@ def _solve_mixing_rows(
         cleared = gap_at(0.5**_FLOOR_STEPS, *per_row) >= 0.0
         weights[inner[cleared]] = 0.5**_FLOOR_STEPS
         inner, per_row = inner[~cleared], tuple(p[~cleared] for p in per_row)
-    lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor)
+    lo, hi = _bisect(
+        gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor, ts[inner], per_row[0]
+    )
     weights[inner] = 0.5 * (lo + hi)
     collapsed = np.flatnonzero(weights <= MU_FLOOR)
     if collapsed.size:
@@ -537,7 +548,9 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
 
     edge_lo, edge_hi = np.repeat(cell_lo, 2), np.repeat(cell_hi, 2)
     per_row = (np.repeat(rows[inside], 2, axis=0), np.tile([-1.0, 1.0], len(inside)))
-    lo, hi = _bisect(gap_at, per_row, edge_lo, edge_hi, ctx.tol_t, ctx.max_iter, "plateau edge")
+    lo, hi = _bisect(
+        gap_at, per_row, edge_lo, edge_hi, ctx.tol_t, ctx.max_iter, "plateau edge", rows=per_row[0]
+    )
     out[inside] = 0.25 * (lo[0::2] + hi[0::2] + lo[1::2] + hi[1::2])
     return out
 

@@ -14,7 +14,16 @@ class NonMonotoneChord(BetweenuError):
 
 
 class IterationLimit(BetweenuError):
-    """A bisection failed to converge within its iteration budget."""
+    """A bisection failed to converge within its iteration budget.
+
+    ``what`` names the bisection and ``iterations`` its step budget;
+    ``level`` and ``row`` are the chord level and the lottery's
+    probabilities of its first row still running, where known, or None.
+    """
+
+    def __init__(self, message: str, what: str, iterations: int, level=None, row=None):
+        super().__init__(message)
+        self.what, self.iterations, self.level, self.row = what, iterations, level, row
 
 
 class NoCrossing(BetweenuError):

@@ -1,12 +1,16 @@
 """Planted pathological preferences for exercising the axiom checkers.
 
-Each fixture is a :class:`~betweenu.models.BlackBoxOracle` that violates
-exactly one axiom in a known, replayable way, so the checkers can be
-tested against ground truth rather than only against well-behaved models:
+Each fixture is a :class:`~betweenu.models.BlackBoxOracle` with one
+planted, replayable defect, so the checkers can be tested against ground
+truth rather than only against well-behaved models.  A defect can break
+more than one axiom; ``betweenu check`` at default flags fails those in
+brackets:
 
-* :func:`cyclic_oracle`         breaks transitivity on one planted triple
-* :func:`jump_oracle`           breaks continuity with a value jump
-* :func:`quadratic_oracle`      breaks betweenness (bowed indifference sets)
+* :func:`cyclic_oracle`     transitivity, on one planted triple (Rationality,
+  Continuity, Betweenness)
+* :func:`jump_oracle`       continuity, with a value jump (Continuity, Betweenness)
+* :func:`quadratic_oracle`  betweenness, with bowed indifference sets
+  (Betweenness, MixingNeutrality)
 """
 
 from __future__ import annotations

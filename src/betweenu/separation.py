@@ -9,6 +9,10 @@ property sample-by-sample, and confirms that the value assigned to a
 lottery does not depend on which polytope the separation is carried out
 in, matching the engine's mixing-based value.
 
+The programs of one level share no variable, so :func:`_separators`
+solves any number of them in one HiGHS call; :func:`separate` is the
+one-program case.
+
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
 the reports say nothing stronger.
@@ -33,11 +37,18 @@ SEPARATION_BAND = 1e-7
 _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
 
 
+def _record(check) -> dict:
+    """A result's fields by name, for JSON, with tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(check).items()}
+
+
 def linprog(*args, **kwargs):
     """:func:`scipy.optimize.linprog`, imported on the first call.
 
-    ``scipy.optimize`` takes about half a second to import, so only
-    :func:`separate` pays for it, not every command that imports this module.
+    ``scipy.optimize`` takes about half a second to import, so only the
+    separation programs of :func:`_separators`, which make every HiGHS call
+    of this module through here, pay for it, not every command that
+    imports this module.
     """
     from scipy.optimize import linprog as scipy_linprog
 
@@ -57,8 +68,7 @@ class AffineFunctional:
             )
         return float(np.dot(np.asarray(self.coeffs), x.as_array()))
 
-    def to_dict(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
+    to_dict = _record
 
 
 @dataclass(frozen=True)
@@ -73,22 +83,14 @@ class SeparationCheck:
     chord_value: float
     violations: tuple[dict, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "passed": self.passed,
-            "n_upper": self.n_upper,
-            "n_lower": self.n_lower,
-            "n_indifferent": self.n_indifferent,
-            "chord_value": self.chord_value,
-            "violations": list(self.violations),
-        }
+    to_dict = _record
 
 
 @dataclass(frozen=True)
 class CrossPolytopeCheck:
     """Agreement of the separator value at one lottery across polytopes."""
 
+    lottery: tuple[float, ...]
     level: float
     passed: bool
     engine_value: float
@@ -96,15 +98,14 @@ class CrossPolytopeCheck:
     max_discrepancy: float
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "passed": self.passed,
-            "engine_value": self.engine_value,
-            "separator_values": list(self.separator_values),
-            "max_discrepancy": self.max_discrepancy,
-            "tol": self.tol,
-        }
+    to_dict = _record
+
+
+def _level(t) -> float:
+    t = float(t)
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
+    return t
 
 
 def _require_extremes(ctx: RepresentationContext, polytope: Polytope) -> None:
@@ -113,11 +114,12 @@ def _require_extremes(ctx: RepresentationContext, polytope: Polytope) -> None:
         raise ValueError("polytope must list both preference extremes among its vertices")
 
 
-def _classify(ctx: RepresentationContext, t: float, samples) -> tuple[np.ndarray, np.ndarray]:
-    """The samples as rows, and each one's side of the chord point at level
-    ``t``: 1 strictly preferred, -1 strictly dispreferred, 0 indifferent."""
+def _classify(ctx: RepresentationContext, t: float, probs) -> tuple[np.ndarray, np.ndarray]:
+    """The lotteries ``probs`` as rows, and each one's side of the chord
+    point at level ``t``: 1 strictly preferred, -1 strictly dispreferred,
+    0 indifferent."""
     model = ctx.model
-    rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
+    rows = lottery_rows(list(probs), model.n_outcomes)
     target = model.keys(chord_point(ctx, t).as_array()[None, :])
     return rows, classify(model.gaps(model.keys(rows), target), model.eps_pref)
 
@@ -143,50 +145,87 @@ def separate(
     The caller is responsible for ``samples`` lying in the polytope and
     arriving in a deterministic order.
     """
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
+    t = _level(t)
     _require_extremes(ctx, polytope)
-    n = ctx.model.n_outcomes
-    rows, side = _classify(ctx, t, samples)
+    return _separators(ctx, t, [samples])[0]
 
-    # Variables: coeffs split into positive and negative parts, so the
-    # L1 objective is linear and all variables are >= 0.  Each constraint
-    # row carries its right-hand side as a last column, so negating a row
-    # flips its inequality.
-    def split(rows: np.ndarray, rhs) -> np.ndarray:
-        return np.column_stack([rows, -rows, np.full(len(rows), rhs)])
 
-    eq = split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
-    upper, lower, level_set = (rows[side == s] for s in (1, -1, 0))
+def _split(rows: np.ndarray, rhs) -> np.ndarray:
+    """Constraint rows over the coefficients split into positive and negative
+    parts, so the L1 objective is linear and every variable is >= 0, with
+    ``rhs`` as a last column, so negating a row flips its inequality."""
+    return np.column_stack([rows, -rows, np.full(len(rows), rhs)])
+
+
+def _inequalities(ctx: RepresentationContext, t: float, blocks) -> list[np.ndarray]:
+    """The inequality rows of each sample list's separation program at level
+    ``t``, right-hand side last, with the distinct samples classified once."""
+    at = {}
+    for samples in blocks:
+        for x in samples:
+            at.setdefault(x.probs, len(at))
+    rows, side = _classify(ctx, t, at)
+    width = 2 * ctx.model.n_outcomes + 1
     # Half the published band: the L1 objective parks the solution on a
     # constraint boundary, and verification at the full band must not
     # flip on the rounding of that boundary value.  Each indifferent
     # sample gives two rows in turn, its upper and its lower band edge.
     half_band = 0.5 * SEPARATION_BAND
-    band = np.stack([split(level_set, t + half_band), -split(level_set, t - half_band)], axis=1)
-    ub = np.vstack([-split(upper, t), split(lower, t), band.reshape(-1, 2 * n + 1)])
+    ubs = []
+    for samples in blocks:
+        idx = [at[x.probs] for x in samples]
+        block, block_side = rows[idx], side[idx]
+        upper, lower, level_set = (block[block_side == s] for s in (1, -1, 0))
+        band = np.stack([_split(level_set, t + half_band), -_split(level_set, t - half_band)], 1)
+        ubs.append(np.vstack([-_split(upper, t), _split(lower, t), band.reshape(-1, width)]))
+    return ubs
+
+
+def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunctional]:
+    """The functional of :func:`separate` at level ``t`` for each sample
+    list in ``blocks``.
+
+    The programs share no variable and their L1 objectives add up, so one
+    HiGHS call solves them as one block-diagonal program.  If it fails,
+    they are solved one by one in order, and the first failing block raises
+    the error :func:`separate` on it would.
+    """
+    ubs = _inequalities(ctx, t, blocks)
+    n, k = ctx.model.n_outcomes, len(ubs)
+    eq = _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
+    if k == 1:
+        a_ub, a_eq = ubs[0][:, :-1], eq[:, :-1]
+    else:
+        from scipy.sparse import block_diag
+
+        a_ub, a_eq = block_diag([ub[:, :-1] for ub in ubs]), block_diag([eq[:, :-1]] * k)
+    has_ub = sum(map(len, ubs)) > 0
     # The solver's feasibility tolerance must sit far below the band,
     # or constraint residuals eat the verification headroom.
     result = linprog(
-        c=np.ones(2 * n),
-        A_ub=ub[:, :-1] if len(ub) else None,
-        b_ub=ub[:, -1] if len(ub) else None,
-        A_eq=eq[:, :-1],
-        b_eq=eq[:, -1],
-        bounds=[(0.0, None)] * (2 * n),
+        c=np.ones(2 * n * k),
+        A_ub=a_ub if has_ub else None,
+        b_ub=np.concatenate([ub[:, -1] for ub in ubs]) if has_ub else None,
+        A_eq=a_eq,
+        b_eq=np.tile(eq[:, -1], k),
+        bounds=[(0.0, None)] * (2 * n * k),
         method="highs",
         options={
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
         },
     )
-    if result.status != 0:
-        raise Infeasible(
-            f"no affine functional separates the sampled contour sets at level {t!r} "
-            f"(solver status {result.status}: {result.message})"
-        )
-    coeffs = result.x[:n] - result.x[n:]
+    if result.status == 0:
+        return [_normalized(ctx, t, x[:n] - x[n:]) for x in result.x.reshape(k, 2 * n)]
+    if k > 1:
+        return [f for samples in blocks for f in _separators(ctx, t, [samples])]
+    raise Infeasible(
+        f"no affine functional separates the sampled contour sets at level {t!r} "
+        f"(solver status {result.status}: {result.message})"
+    )
+
+
+def _normalized(ctx: RepresentationContext, t: float, coeffs: np.ndarray) -> AffineFunctional:
     # The solver meets the normalization equalities only to its own
     # feasibility tolerance; rescale so they hold exactly.
     at_best = float(np.dot(coeffs, ctx.best.as_array()))
@@ -216,11 +255,9 @@ def verify_separation(
     functional's value at the chord point itself must equal ``t``, which
     is forced by affinity plus the normalization.
     """
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
+    t = _level(t)
     samples = list(samples)
-    rows, side = _classify(ctx, t, samples)
+    rows, side = _classify(ctx, t, [x.probs for x in samples])
     values = np.asarray([functional.value(x) for x in samples], dtype=float)
     bad = np.where(
         side == 1,
@@ -262,29 +299,30 @@ def contour_samples(
     makes the separator's value at the included lotteries comparable to
     the engine's to high accuracy.  Points are deduplicated and sorted.
     """
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
+    t = _level(t)
     _require_extremes(ctx, polytope)
     points = list(polytope.vertices) + list(include)
-    return _sample_set(ctx, t, points, _crossings(ctx, t, points))
+    return _sample_set(points, _crossings(ctx, t, points), _chords(ctx, t))
 
 
 def _crossings(ctx: RepresentationContext, t: float, points) -> dict:
     """One mixing solve at level ``t``: each point's probs mapped to its
-    weight and whether the worst extreme anchored it."""
+    weight, whether the worst extreme anchored it, and its crossing point."""
     weights, used_worst = solve_mixing_many(ctx, points, t)
-    return {x.probs: (w, u) for x, w, u in zip(points, weights.tolist(), used_worst.tolist())}
+    return {
+        x.probs: (w, u, mix(w, x, ctx.worst if u else ctx.best))
+        for x, w, u in zip(points, weights.tolist(), used_worst.tolist())
+    }
 
 
-def _sample_set(ctx: RepresentationContext, t: float, points, crossings: dict) -> list[Lottery]:
+def _chords(ctx: RepresentationContext, t: float) -> list[Lottery]:
+    """The chord points every sample set at level ``t`` holds."""
+    return [chord_point(ctx, s) for s in (*_CHORD_LEVELS, t)]
+
+
+def _sample_set(points, crossings: dict, chords) -> list[Lottery]:
     """:func:`contour_samples` of ``points``, given their ``crossings``."""
-    out = list(points)
-    out.extend(chord_point(ctx, s) for s in _CHORD_LEVELS)
-    out.append(chord_point(ctx, t))
-    for x in points:
-        w, to_worst = crossings[x.probs]
-        out.append(mix(w, x, ctx.worst if to_worst else ctx.best))
+    out = [*points, *chords, *(crossings[x.probs][2] for x in points)]
     unique = {x.probs: x for x in out}
     return sorted(unique.values())
 
@@ -300,40 +338,47 @@ def cross_polytope_consistency(
 
     Solves the separation program inside every polytope (each must
     contain ``x`` and both extremes) and compares all resulting values at
-    ``x`` with one another and with the engine's mixing-based value.  One
-    mixing solve over ``x`` and the polytopes' distinct vertices gives both:
-    the engine value through :func:`~betweenu.engine.local_value` (bitwise
-    :func:`~betweenu.engine.implicit_utility`), and every polytope's
-    :func:`contour_samples`.
+    ``x`` with one another and with the engine's mixing-based value: a
+    one-lottery :func:`cross_polytope_consistency_many`.
     """
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
-    polytopes = list(polytopes)
-    if not polytopes:
-        raise ValueError("need at least one polytope")
-    for polytope in polytopes:
-        _require_extremes(ctx, polytope)
-        if not polytope.contains(x):
-            raise MembershipViolation(
-                f"lottery {x.probs} is outside one of the supplied polytopes"
-            )
-    points = {p.probs: p for p in (x, *(v for poly in polytopes for v in poly.vertices))}
-    crossings = _crossings(ctx, t, list(points.values()))
-    w, to_worst = crossings[x.probs]
-    engine_value = local_value(t, w, Branch.USED_WORST if to_worst else Branch.USED_BEST)
-    separator_values = []
-    for polytope in polytopes:
-        samples = _sample_set(ctx, t, [*polytope.vertices, x], crossings)
-        functional = separate(ctx, t, polytope, samples)
-        separator_values.append(functional.value(x))
-    spread = [engine_value, *separator_values]
-    max_discrepancy = max(spread) - min(spread)
-    return CrossPolytopeCheck(
-        level=t,
-        passed=max_discrepancy <= tol,
-        engine_value=engine_value,
-        separator_values=tuple(separator_values),
-        max_discrepancy=max_discrepancy,
-        tol=tol,
-    )
+    return cross_polytope_consistency_many(ctx, [x], t, [polytopes], tol)[0]
+
+
+def cross_polytope_consistency_many(
+    ctx: RepresentationContext, xs, t: float, polytopes, tol: float = 1e-6
+) -> list[CrossPolytopeCheck]:
+    """:func:`cross_polytope_consistency` of each lottery in ``xs`` in its
+    own list of polytopes, the matching entry of ``polytopes``, at level ``t``.
+
+    One mixing solve over the lotteries and all their polytopes' distinct
+    vertices gives both the engine values, through
+    :func:`~betweenu.engine.local_value` (bitwise
+    :func:`~betweenu.engine.implicit_utility`), and every polytope's
+    :func:`contour_samples`; all the separation programs are solved in one
+    HiGHS call (see :func:`_separators`).
+    """
+    t = _level(t)
+    queries = [(x, list(polys)) for x, polys in zip(xs, polytopes, strict=True)]
+    for x, polys in queries:
+        if not polys:
+            raise ValueError("need at least one polytope")
+        for polytope in polys:
+            _require_extremes(ctx, polytope)
+            if not polytope.contains(x):
+                raise MembershipViolation(
+                    f"lottery {x.probs} is outside one of the supplied polytopes"
+                )
+    points = {p.probs: p for x, polys in queries for q in polys for p in (x, *q.vertices)}
+    crossings, chords = _crossings(ctx, t, list(points.values())), _chords(ctx, t)
+    blocks = [
+        _sample_set([*q.vertices, x], crossings, chords) for x, polys in queries for q in polys
+    ]
+    functionals = iter(_separators(ctx, t, blocks) if blocks else ())
+    checks = []
+    for x, polys in queries:
+        w, to_worst, _ = crossings[x.probs]
+        engine_value = local_value(t, w, Branch.USED_WORST if to_worst else Branch.USED_BEST)
+        values = tuple(next(functionals).value(x) for _ in polys)
+        gap = max(engine_value, *values) - min(engine_value, *values)
+        checks.append(CrossPolytopeCheck(x.probs, t, gap <= tol, engine_value, values, gap, tol))
+    return checks

@@ -87,7 +87,9 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
             return steer * model.gaps(model.keys(mix_rows(lam, b, a)), kt)
 
         per_row = (a_rows[inner], b_rows[inner], np.where(ga[inner] > 0.0, 1.0, -1.0))
-        lo, hi = _bisect(gap_at, per_row, 0.0, 1.0, _SCAN_TOL, ctx.max_iter, "scanline")
+        lo, hi = _bisect(
+            gap_at, per_row, 0.0, 1.0, _SCAN_TOL, ctx.max_iter, "scanline", levels=level
+        )
         at = dict(zip(inner.tolist(), (0.5 * (lo + hi)).tolist()))
         found = [target]
         for i, (a, b) in enumerate(segments):

@@ -172,6 +172,28 @@ class TestSeparation:
             payload = json.load(fh)
         assert "infeasible" in payload["entries"][0]
 
+    def test_infeasible_query_polytope_is_recorded(self, tmp_path, capsys):
+        # At default flags the quadratic oracle fails the simplex separator
+        # at 0.2, 0.4 and 0.6; 0.8 passes it, and then a query polytope's
+        # program is infeasible.  Every level is still written.
+        model = write_model(tmp_path, "quad.json", {"kind": "quadratic"})
+        out = str(tmp_path / "out")
+        assert main(["separation", "--model", model, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert "separation audit failed" in captured.out
+        assert captured.err == ""
+        with open(os.path.join(out, "separation.json"), encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+        assert [e["level"] for e in entries] == [0.2, 0.4, 0.6, 0.8]
+        assert all("infeasible" in e for e in entries)
+        assert [sorted(e) for e in entries[:3]] == [["infeasible", "level"]] * 3
+        last = entries[-1]
+        assert sorted(last) == ["functional", "infeasible", "level", "separation"]
+        assert last["separation"]["passed"]
+        assert last["infeasible"].startswith(
+            "no affine functional separates the sampled contour sets at level 0.8 (solver status 2"
+        )
+
 
 class TestInputErrors:
     def test_missing_model_file(self, tmp_path):

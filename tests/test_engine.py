@@ -257,8 +257,13 @@ class TestSolveUtility:
 
     def test_iteration_limit(self, eu_model):
         ctx = context_for(eu_model, max_iter=2)
-        with pytest.raises(IterationLimit):
+        with pytest.raises(IterationLimit) as info:
             solve_utility(ctx, lottery((0.4, 0.25, 0.35)))
+        assert str(info.value) == "level bisection missed tol 1e-10 within 2 iterations"
+        assert (info.value.what, info.value.iterations) == ("level", 2)
+        # The level is what this bisection solves for, so it names none.
+        assert info.value.level is None
+        assert info.value.row == (0.4, 0.25, 0.35)
 
 
 class TestSolveMixing:
@@ -324,6 +329,18 @@ class TestSolveMixing:
             solve_mixing(ctx, lottery((0.5, 0.5, 0.0)), 0.5)
         assert info.value.level == 0.5
         assert info.value.row == (0.5, 0.5, 0.0)
+
+    def test_iteration_limit_names_the_first_row_still_running(self, eu_model):
+        # The best extreme solves in closed form, so the first bisected row
+        # is the second one.
+        ctx = context_for(eu_model, max_iter=3)
+        x, y = lottery((0.2, 0.5, 0.3)), lottery((0.6, 0.1, 0.3))
+        with pytest.raises(IterationLimit) as info:
+            solve_mixing_many(ctx, [ctx.best, x, y], [0.3, 0.4, 0.6])
+        assert str(info.value) == "mixing bisection missed tol 1e-10 within 3 iterations"
+        assert (info.value.what, info.value.iterations) == ("mixing", 3)
+        assert info.value.level == 0.4
+        assert info.value.row == x.probs
 
     def test_batch_matches_scalar_bitwise(self, solver_model):
         ctx = context_for(solver_model)
@@ -544,8 +561,11 @@ class TestFixedPoint:
         # 1e-3 wide, which five halvings cannot narrow to tol_t.
         ctx = context_for(eu_model, max_iter=5)
         rig_implicit_utility(monkeypatch, lambda _ctx, xs, ts: np.full(len(ts), 0.45))
-        with pytest.raises(IterationLimit, match="plateau edge"):
+        with pytest.raises(IterationLimit, match="plateau edge") as info:
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)))
+        assert (info.value.what, info.value.iterations) == ("plateau edge", 5)
+        assert info.value.level is None
+        assert info.value.row == (0.2, 0.5, 0.3)
 
     def test_first_bad_lottery_of_a_batch_is_named(self, eu_model, monkeypatch):
         ctx = context_for(eu_model)
@@ -605,6 +625,9 @@ class TestFixedPoint:
         with pytest.raises(IterationLimit) as info:
             utility_fixed_point_many(ctx, [lottery((0.2, 0.5, 0.3))])
         assert str(info.value) == "mixing bisection missed tol 1e-12 within 20 iterations"
+        assert (info.value.what, info.value.iterations) == ("mixing", 20)
+        assert 0.0 < info.value.level < 1.0
+        assert info.value.row == (0.2, 0.5, 0.3)
 
     def test_collapsed_weight_names_level_and_row(self):
         ctx = context_for(SpikeValue())

@@ -10,6 +10,7 @@ from betweenu import (
     context_for,
     contour_samples,
     cross_polytope_consistency,
+    cross_polytope_consistency_many,
     degenerate,
     grid,
     implicit_utility,
@@ -20,6 +21,7 @@ from betweenu import (
     verify_separation,
 )
 from betweenu import engine, separation
+from betweenu.cli import main
 
 
 def full_simplex(n: int) -> Polytope:
@@ -155,16 +157,21 @@ class TestCrossPolytope:
 
     def test_one_mixing_solve_serves_every_polytope(self, wu_model, monkeypatch):
         ctx = context_for(wu_model)
-        solves = []
+        solves, chords = [], []
 
         def counted(*args):
             solves.append(args)
             return engine.solve_mixing_many(*args)
 
+        def counted_chord(*args):
+            chords.append(args)
+            return engine.chord_point(*args)
+
         def never(*args):
             raise AssertionError("the crossings were solved again")
 
         monkeypatch.setattr(separation, "solve_mixing_many", counted)
+        monkeypatch.setattr(separation, "chord_point", counted_chord)
         monkeypatch.setattr(separation, "contour_samples", never)
         monkeypatch.setattr(engine, "implicit_utility", never)
         monkeypatch.setattr(engine, "implicit_utility_many", never)
@@ -172,6 +179,17 @@ class TestCrossPolytope:
         result = cross_polytope_consistency(ctx, x, 0.5, query_polytopes(ctx, x))
         assert result.passed
         assert len(solves) == 1
+        # One level's queries share one mixing solve, and the ten chord
+        # points of their sample sets plus the classification target.
+        solves.clear()
+        chords.clear()
+        queries = sorted(grid(3, 3))
+        results = cross_polytope_consistency_many(
+            ctx, queries, 0.5, [query_polytopes(ctx, q) for q in queries]
+        )
+        assert len(results) == len(queries) and all(r.passed for r in results)
+        assert len(solves) == 1
+        assert len(chords) == 11
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_engine_value_is_implicit_utility(self, solver_model, t):
@@ -198,6 +216,63 @@ class TestCrossPolytope:
         ctx = context_for(eu_model)
         with pytest.raises(ValueError, match="level"):
             cross_polytope_consistency(ctx, lottery((0.2, 0.5, 0.3)), t, [full_simplex(3)])
+
+
+class TestBatchedSeparation:
+    @staticmethod
+    def counted_linprog(monkeypatch) -> list:
+        calls = []
+        solve = separation.linprog
+
+        def recorded(**kwargs):
+            calls.append(kwargs)
+            return solve(**kwargs)
+
+        monkeypatch.setattr(separation, "linprog", recorded)
+        return calls
+
+    def test_two_highs_calls_per_passing_level(self, tmp_path, monkeypatch):
+        # The simplex separator, then all 10 queries x 3 polytopes at once
+        # (31 calls a level when solved one program at a time).
+        path = tmp_path / "wu.json"
+        path.write_text('{"kind": "weighted_utility", "u": [0, 0.4, 1], "w": [1, 2, 0.5]}')
+        calls = self.counted_linprog(monkeypatch)
+        out = str(tmp_path / "out")
+        assert main(["separation", "--model", str(path), "--levels", "0.3,0.6", "--out", out]) == 0
+        assert len(calls) == 4
+        assert [call["c"].size for call in calls] == [6, 180, 6, 180]
+
+    def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch):
+        ctx = context_for(quadratic_oracle())
+        chord = sorted(chord_point(ctx, s) for s in (0.0, 0.25, 0.5, 0.75, 1.0))
+        bowed = sorted(grid(3, 6))
+        with pytest.raises(Infeasible) as single:
+            separate(ctx, 0.5, full_simplex(3), bowed)
+        calls = self.counted_linprog(monkeypatch)
+        with pytest.raises(Infeasible) as batched:
+            separation._separators(ctx, 0.5, [chord, bowed, chord])
+        assert str(batched.value) == str(single.value)
+        # The batch, then the blocks one by one up to the failing one.
+        assert [call["c"].size for call in calls] == [18, 6, 6]
+
+    @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
+    def test_batch_matches_separate_bitwise(self, family_model, t):
+        ctx = context_for(family_model)
+        queries = sorted(grid(3, 3))
+        polytopes = [query_polytopes(ctx, x) for x in queries]
+        blocks = [
+            (x, p, contour_samples(ctx, t, p, include=[x]))
+            for x, polys in zip(queries, polytopes)
+            for p in polys
+        ]
+        batched = separation._separators(ctx, t, [samples for _, _, samples in blocks])
+        singles = [separate(ctx, t, p, samples) for _, p, samples in blocks]
+        assert [[c.hex() for c in f.coeffs] for f in batched] == [
+            [c.hex() for c in f.coeffs] for f in singles
+        ]
+        results = cross_polytope_consistency_many(ctx, queries, t, polytopes)
+        values = [f.value(x).hex() for (x, _, _), f in zip(blocks, singles)]
+        assert [v.hex() for r in results for v in r.separator_values] == values
 
 
 class TestAffineFunctional:

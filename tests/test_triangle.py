@@ -5,6 +5,7 @@ import pytest
 
 from betweenu import (
     ExpectedUtility,
+    IterationLimit,
     collinearity_residual,
     context_for,
     degenerate,
@@ -113,6 +114,15 @@ class TestTraceLevelCurves:
         two = context_for(ExpectedUtility((0.0, 1.0)))
         with pytest.raises(ValueError):
             trace_level_curves(two, (0.5,))
+
+    def test_iteration_limit_names_the_level(self, eu_model):
+        # A scanline's crossing is no single lottery, so only the level is named.
+        ctx = context_for(eu_model, max_iter=5)
+        with pytest.raises(IterationLimit) as info:
+            trace_level_curves(ctx, (0.2, 0.6))
+        assert str(info.value) == "scanline bisection missed tol 1e-12 within 5 iterations"
+        assert (info.value.what, info.value.iterations) == ("scanline", 5)
+        assert (info.value.level, info.value.row) == (0.2, None)
 
 
 class TestRenderSvg:
