@@ -22,12 +22,15 @@ digits.  All outputs are byte-deterministic for a fixed model, flags,
 and seed.
 
 Exit codes: 0 ok, 1 a property or check failed, 2 input error,
-3 numeric failure inside the construction.
+3 numeric failure inside the construction, also recorded in error.json
+(the exception's type and message, and where known the bisection, its
+step budget, the level and the lottery row that failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -117,11 +120,12 @@ def _write_text(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _write_json(path: str, payload) -> None:
+def _write_json(path: str, payload, announce: bool = True) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {path}")
+    if announce:
+        print(f"wrote {path}")
 
 
 def _in_repr(v: float) -> str:
@@ -271,6 +275,21 @@ def cmd_separation(model, args, levels) -> int:
     return 0
 
 
+#: Attributes of a numeric failure that locate it, copied to error.json.
+ERROR_FIELDS = ("what", "iterations", "level", "row")
+
+
+def _write_error(out: str, exc: BetweenuError) -> None:
+    """Record a numeric failure in ``out/error.json``: its type, message and
+    whichever of :data:`ERROR_FIELDS` it carries.  The stderr line reports
+    the failure, so the record prints nothing, and one that cannot be
+    written is left out."""
+    record = {"type": type(exc).__name__, "message": str(exc)}
+    record.update((name, getattr(exc, name)) for name in ERROR_FIELDS if hasattr(exc, name))
+    with contextlib.suppress(OSError):
+        _write_json(os.path.join(out, "error.json"), record, announce=False)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -297,6 +316,7 @@ def main(argv=None) -> int:
         return cmd_separation(model, args, levels)
     except BetweenuError as exc:
         _fail(f"{type(exc).__name__}: {exc}")
+        _write_error(args.out, exc)
         return 3
     except OSError as exc:
         _fail(str(exc))

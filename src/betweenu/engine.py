@@ -136,13 +136,15 @@ class RepresentationContext:
             raise ValueError(f"tol_t must lie in (0, 1), got {self.tol_t!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.model.compare(self.best, self.worst) is not Ordering.STRICTLY_PREFERS:
+        ends = np.asarray([self.best.probs, self.worst.probs], dtype=float)
+        end_keys = self.model.keys(ends)
+        # A gap above the band is exactly a STRICTLY_PREFERS comparison.
+        if not self.model.gaps(end_keys[:1], end_keys[1:])[0] > self.model.eps_pref:
             raise DegeneratePreference(
                 "the designated best element is not strictly preferred to the worst"
             )
-        ends = np.asarray([self.best.probs, self.worst.probs], dtype=float)
         object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_end_keys", self.model.keys(ends))
+        object.__setattr__(self, "_end_keys", end_keys)
 
 
 def find_extremes(model: PreferenceModel) -> tuple[Lottery, Lottery]:

@@ -11,6 +11,10 @@ brackets:
 * :func:`jump_oracle`       continuity, with a value jump (Continuity, Betweenness)
 * :func:`quadratic_oracle`  betweenness, with bowed indifference sets
   (Betweenness, MixingNeutrality)
+
+The last two come from :func:`oracle_from_value` and are keyed by value; no
+per-lottery key can hold the cyclic fixture's planted pair, so it is asked
+about each pair through its ``compare_fn``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,23 @@ from .models import DEFAULT_EPS_PREF, BlackBoxOracle, Ordering
 from .simplex import Lottery, lottery
 
 
+class _ValueOracle(BlackBoxOracle):
+    """A comparison oracle keyed by value: ``value_fn`` runs once per row."""
+
+    def __init__(self, value_fn, compare_fn, n_outcomes: int, eps_pref: float):
+        super().__init__(compare_fn, n_outcomes, eps_pref)
+        self.value_fn = value_fn
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        lotteries = super().keys(rows)
+        return np.fromiter(map(self.value_fn, lotteries), dtype=float, count=len(lotteries))
+
+    def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+        # compare_fn's subtraction and band test: a NaN difference is dispreferred.
+        d = kx - ky
+        return np.where(np.abs(d) <= self.eps_pref, 0.0, np.where(d > 0.0, np.inf, -np.inf))
+
+
 def oracle_from_value(
     value_fn,
     n_outcomes: int,
@@ -28,8 +49,10 @@ def oracle_from_value(
 ) -> BlackBoxOracle:
     """Wrap a scalar lottery-value function as a comparison oracle.
 
-    Unlike :class:`~betweenu.models.ValueModel` subclasses, the result
-    only exposes ``compare``; the checkers cannot peek at values.
+    ``compare_fn`` compares two values under the band ``eps_pref``.  The
+    solvers' keys are the float64 values, one ``value_fn`` call per lottery,
+    so ``value_fn`` must return a real number; the gaps stay infinite or
+    zero, so the checkers learn no more than ``compare`` tells them.
     """
     band = float(eps_pref)
 
@@ -39,7 +62,7 @@ def oracle_from_value(
             return Ordering.INDIFFERENT
         return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
 
-    return BlackBoxOracle(compare_fn, n_outcomes, eps_pref)
+    return _ValueOracle(value_fn, compare_fn, n_outcomes, eps_pref)
 
 
 #: The planted intransitive triple used by :func:`cyclic_oracle`.  All

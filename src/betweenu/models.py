@@ -89,8 +89,9 @@ class PreferenceModel:
     ``ky`` is positive when the ``x`` lottery is strictly preferred,
     negative when it is strictly dispreferred, and zero on a tie.
     :class:`ValueModel` keys are values and its gaps are raw value
-    differences; :class:`BlackBoxOracle` keys are lotteries and its gaps
-    are infinite or zero.
+    differences; :class:`BlackBoxOracle` gaps are infinite or zero, and its
+    keys are lotteries, or float64 values for an oracle built by
+    :func:`~betweenu.fixtures.oracle_from_value`.
 
     Validation happens once, where data enters: :meth:`compare` and the
     public value methods check what they are given, and the solvers check

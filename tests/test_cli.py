@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import betweenu
-from betweenu import context_for, implicit_utility, load_model, lottery, solve_utility
+from betweenu import cli, context_for, implicit_utility, load_model, lottery, solve_utility
 from betweenu.cli import main
+from betweenu.errors import IterationLimit, NoCrossing
 
 EU_SPEC = {"kind": "expected_utility", "u": [0.0, 0.4, 1.0]}
 WU_SPEC = {"kind": "weighted_utility", "u": [0.0, 0.4, 1.0], "w": [1.0, 2.0, 0.5]}
@@ -32,6 +33,15 @@ def package_env() -> dict:
     src = os.path.dirname(os.path.dirname(betweenu.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def read_error(out: str) -> dict:
+    """The exit-3 record in ``out``, checked to be written with sorted keys."""
+    with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    record = json.loads(text)
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return record
 
 
 def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
@@ -249,6 +259,41 @@ class TestNumericFailure:
         code = main(["repr", "--model", model, "--grid", "3", "--out", out])
         assert code == 3
         assert "DegeneratePreference" in capsys.readouterr().err
+        assert read_error(out).keys() == {"type", "message"}
+
+    def test_exit_three_writes_error_record(self, tmp_path, capsys):
+        # The jump oracle's residual crosses zero twice at the lottery
+        # just above its mass threshold.
+        model = write_model(tmp_path, "jump.json", {"kind": "jump"})
+        out = str(tmp_path / "out")
+        assert main(["repr", "--model", model, "--out", out]) == 3
+        record = read_error(out)
+        assert record == {
+            "type": "MultipleFixedPoints",
+            "message": record["message"],
+            "row": [1.0 / 3.0, 2.0 / 3.0],
+        }
+        assert capsys.readouterr().err == f"error: MultipleFixedPoints: {record['message']}\n"
+
+    @pytest.mark.parametrize(
+        "exc, fields",
+        [
+            (IterationLimit("m", "mixing", 200, 0.5, (0.5, 0.5)),
+             {"what": "mixing", "iterations": 200, "level": 0.5, "row": [0.5, 0.5]}),
+            (IterationLimit("m", "level", 200),
+             {"what": "level", "iterations": 200, "level": None, "row": None}),
+            (NoCrossing("m", level=0.25), {"level": 0.25, "row": None}),
+        ],
+    )
+    def test_error_record_carries_the_failure_location(self, tmp_path, monkeypatch, exc, fields):
+        def fail(*_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_repr", fail)
+        model = write_model(tmp_path, "eu.json", EU_SPEC)
+        out = str(tmp_path / "out")
+        assert main(["repr", "--model", model, "--out", out]) == 3
+        assert read_error(out) == {"type": type(exc).__name__, "message": "m", **fields}
 
 
 class TestDeterminism:

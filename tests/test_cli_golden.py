@@ -12,7 +12,9 @@ plateau-edge loop that preceded the shared ``engine._bisect`` (commit
 solver replaced disappointment aversion's value bisection (one ``u.csv``
 cell moved by 2.2e-11; every other file and record held), and
 ``triangle.{wu,da,kernel,cyclic}``, re-recorded when the tracer began to
-list a point found by both scanline families once.  So any change
+list a point found by both scanline families once.  ``repr.jump`` gained
+one digest, for the ``error.json`` record an exit 3 now writes; its other
+digests held.  So any change
 to a printed number shows up here.  To re-record after an intended output
 change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
 its output over ``GOLDEN``.
@@ -171,6 +173,7 @@ GOLDEN = {
         "exit": 3,
         "files": {
             "U.csv": "584cd17a085564db6a43599a135b7b1add63ce38e94f4fb82931e3187d0c4c53",
+            "error.json": "cd6bb64e569eb699ffe6d0cfc41dd14900cba69b648118cdceb9f26e96df7567",
             "u.csv": "a1b34b2cdf9dad9d4cdd4b591511a1a67d863b7f8939f416ca4ca879a4749bc3"
         },
         "stderr": "d579f5836fb231ceba63e33267767b2918d639a45790ff67147b52bd758fafa4",

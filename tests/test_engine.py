@@ -15,6 +15,7 @@ from betweenu import (
     NonMonotoneChord,
     Ordering,
     ValueModel,
+    WeightedUtility,
     chord_point,
     context_for,
     cyclic_oracle,
@@ -462,6 +463,30 @@ class TestOracleCompareSchedule:
         ctx, calls = self.counted_context()
         utility_fixed_point_many(ctx, [lottery((0.2, 0.5, 0.3))])
         assert len(calls) == 4173
+
+    def test_value_oracle_fixed_point_call_count(self):
+        # A value oracle keys each row by one value_fn call and never asks
+        # compare_fn on the solver path; comparing each pair by its two
+        # values made 57,304 value_fn calls here.
+        values, compares = [], []
+        value = WeightedUtility(WU_U, WU_W).value
+
+        def counted_value(x):
+            values.append(None)
+            return value(x)
+
+        oracle = oracle_from_value(counted_value, 3)
+        ctx = context_for(oracle)
+        answer = oracle.compare_fn
+
+        def counted_compare(x, y):
+            compares.append(None)
+            return answer(x, y)
+
+        oracle.compare_fn = counted_compare
+        values.clear()
+        utility_fixed_point_many(ctx, sorted(grid(3, 3)))
+        assert (len(values), len(compares)) == (18313, 0)
 
 
 class TestRejectsNonLotteryRows:

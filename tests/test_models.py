@@ -13,21 +13,30 @@ from betweenu import (
     ExpectedUtility,
     ImplicitKernel,
     Lottery,
+    MultipleFixedPoints,
     Ordering,
     WeightedUtility,
+    check_rationality,
     context_for,
     cyclic_oracle,
     degenerate,
     grid,
+    implicit_utility_many,
+    jump_oracle,
     lottery,
     oracle_from_value,
+    quadratic_oracle,
     run_all_checks,
     solve_utility_many,
+    utility_fixed_point_many,
 )
+from betweenu.cli import LAMBDA_GRID
 from betweenu.models import classify
 from betweenu.simplex import SUM_TOL, lottery_rows, mix_rows
 
-from conftest import KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, make_kernel
+from conftest import (
+    KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, make_kernel, solver_models
+)
 
 
 def da_value_oracle(u, beta, x) -> float:
@@ -358,12 +367,18 @@ class TestBlackBoxOracle:
         assert m.compare(lottery((0.0, 1.0)), lottery((1.0, 0.0))) is Ordering.STRICTLY_PREFERS
 
     def test_gaps_are_infinite_or_zero(self):
-        m = oracle_from_value(lambda x: x.probs[1], 2, eps_pref=0.1)
-        keys = m.keys(np.asarray([[0.0, 1.0], [1.0, 0.0], [0.05, 0.95]]))
-        assert all(isinstance(k, Lottery) for k in keys)
-        gaps = m.gaps(keys, keys[:1])
-        assert gaps.tolist() == [0.0, -math.inf, 0.0]
-        assert m.gaps(keys[:1], keys[1:2]).tolist() == [math.inf]
+        # The compare-only twin keys by lottery, the value oracle by value;
+        # both map each comparison to an infinite or zero gap.
+        valued = oracle_from_value(lambda x: x.probs[1], 2, eps_pref=0.1)
+        twin = BlackBoxOracle(valued.compare_fn, 2, eps_pref=0.1)
+        rows = np.asarray([[0.0, 1.0], [1.0, 0.0], [0.05, 0.95]])
+        assert all(isinstance(k, Lottery) for k in twin.keys(rows))
+        assert valued.keys(rows).dtype == np.float64
+        for m in (twin, valued):
+            keys = m.keys(rows)
+            gaps = m.gaps(keys, keys[:1])
+            assert gaps.tolist() == [0.0, -math.inf, 0.0]
+            assert m.gaps(keys[:1], keys[1:2]).tolist() == [math.inf]
 
     def test_rejects_bad_return_type(self):
         bad = BlackBoxOracle(lambda x, y: 1, 2)
@@ -409,3 +424,104 @@ class TestBlackBoxOracle:
         for rows in (xs, mixed):
             keys = oracle.keys(rows)
             assert keys.tolist() == [Lottery(tuple(r)) for r in rows.tolist()]
+
+
+def value_oracles() -> dict:
+    """The fixtures built with oracle_from_value, keyed by value."""
+    return {
+        "weighted_utility_oracle": solver_models()["weighted_utility_oracle"],
+        "quadratic": quadratic_oracle(),
+        "jump": jump_oracle(),
+    }
+
+
+def compare_only(oracle: BlackBoxOracle) -> BlackBoxOracle:
+    """The oracle's twin that answers every comparison through ``compare_fn``."""
+    return BlackBoxOracle(oracle.compare_fn, oracle.n_outcomes, oracle.eps_pref)
+
+
+def solver_outcome(solve, *args):
+    """A solver's result as bytes, or the fixed-point failure it raised."""
+    try:
+        return np.asarray(solve(*args)).tobytes()
+    except MultipleFixedPoints as exc:
+        return type(exc), str(exc), exc.row
+
+
+class TestValueKeyedOracle:
+    """An oracle_from_value oracle keys each lottery by its value, and its
+    compare-only twin asks ``compare_fn`` about every pair; every verdict,
+    report and solution is the same."""
+
+    @pytest.mark.parametrize("seed", [0, 77])
+    @pytest.mark.parametrize("resolution", [6, 9])
+    @pytest.mark.parametrize("name", sorted(value_oracles()))
+    def test_axiom_reports_match_compare_only_twin(self, name, resolution, seed):
+        oracle = value_oracles()[name]
+        samples = sorted(grid(oracle.n_outcomes, resolution))
+        reports = [
+            [r.to_dict() for r in run_all_checks(m, samples, LAMBDA_GRID, seed=seed)]
+            for m in (oracle, compare_only(oracle))
+        ]
+        assert reports[0] == reports[1]
+
+    # Resolution 6 puts jump's double crossing, at (1/3, 2/3), on the grid.
+    @pytest.mark.parametrize(
+        "name, resolution", [("weighted_utility_oracle", 4), ("quadratic", 4), ("jump", 6)]
+    )
+    def test_solvers_match_compare_only_twin_bitwise(self, name, resolution):
+        oracle = value_oracles()[name]
+        points = sorted(grid(oracle.n_outcomes, resolution))
+        levels = np.linspace(0.0, 1.0, 11)
+        xs, ts = [x for x in points for _ in levels], np.tile(levels, len(points))
+        outcomes = []
+        for model in (oracle, compare_only(oracle)):
+            ctx = context_for(model)
+            outcomes.append(
+                [
+                    solver_outcome(solve_utility_many, ctx, points),
+                    solver_outcome(implicit_utility_many, ctx, xs, ts),
+                    solver_outcome(utility_fixed_point_many, ctx, points),
+                ]
+            )
+        assert outcomes[0] == outcomes[1]
+        if name == "jump":
+            raised, _, row = outcomes[0][2]
+            assert (raised, row) == (MultipleFixedPoints, (1.0 / 3.0, 2.0 / 3.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_gaps_match_compare_fn(self, data):
+        eps = data.draw(st.floats(1e-12, 1.0))
+        # 0, eps and 2 * eps differ by exactly eps, the edge of the band.
+        value = st.one_of(
+            st.sampled_from([0.0, eps, -eps, 2.0 * eps, math.nan, math.inf, -math.inf]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        table = data.draw(st.lists(value, min_size=1, max_size=8))
+        k = len(table)
+        rows = np.asarray([[1.0 - i / k, i / k] for i in range(k)])
+        by_probs = dict(zip(map(tuple, rows.tolist()), table))
+        oracle = oracle_from_value(lambda x: by_probs[x.probs], 2, eps)
+        twin = compare_only(oracle)
+        first, second = (a.ravel() for a in np.indices((k, k)))
+        keys, twin_keys = oracle.keys(rows), twin.keys(rows)
+        # inf - inf and overflowing differences, as Python floats give them.
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = oracle.gaps(keys[first], keys[second])
+            against_one = oracle.gaps(keys, keys[:1])
+        assert pairs.tolist() == twin.gaps(twin_keys[first], twin_keys[second]).tolist()
+        assert against_one.tolist() == twin.gaps(twin_keys, twin_keys[:1]).tolist()
+
+    def test_raising_value_fn_gives_the_same_completeness_witnesses(self):
+        def value_fn(x):
+            if x.probs[0] == 0.5:
+                raise ZeroDivisionError("planted")
+            return x.probs[1]
+
+        oracle = oracle_from_value(value_fn, 3)
+        samples = sorted(grid(3, 4))
+        report = check_rationality(oracle, samples).to_dict()
+        assert report == check_rationality(compare_only(oracle), samples).to_dict()
+        notes = {w["note"] for w in report["witnesses"]}
+        assert notes == {"comparison failed: ZeroDivisionError: planted"}
