@@ -27,8 +27,8 @@ Everything is driven by pairwise comparisons:
    lottery.  The residual has the sign of the comparison between ``x``
    and the chord point (``u = t / w`` above it and ``1 - (1-t) / w``
    below it, with ``w < 1``, and ``u = t`` on it), so each scan level
-   costs one comparison plus the step 3 checks that can fail, not a
-   full mixing solve; the plateau edges evaluate ``u`` itself.
+   and each plateau-edge step costs one comparison plus the step 3
+   checks that can fail, not a full mixing solve.
 
 Every solver is written once, over arrays of lottery rows and the
 model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
@@ -45,6 +45,7 @@ composition, for oracles as for value models.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -57,7 +58,7 @@ from .errors import (
     NoCrossing,
     NonMonotoneChord,
 )
-from .models import Ordering, PreferenceModel
+from .models import PreferenceModel, classify
 from .simplex import Lottery, degenerate, lottery_rows, mix, mix_rows
 
 DEFAULT_TOL_T = 1e-10
@@ -134,6 +135,8 @@ class RepresentationContext:
             raise ValueError("extreme lotteries do not match the model's outcome count")
         if not (math.isfinite(self.tol_t) and 0.0 < self.tol_t < 1.0):
             raise ValueError(f"tol_t must lie in (0, 1), got {self.tol_t!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         ends = np.asarray([self.best.probs, self.worst.probs], dtype=float)
@@ -152,21 +155,24 @@ def find_extremes(model: PreferenceModel) -> tuple[Lottery, Lottery]:
 
     Betweenness makes preference both quasiconcave and quasiconvex, so
     extremes over the whole simplex are attained at vertices; a linear
-    scan of pairwise comparisons finds them.  Raises
-    :class:`DegeneratePreference` when every vertex is indifferent to
-    every other.
+    scan over the vertices' keys finds them, the first of a tied group
+    winning.  Raises :class:`DegeneratePreference` when every vertex is
+    indifferent to every other.
     """
     n = model.n_outcomes
-    best = worst = degenerate(0, n)
+    keys = model.keys(np.eye(n))
+
+    def side(i, j):
+        """1 if vertex ``i`` is strictly preferred to ``j``, -1 if dispreferred, else 0."""
+        return classify(model.gaps(keys[[i]], keys[[j]]), model.eps_pref)[0]
+
+    best = worst = 0
     for i in range(1, n):
-        vertex = degenerate(i, n)
-        if model.compare(vertex, best) is Ordering.STRICTLY_PREFERS:
-            best = vertex
-        if model.compare(vertex, worst) is Ordering.STRICTLY_DISPREFERRED:
-            worst = vertex
-    if model.compare(best, worst) is not Ordering.STRICTLY_PREFERS:
+        best = i if side(i, best) > 0 else best
+        worst = i if side(i, worst) < 0 else worst
+    if side(best, worst) <= 0:
         raise DegeneratePreference("all simplex vertices are mutually indifferent")
-    return best, worst
+    return degenerate(best, n), degenerate(worst, n)
 
 
 def context_for(
@@ -475,29 +481,23 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     raise :class:`MultipleFixedPoints`, whose ``row`` holds the first
     offending lottery in input order.
 
-    The scan needs only the residual's sign, and at an interior level
+    The search needs only the residual's sign, and at an interior level
     that is the side of the chord point that ``x`` lies on: 0 on the
     chord, where the mixing weight is 1 and ``u = t``; +1 above it, where
     ``u = t / w > t``; -1 below it, where ``u = 1 - (1-t) / w < t``; the
     weight ``w`` of a bisected mixture lies strictly inside (0, 1).  So
-    each scan level costs one comparison in place of a full mixing solve
-    (see :func:`_residual_signs`), and the chord points' keys are computed
-    once per call.  The scan keeps the checks those solves made: a level
-    whose opposite extreme does not sit strictly across the chord point
-    raises :class:`NoCrossing`, and so does one whose weight collapses to
-    :data:`MU_FLOOR`.  The extreme's side depends only on the level, so a
-    per-call table keeps both extremes' gaps over the chord points, filled
-    where a lottery needs them, and one probe at the deepest weight that
-    clears the floor spares most rows its bisection.  A ``max_iter`` too
-    small for the evaluation tolerance therefore raises
-    :class:`IterationLimit` at the plateau edges' mixing solves.
-
-    The residual's slope is ``du/dt - 1``, which approaches zero when
-    the level dependence is strong, so evaluation error moves the
-    located root by more than its own size.  The plateau edges therefore
-    evaluate :func:`implicit_utility_many` itself, two digits tighter than
-    the context tolerance, keeping the root within the published
-    accuracy.
+    every level, on the scan and at the plateau edges alike, costs one
+    comparison in place of a full mixing solve (:func:`_residual_signs`).
+    The checks those solves made stay: a level whose opposite extreme does
+    not sit strictly across the chord point raises :class:`NoCrossing`,
+    and so does one whose weight collapses to :data:`MU_FLOOR` at the
+    evaluation tolerance, two digits tighter than ``tol_t`` (at least
+    1e-12), which decides when a weight counts as collapsed; a
+    ``max_iter`` too small to clear the floor raises
+    :class:`IterationLimit`.  The extreme's side depends only on the
+    level, so a per-call table keeps both extremes' gaps over the scan's
+    chord points, filled where a lottery needs them, and one probe at the
+    deepest weight that clears the floor spares most rows its bisection.
 
     Value ties within ``eps_pref`` count as on-chord, which makes the
     residual exactly zero on a short plateau around the fixed point.  A
@@ -506,23 +506,31 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     wider than ``tol_t`` after ``max_iter`` steps raises
     :class:`IterationLimit`.
     """
+    if not (math.isfinite(n_scan) and n_scan == math.floor(n_scan)):
+        raise ValueError(f"n_scan must be an integer, got {n_scan!r}")
     n_scan = int(n_scan)
     if n_scan < 3:
         raise ValueError(f"need at least 3 scan points, got {n_scan}")
     rows = _as_rows(ctx, xs)
-    eval_tol = min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12))
-    eval_ctx = replace(ctx, tol_t=eval_tol)
+    model, m = ctx.model, n_scan - 2
+    eval_ctx = replace(ctx, tol_t=min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12)))
     ts = np.linspace(0.0, 1.0, n_scan)
     k_chord = _chord_keys(eval_ctx, ts[1:-1])
+    kx = model.keys(rows)
+    # The endpoint signs follow the indicators of implicit_utility.
+    at_worst = np.abs(model.gaps(kx, ctx._end_keys[[_WORST]])) <= model.eps_pref
+    at_best = np.abs(model.gaps(kx, ctx._end_keys[[_BEST]])) <= model.eps_pref
     # The extremes' gaps over the chord points, shared by every lottery.
-    across = np.full((2, n_scan - 2), np.nan)
+    across = np.full((2, m), np.nan)
     out = np.empty(len(rows))
     # Lotteries whose fixed point lies strictly inside a scan cell, with
     # the cell's ends.
     inside, cell_lo, cell_hi = [], [], []
     # One scan per lottery keeps the working set at n_scan rows.
     for i, row in enumerate(rows):
-        sign = _residual_signs(eval_ctx, row, ts, k_chord, across)
+        scan_rows, k_scan = np.repeat(row[None, :], m, axis=0), np.repeat(kx[i : i + 1], m)
+        inner = _residual_signs(eval_ctx, scan_rows, ts[1:-1], k_scan, k_chord, across)
+        sign = np.concatenate(([0.0 if at_worst[i] else 1.0], inner, [0.0 if at_best[i] else -1.0]))
         # One crossing: positive signs, at most one zero, then negative ones.
         zeros = int(np.count_nonzero(sign == 0.0))
         if zeros > 1 or (np.diff(sign) > 0.0).any():
@@ -544,12 +552,16 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     # Each lottery contributes two rows: the lower plateau edge (even
     # rows, which move up on a positive residual) and the upper one (odd
     # rows, which also move up on a zero residual, through ``tie``).
-    def gap_at(mid, edge_rows, tie):
-        g = implicit_utility_many(eval_ctx, edge_rows, mid) - mid
+    def gap_at(mid, edge_rows, k_edge, tie):
+        g = _residual_signs(eval_ctx, edge_rows, mid, k_edge, _chord_keys(eval_ctx, mid))
         return np.where(g == 0.0, tie, g)
 
     edge_lo, edge_hi = np.repeat(cell_lo, 2), np.repeat(cell_hi, 2)
-    per_row = (np.repeat(rows[inside], 2, axis=0), np.tile([-1.0, 1.0], len(inside)))
+    per_row = (
+        np.repeat(rows[inside], 2, axis=0),
+        np.repeat(kx[inside], 2),
+        np.tile([-1.0, 1.0], len(inside)),
+    )
     lo, hi = _bisect(
         gap_at, per_row, edge_lo, edge_hi, ctx.tol_t, ctx.max_iter, "plateau edge", rows=per_row[0]
     )
@@ -557,30 +569,11 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     return out
 
 
-def _residual_signs(
-    ctx: RepresentationContext, row: np.ndarray, ts: np.ndarray, k_chord: np.ndarray, across=None
-) -> np.ndarray:
-    """Signs of ``u(x, t) - t`` for one lottery row at the scan levels
-    ``ts`` (endpoints included), given the keys ``k_chord`` of the
-    interior levels' chord points, and their table ``across`` if shared.
-
-    The endpoint signs follow the indicators of :func:`implicit_utility`,
-    and the interior ones come from :func:`_solve_mixing_rows` with only
-    its :data:`MU_FLOOR` verdict settled.
-    """
-    model = ctx.model
-    eps = model.eps_pref
-    kx = model.keys(row[None, :])
-    to_worst = model.gaps(kx, ctx._end_keys[[_WORST]])[0]
-    to_best = model.gaps(kx, ctx._end_keys[[_BEST]])[0]
-    k = len(k_chord)
-    rows = np.repeat(row[None, :], k, axis=0)
-    _, _, signs = _solve_mixing_rows(
-        ctx, rows, ts[1:-1], np.repeat(kx, k), k_chord, MU_FLOOR, across
-    )
-    start = 0.0 if abs(to_worst) <= eps else 1.0
-    end = 0.0 if abs(to_best) <= eps else -1.0
-    return np.concatenate(([start], signs, [end]))
+def _residual_signs(ctx: RepresentationContext, rows, ts, kx, k_chord, across=None) -> np.ndarray:
+    """Signs of ``u(x, t) - t`` for paired rows and interior levels: the
+    ``signs`` of :func:`_solve_mixing_rows` with only its :data:`MU_FLOOR`
+    verdict settled, so its checks still raise."""
+    return _solve_mixing_rows(ctx, rows, ts, kx, k_chord, MU_FLOOR, across)[2]
 
 
 def one_sided_limits(ctx: RepresentationContext, x: Lottery) -> dict:

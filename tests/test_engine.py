@@ -7,6 +7,7 @@ from betweenu import (
     BetweenuError,
     Branch,
     DegeneratePreference,
+    DisappointmentAversion,
     ExpectedUtility,
     ImplicitKernel,
     IterationLimit,
@@ -19,6 +20,7 @@ from betweenu import (
     chord_point,
     context_for,
     cyclic_oracle,
+    degenerate,
     find_extremes,
     grid,
     implicit_utility,
@@ -162,11 +164,64 @@ class WorstPocketValue(ExpectedUtility):
         return np.where(pocket, 1.0, super()._values(rows))
 
 
+def scan_models() -> dict:
+    """The solver models, the curved and discontinuous fixtures, and two
+    value models whose mixing solves raise :class:`NoCrossing`."""
+    return {
+        **solver_models(),
+        "quadratic": quadratic_oracle(),
+        "jump": jump_oracle(),
+        "capped": CappedValue(),
+        "spike": SpikeValue(),
+    }
+
+
+def outcome(solve):
+    """``solve()``'s result, or the type, message and attributes of its error."""
+    try:
+        return solve()
+    except BetweenuError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def extremes_by_compare(model) -> tuple:
+    """The vertex scan of :func:`find_extremes` run through ``compare``,
+    one pair at a time."""
+    n = model.n_outcomes
+    best = worst = degenerate(0, n)
+    for i in range(1, n):
+        vertex = degenerate(i, n)
+        if model.compare(vertex, best) is Ordering.STRICTLY_PREFERS:
+            best = vertex
+        if model.compare(vertex, worst) is Ordering.STRICTLY_DISPREFERRED:
+            worst = vertex
+    if model.compare(best, worst) is not Ordering.STRICTLY_PREFERS:
+        raise DegeneratePreference("all simplex vertices are mutually indifferent")
+    return best, worst
+
+
+def extreme_models() -> dict:
+    """Every fixture, plus models with tied, banded and all-indifferent vertices."""
+    return {
+        **scan_models(),
+        "weighted_utility_4": WeightedUtility((0.0, 0.7, 0.2, 1.0), (1.0, 0.5, 2.0, 1.5)),
+        "disappointment_aversion_5": DisappointmentAversion((0.3, 0.0, 1.0, 0.6, 1.0), -0.5),
+        "tied_vertices": ExpectedUtility((0.5, 0.0, 1.0, 0.0, 1.0)),
+        "banded_vertices": ExpectedUtility((1.0 - 5e-10, 0.0, 1.0, 5e-10)),
+        "flat": ImplicitKernel((0.0, 1.0), ((0.3, 0.7), (0.3, 0.7), (0.3, 0.7))),
+    }
+
+
 class TestContext:
     def test_extremes_found_at_vertices(self, eu_model):
         best, worst = find_extremes(eu_model)
         assert best == lottery((0.0, 0.0, 1.0))
         assert worst == lottery((1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("name", sorted(extreme_models()))
+    def test_extremes_match_pairwise_scan(self, name):
+        model = extreme_models()[name]
+        assert outcome(lambda: find_extremes(model)) == outcome(lambda: extremes_by_compare(model))
 
     def test_degenerate_preference_rejected(self):
         flat = ImplicitKernel((0.0, 1.0), ((0.3, 0.7), (0.3, 0.7), (0.3, 0.7)))
@@ -178,6 +233,14 @@ class TestContext:
             context_for(eu_model, tol_t=0.0)
         with pytest.raises(ValueError):
             context_for(eu_model, max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [30.5, 30.0, True, "30"])
+    def test_non_integer_max_iter_rejected(self, eu_model, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            context_for(eu_model, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self, eu_model):
+        assert context_for(eu_model, max_iter=np.int64(30)).max_iter == 30
 
     def test_chord_point_endpoints(self, eu_model):
         ctx = context_for(eu_model)
@@ -452,22 +515,23 @@ class TestOracleCompareSchedule:
     def test_cyclic_oracle_fixed_point_call_count(self):
         # One comparison per scan level and one probe that clears MU_FLOOR
         # per inner level, each extreme's check against a chord point once
-        # per call, then the plateau edges' full mixing solves.
+        # per call, then the same per plateau-edge step; the edges' full
+        # mixing solves made 30,169.
         ctx, calls = self.counted_context()
         utility_fixed_point_many(ctx, sorted(grid(3, 3)))
-        assert len(calls) == 30169
+        assert len(calls) == 20757
 
     def test_one_lottery_fixed_point_call_count(self):
         # A lone lottery shares its extreme checks with no other, so only
-        # the MU_FLOOR probe saves comparisons; 5,163 before that probe.
+        # the MU_FLOOR probe saves comparisons; 5,163 before that probe and
+        # 4,173 with full mixing solves at the plateau edges.
         ctx, calls = self.counted_context()
         utility_fixed_point_many(ctx, [lottery((0.2, 0.5, 0.3))])
-        assert len(calls) == 4173
+        assert len(calls) == 3125
 
-    def test_value_oracle_fixed_point_call_count(self):
-        # A value oracle keys each row by one value_fn call and never asks
-        # compare_fn on the solver path; comparing each pair by its two
-        # values made 57,304 value_fn calls here.
+    @staticmethod
+    def counted_value_oracle():
+        """A WU value oracle, and the lists its value_fn and compare_fn calls append to."""
         values, compares = [], []
         value = WeightedUtility(WU_U, WU_W).value
 
@@ -476,7 +540,6 @@ class TestOracleCompareSchedule:
             return value(x)
 
         oracle = oracle_from_value(counted_value, 3)
-        ctx = context_for(oracle)
         answer = oracle.compare_fn
 
         def counted_compare(x, y):
@@ -484,9 +547,30 @@ class TestOracleCompareSchedule:
             return answer(x, y)
 
         oracle.compare_fn = counted_compare
+        return oracle, values, compares
+
+    def test_value_oracle_fixed_point_call_count(self):
+        # A value oracle keys each row by one value_fn call and never asks
+        # compare_fn on the solver path; comparing each pair by its two
+        # values made 57,304 value_fn calls here, and full mixing solves at
+        # the plateau edges 18,313.
+        oracle, values, compares = self.counted_value_oracle()
+        ctx = context_for(oracle)
         values.clear()
         utility_fixed_point_many(ctx, sorted(grid(3, 3)))
-        assert (len(values), len(compares)) == (18313, 0)
+        assert (len(values), len(compares)) == (9705, 0)
+
+    def test_extremes_key_each_vertex_once(self):
+        # Ranking the vertices one compare call at a time made 5 compare_fn
+        # and 10 value_fn calls; the context keys its two extremes again.
+        oracle, values, compares = self.counted_value_oracle()
+        find_extremes(oracle)
+        assert (len(values), len(compares)) == (3, 0)
+        context_for(oracle)
+        assert (len(values), len(compares)) == (3 + 5, 0)
+        ctx, calls = self.counted_context()
+        find_extremes(ctx.model)
+        assert len(calls) == 5
 
 
 class TestRejectsNonLotteryRows:
@@ -524,13 +608,34 @@ SCAN = np.linspace(0.0, 1.0, 1000)
 
 def rig_implicit_utility(monkeypatch, rigged):
     """Make ``rigged(ctx, xs, ts)`` the ``u(x, t)`` that the fixed-point
-    search sees: in the residual signs of its scan and at its plateau edges."""
+    search sees at interior levels: in the residual signs of its scan and
+    at its plateau edges."""
 
-    def signs(ctx, row, ts, _k_chord, _across=None):
-        return np.sign(rigged(ctx, np.repeat(row[None, :], len(ts), axis=0), ts) - ts)
+    def signs(ctx, rows, ts, _kx, _k_chord, _across=None):
+        return np.sign(rigged(ctx, rows, ts) - ts)
 
     monkeypatch.setattr("betweenu.engine._residual_signs", signs)
-    monkeypatch.setattr("betweenu.engine.implicit_utility_many", rigged)
+
+
+def evaluated_fixed_points(ctx, xs) -> np.ndarray:
+    """``utility_fixed_point_many(ctx, xs)`` with every plateau-edge step
+    steering on ``u(x, t) - t`` as :func:`implicit_utility_many` evaluates
+    it at the search's evaluation tolerance, not on the chord comparison."""
+    eval_ctx = replace(ctx, tol_t=min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12)))
+    bisect = engine._bisect
+
+    def edges_evaluated(gap_at, per_row, lo, hi, tol, max_iter, what, *args, **kwargs):
+        if what == "plateau edge":
+
+            def gap_at(mid, edge_rows, _k_edge, tie):
+                g = implicit_utility_many(eval_ctx, edge_rows, mid) - mid
+                return np.where(g == 0.0, tie, g)
+
+        return bisect(gap_at, per_row, lo, hi, tol, max_iter, what, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_bisect", edges_evaluated)
+        return utility_fixed_point_many(ctx, xs)
 
 
 class TestFixedPoint:
@@ -620,6 +725,12 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)), n_scan=2)
 
+    @pytest.mark.parametrize("n_scan", [3.9, 1000.5, float("inf"), float("nan")])
+    def test_non_integral_scan_size_rejected(self, eu_model, n_scan):
+        ctx = context_for(eu_model)
+        with pytest.raises(ValueError, match="n_scan must be an integer"):
+            utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3)), n_scan=n_scan)
+
     def test_batch_matches_scalar_bitwise(self, solver_model):
         ctx = context_for(solver_model)
         batch = utility_fixed_point_many(ctx, FIXED_POINT_LOTTERIES, FIXED_POINT_SCAN)
@@ -642,17 +753,45 @@ class TestFixedPoint:
         assert out[0] == 1.0
         assert out[2] == 0.0
 
-    def test_mixing_iteration_limit_reaches_the_caller(self, eu_model):
-        # Twenty halvings clear MU_FLOOR at every scan level but cannot
-        # narrow a mixing weight to the evaluation tolerance 1e-12, so the
-        # plateau edges' mixing solves raise.
+    def test_iteration_limit_reaches_the_caller(self, eu_model):
+        # Twenty halvings clear MU_FLOOR at every scan level and plateau-edge
+        # step, but cannot narrow a scan cell about 1e-3 wide to tol_t.
         ctx = context_for(eu_model, max_iter=20)
         with pytest.raises(IterationLimit) as info:
             utility_fixed_point_many(ctx, [lottery((0.2, 0.5, 0.3))])
-        assert str(info.value) == "mixing bisection missed tol 1e-12 within 20 iterations"
-        assert (info.value.what, info.value.iterations) == ("mixing", 20)
-        assert 0.0 < info.value.level < 1.0
+        assert str(info.value) == "plateau edge bisection missed tol 1e-10 within 20 iterations"
+        assert (info.value.what, info.value.iterations) == ("plateau edge", 20)
+        assert info.value.level is None
         assert info.value.row == (0.2, 0.5, 0.3)
+
+    @pytest.mark.parametrize("max_iter", range(24, 40))
+    def test_edges_need_no_mixing_solve_to_tolerance(self, eu_model, max_iter):
+        # 24 halvings narrow a scan cell to tol_t; below the 39 a mixing
+        # weight needs to reach the evaluation tolerance, the edges' full
+        # mixing solves raised IterationLimit("mixing").
+        x = lottery((0.2, 0.5, 0.3))
+        found = utility_fixed_point_many(context_for(eu_model, max_iter=max_iter), [x])
+        assert found[0] == solve_utility(context_for(eu_model), x)
+
+    def test_edges_match_evaluated_residual(self, solver_model):
+        # The plateau edges steer on the chord comparison alone; steering
+        # them on u(x, t) - t evaluated in full finds the same bits, or the
+        # same error (the WU oracle 1e-9 from its best extreme meets a
+        # level whose chord point lies within eps_pref of that extreme).
+        ctx = context_for(solver_model)
+        center = lottery((1 / 3, 1 / 3, 1 / 3))
+        near_extremes = [
+            mix(d, center, end) for end in (ctx.best, ctx.worst) for d in (1e-9, 1e-8, 1e-7, 1e-6)
+        ]
+        for points in (sorted(grid(3, 6)), near_extremes):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "implicit_utility_many", None)
+                found = outcome(lambda: utility_fixed_point_many(ctx, points))
+            evaluated = outcome(lambda: evaluated_fixed_points(ctx, points))
+            if isinstance(found, np.ndarray):
+                assert np.array_equal(found, evaluated)
+            else:
+                assert found == evaluated
 
     def test_collapsed_weight_names_level_and_row(self):
         ctx = context_for(SpikeValue())
@@ -676,30 +815,15 @@ class TestFixedPoint:
         assert np.array_equal(utility_fixed_point_many(ctx, points), expected)
 
 
-def scan_models() -> dict:
-    """The solver models, the curved and discontinuous fixtures, and two
-    value models whose mixing solves raise :class:`NoCrossing`."""
-    return {
-        **solver_models(),
-        "quadratic": quadratic_oracle(),
-        "jump": jump_oracle(),
-        "capped": CappedValue(),
-        "spike": SpikeValue(),
-    }
-
-
-def outcome(solve):
-    """``solve()``'s result, or the type, message and attributes of its error."""
-    try:
-        return solve()
-    except BetweenuError as exc:
-        return type(exc), str(exc), vars(exc)
+#: The interior levels of the default scan.
+INNER = SCAN[1:-1]
 
 
 class TestScanSigns:
-    """The scan reads each level's residual sign from one comparison with
-    the chord point; it must agree with the full residual ``u(x, t) - t``,
-    errors included, at the default scan and evaluation tolerance."""
+    """The search reads each interior level's residual sign from one
+    comparison with the chord point; it must agree with the full residual
+    ``u(x, t) - t``, errors included, at the default scan levels and
+    evaluation tolerance."""
 
     @pytest.mark.parametrize("name", sorted(scan_models()))
     def test_signs_match_full_residual(self, name):
@@ -707,12 +831,13 @@ class TestScanSigns:
         ctx = context_for(model)
         # The evaluation tolerance of the search at the default tol_t.
         eval_ctx = replace(ctx, tol_t=1e-12)
-        k_chord = engine._chord_keys(eval_ctx, SCAN[1:-1])
+        k_chord = engine._chord_keys(eval_ctx, INNER)
         for x in sorted(grid(model.n_outcomes, 3)):
-            row = np.asarray(x.probs)
-            rows = np.repeat(row[None, :], len(SCAN), axis=0)
-            full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, SCAN) - SCAN))
-            scan = outcome(lambda: engine._residual_signs(eval_ctx, row, SCAN, k_chord))
+            rows = np.repeat(np.asarray([x.probs]), len(INNER), axis=0)
+            full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, INNER) - INNER))
+            scan = outcome(
+                lambda: engine._residual_signs(eval_ctx, rows, INNER, model.keys(rows), k_chord)
+            )
             if isinstance(full, np.ndarray):
                 assert isinstance(scan, np.ndarray), (x, scan)
                 assert np.array_equal(scan, full), x
@@ -726,11 +851,11 @@ class TestScanSigns:
         # solves do rather than trusting the probe.
         model = SpikeValue(1e8)
         eval_ctx = replace(context_for(model), tol_t=1e-12, max_iter=20)
-        row = np.asarray([0.5, 0.5, 0.0])
-        rows = np.repeat(row[None, :], len(SCAN), axis=0)
-        full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, SCAN) - SCAN))
-        k_chord = engine._chord_keys(eval_ctx, SCAN[1:-1])
-        assert outcome(lambda: engine._residual_signs(eval_ctx, row, SCAN, k_chord)) == full
+        rows = np.repeat(np.asarray([[0.5, 0.5, 0.0]]), len(INNER), axis=0)
+        full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, INNER) - INNER))
+        k_chord = engine._chord_keys(eval_ctx, INNER)
+        kx = model.keys(rows)
+        assert outcome(lambda: engine._residual_signs(eval_ctx, rows, INNER, kx, k_chord)) == full
         assert full[0] is IterationLimit
 
 
