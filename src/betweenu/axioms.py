@@ -74,14 +74,7 @@ class AxiomReport:
             raise ValueError("a passing report cannot carry witnesses")
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "samples_checked": self.samples_checked,
-            "seed": self.seed,
-            "note": self.note,
-        }
+        return {**vars(self), "witnesses": [w.to_dict() for w in self.witnesses]}
 
 
 def _finish(axiom, witnesses, samples_checked, seed=None, note="") -> AxiomReport:

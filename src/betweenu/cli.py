@@ -120,6 +120,11 @@ def _write_text(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write the ``header`` fields, then each row of formatted fields, as CSV lines."""
+    _write_text(path, "".join(",".join(fields) + "\n" for fields in [header, *rows]))
+
+
 def _write_json(path: str, payload, announce: bool = True) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -143,19 +148,18 @@ def cmd_repr(model, args) -> int:
     u_of = solve_utility_many(ctx, samples)
 
     header = [f"p{i}" for i in range(n)]
-    lines = [",".join(header + ["U"])]
-    for x, u in zip(samples, u_of):
-        lines.append(",".join([_in_repr(p) for p in x.probs] + [_out_fmt(u)]))
-    _write_text(os.path.join(args.out, "U.csv"), "\n".join(lines) + "\n")
+    probs = [[_in_repr(p) for p in x.probs] for x in samples]
+    lines = (p + [_out_fmt(u)] for p, u in zip(probs, u_of))
+    _write_csv(os.path.join(args.out, "U.csv"), header + ["U"], lines)
 
     levels = np.linspace(0.0, 1.0, args.t_grid)
     rows = np.repeat([x.probs for x in samples], len(levels), axis=0)
     u_xt = implicit_utility_many(ctx, rows, np.tile(levels, len(samples)))
-    lines = [",".join(header + ["t", "u"])]
-    for x, u_row in zip(samples, u_xt.reshape(len(samples), len(levels))):
-        for t, u in zip(levels, u_row):
-            lines.append(",".join([_in_repr(p) for p in x.probs] + [_in_repr(t), _out_fmt(u)]))
-    _write_text(os.path.join(args.out, "u.csv"), "\n".join(lines) + "\n")
+    u_rows = u_xt.reshape(len(samples), len(levels))
+    lines = (
+        p + [_in_repr(t), _out_fmt(u)] for p, row in zip(probs, u_rows) for t, u in zip(levels, row)
+    )
+    _write_csv(os.path.join(args.out, "u.csv"), header + ["t", "u"], lines)
 
     gaps = np.abs(utility_fixed_point_many(ctx, samples) - u_of)
     summary = {
@@ -203,18 +207,12 @@ def cmd_triangle(model, args, levels) -> int:
         return 2
     ctx = context_for(model)
     curves = trace_level_curves(ctx, levels)
-    lines = ["level,p0,p1,p2,x,y"]
-    for curve in curves:
-        coords = embed_coords(curve.points)
-        for point, (ex, ey) in zip(curve.points, coords):
-            lines.append(
-                ",".join(
-                    [_in_repr(curve.level)]
-                    + [_out_fmt(p) for p in point.probs]
-                    + [_out_fmt(ex), _out_fmt(ey)]
-                )
-            )
-    _write_text(os.path.join(args.out, "curves.csv"), "\n".join(lines) + "\n")
+    lines = (
+        [_in_repr(curve.level), *map(_out_fmt, (*point.probs, ex, ey))]
+        for curve in curves
+        for point, (ex, ey) in zip(curve.points, embed_coords(curve.points))
+    )
+    _write_csv(os.path.join(args.out, "curves.csv"), "level,p0,p1,p2,x,y".split(","), lines)
     _write_text(
         os.path.join(args.out, "triangle.svg"), render_svg(curves, ctx.best, ctx.worst)
     )
@@ -275,17 +273,12 @@ def cmd_separation(model, args, levels) -> int:
     return 0
 
 
-#: Attributes of a numeric failure that locate it, copied to error.json.
-ERROR_FIELDS = ("what", "iterations", "level", "row")
-
-
 def _write_error(out: str, exc: BetweenuError) -> None:
     """Record a numeric failure in ``out/error.json``: its type, message and
-    whichever of :data:`ERROR_FIELDS` it carries.  The stderr line reports
-    the failure, so the record prints nothing, and one that cannot be
-    written is left out."""
-    record = {"type": type(exc).__name__, "message": str(exc)}
-    record.update((name, getattr(exc, name)) for name in ERROR_FIELDS if hasattr(exc, name))
+    the attributes that locate it (see :mod:`betweenu.errors`).  The stderr
+    line reports the failure, so the record prints nothing, and one that
+    cannot be written is left out."""
+    record = {"type": type(exc).__name__, "message": str(exc), **vars(exc)}
     with contextlib.suppress(OSError):
         _write_json(os.path.join(out, "error.json"), record, announce=False)
 

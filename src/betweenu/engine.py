@@ -64,9 +64,10 @@ from .simplex import Lottery, degenerate, lottery_rows, mix, mix_rows
 DEFAULT_TOL_T = 1e-10
 DEFAULT_MAX_ITER = 200
 
-#: Mixing weights at or below this floor are rejected as "no crossing":
-#: at interior levels the opposite extreme lies strictly across the chord
-#: point, which bounds the true crossing weight away from zero.
+#: Bisected mixing weights at or below this floor are rejected as "no
+#: crossing": at interior levels the opposite extreme lies strictly across
+#: the chord point, which bounds the true crossing weight away from zero.
+#: The extremes' closed-form weights are exact at every level.
 MU_FLOOR = 1e-12
 
 #: Halvings from 1 to the smallest power of two above :data:`MU_FLOOR`.
@@ -109,7 +110,10 @@ def local_value(t: float, mix_weight: float, branch: Branch) -> float:
 
 def _local_values(ts, weights, used_worst):
     """:func:`local_value` over arrays, ``used_worst`` True for ``USED_WORST``."""
-    return np.where(used_worst, ts / weights, 1.0 - (1.0 - ts) / weights)
+    # Both branches are computed, so the best-anchor one divides by 1 where
+    # it is unused: the best extreme's weight at a subnormal level overflows it.
+    best_weights = np.where(used_worst, 1.0, weights)
+    return np.where(used_worst, ts / weights, 1.0 - (1.0 - ts) / best_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +144,18 @@ class RepresentationContext:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         ends = np.asarray([self.best.probs, self.worst.probs], dtype=float)
-        end_keys = self.model.keys(ends)
-        # A gap above the band is exactly a STRICTLY_PREFERS comparison.
-        if not self.model.gaps(end_keys[:1], end_keys[1:])[0] > self.model.eps_pref:
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_end_keys", self.model.keys(ends))
+        if _sides(self, self._end_keys[[_BEST]], _WORST)[0] <= 0:
             raise DegeneratePreference(
                 "the designated best element is not strictly preferred to the worst"
             )
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_end_keys", end_keys)
+
+
+def _sides(ctx: RepresentationContext, kx: np.ndarray, end: int) -> np.ndarray:
+    """Each key's side of the extreme ``end`` (:data:`_BEST` or
+    :data:`_WORST`): the :func:`~betweenu.models.classify` sign of its gap."""
+    return classify(ctx.model.gaps(kx, ctx._end_keys[[end]]), ctx.model.eps_pref)
 
 
 def find_extremes(model: PreferenceModel) -> tuple[Lottery, Lottery]:
@@ -275,19 +283,16 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     """Vectorized :func:`solve_utility` over lottery rows or Lottery lists."""
     rows = _as_rows(ctx, xs)
     model = ctx.model
-    eps = model.eps_pref
     kx = model.keys(rows)
-    to_best = model.gaps(kx, ctx._end_keys[[_BEST]])
-    to_worst = model.gaps(kx, ctx._end_keys[[_WORST]])
-    bad = np.flatnonzero((to_best > eps) | (to_worst < -eps))
+    to_best, to_worst = _sides(ctx, kx, _BEST), _sides(ctx, kx, _WORST)
+    bad = np.flatnonzero((to_best > 0) | (to_worst < 0))
     if bad.size:
         raise NonMonotoneChord(
             f"lottery {tuple(rows[bad[0]].tolist())} falls outside the preference "
             f"range of the extremes"
         )
-    is_best = np.abs(to_best) <= eps
-    out = np.where(is_best, 1.0, 0.0)
-    inner = np.flatnonzero(~is_best & ~(np.abs(to_worst) <= eps))
+    out = np.where(to_best == 0, 1.0, 0.0)
+    inner = np.flatnonzero((to_best != 0) & (to_worst != 0))
 
     # Gap signs steer the brackets; the indifference band grants only the
     # endpoint shortcuts above, since banded midpoint exits would cap a
@@ -370,22 +375,20 @@ def _solve_mixing_rows(
     compared, and is filled in place: calls sharing it compare each once.
     """
     model = ctx.model
-    d = model.gaps(kx, k_chord)
+    side = classify(model.gaps(kx, k_chord), model.eps_pref)
     # The extremes solve in closed form: their mixture with the opposite
     # extreme is the chord point at the mixing weight itself.
     is_best = (rows == ctx._ends[_BEST]).all(axis=1)
     is_worst = (rows == ctx._ends[_WORST]).all(axis=1)
-    on_chord = np.abs(d) <= model.eps_pref
-    up = d > 0.0
-    used_worst = is_best | (~is_worst & (on_chord | up))
     weights = np.where(is_best, ts, np.where(is_worst, 1.0 - ts, 1.0))
-    signs = np.where(used_worst, 1.0, -1.0)
-    signs[on_chord & ~(is_best | is_worst)] = 0.0
-    inner = np.flatnonzero(~(on_chord | is_best | is_worst))
-    anchor = np.where(up[inner], _WORST, _BEST)
+    signs = np.where(is_best, 1.0, np.where(is_worst, -1.0, side))
+    used_worst = signs >= 0.0
+    inner = np.flatnonzero(~((side == 0) | is_best | is_worst))
+    up = side[inner] > 0
+    anchor = np.where(up, _WORST, _BEST)
     # A positive steered gap puts a point on the anchor's side of the
     # chord point, where the crossing lies at a larger weight.
-    steer = np.where(up[inner], -1.0, 1.0)
+    steer = np.where(up, -1.0, 1.0)
     k_target = k_chord[inner]
     if across is None:
         across = np.full((2, len(rows)), np.nan)
@@ -413,7 +416,7 @@ def _solve_mixing_rows(
         gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor, ts[inner], per_row[0]
     )
     weights[inner] = 0.5 * (lo + hi)
-    collapsed = np.flatnonzero(weights <= MU_FLOOR)
+    collapsed = inner[weights[inner] <= MU_FLOOR]
     if collapsed.size:
         j = collapsed[0]
         raise NoCrossing(
@@ -441,16 +444,12 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     ts = _as_levels(rows, ts)
     if not ((ts >= 0.0) & (ts <= 1.0)).all():
         raise ValueError("levels must lie in [0, 1]")
-    model = ctx.model
-    eps = model.eps_pref
-    kx = model.keys(rows)
+    kx = ctx.model.keys(rows)
     out = np.empty(len(rows))
     at0 = ts == 0.0
     at1 = ts == 1.0
-    to_worst = model.gaps(kx[at0], ctx._end_keys[[_WORST]])
-    to_best = model.gaps(kx[at1], ctx._end_keys[[_BEST]])
-    out[at0] = np.where(np.abs(to_worst) <= eps, 0.0, 1.0)
-    out[at1] = np.where(np.abs(to_best) <= eps, 1.0, 0.0)
+    out[at0] = _sides(ctx, kx[at0], _WORST) != 0
+    out[at1] = _sides(ctx, kx[at1], _BEST) == 0
     inner = ~(at0 | at1)
     if inner.any():
         t_in = ts[inner]
@@ -473,13 +472,16 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     """Vectorized :func:`utility_fixed_point` over lottery rows or Lottery lists.
 
     Scans ``n_scan`` uniform levels (endpoints included) per lottery,
-    verifies the residual ``u(x, t) - t`` crosses zero exactly once, then
-    bisects the bracketing cell down to the context tolerance.  The
-    endpoint indicators force the residual to start >= 0 and end <= 0, so
-    a genuine second fixed point shows up on the scan as a negative
-    residual followed by a positive one, or as an extra exact zero; both
-    raise :class:`MultipleFixedPoints`, whose ``row`` holds the first
-    offending lottery in input order.
+    verifies the residual ``u(x, t) - t`` crosses zero once, then bisects
+    the bracketing cell down to the context tolerance.  The endpoint
+    indicators force the residual to start >= 0 and end <= 0, so it
+    crosses once exactly when its signs never rise: positive ones, at
+    most one run of zeros, then negative ones.  A genuine second fixed
+    point shows up on the scan as a rise and raises
+    :class:`MultipleFixedPoints`, whose ``row`` holds the first offending
+    lottery in input order.  A zero run that touches an end of the scan
+    gives that end's level, as the endpoint shortcut of
+    :func:`solve_utility` does.
 
     The search needs only the residual's sign, and at an interior level
     that is the side of the chord point that ``x`` lies on: 0 on the
@@ -500,7 +502,8 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     deepest weight that clears the floor spares most rows its bisection.
 
     Value ties within ``eps_pref`` count as on-chord, which makes the
-    residual exactly zero on a short plateau around the fixed point.  A
+    residual exactly zero on a short plateau around the fixed point (a
+    run of scan levels, where the band is coarse against the scan).  A
     single bisection would stop anywhere on that plateau, so the search
     brackets both plateau edges and returns their midpoint; an edge still
     wider than ``tol_t`` after ``max_iter`` steps raises
@@ -518,8 +521,8 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     k_chord = _chord_keys(eval_ctx, ts[1:-1])
     kx = model.keys(rows)
     # The endpoint signs follow the indicators of implicit_utility.
-    at_worst = np.abs(model.gaps(kx, ctx._end_keys[[_WORST]])) <= model.eps_pref
-    at_best = np.abs(model.gaps(kx, ctx._end_keys[[_BEST]])) <= model.eps_pref
+    first = np.where(_sides(ctx, kx, _WORST) == 0, 0.0, 1.0)
+    last = np.where(_sides(ctx, kx, _BEST) == 0, 0.0, -1.0)
     # The extremes' gaps over the chord points, shared by every lottery.
     across = np.full((2, m), np.nan)
     out = np.empty(len(rows))
@@ -530,19 +533,18 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     for i, row in enumerate(rows):
         scan_rows, k_scan = np.repeat(row[None, :], m, axis=0), np.repeat(kx[i : i + 1], m)
         inner = _residual_signs(eval_ctx, scan_rows, ts[1:-1], k_scan, k_chord, across)
-        sign = np.concatenate(([0.0 if at_worst[i] else 1.0], inner, [0.0 if at_best[i] else -1.0]))
-        # One crossing: positive signs, at most one zero, then negative ones.
-        zeros = int(np.count_nonzero(sign == 0.0))
-        if zeros > 1 or (np.diff(sign) > 0.0).any():
+        sign = np.concatenate((first[i : i + 1], inner, last[i : i + 1]))
+        if (np.diff(sign) > 0.0).any():
             probs = tuple(row.tolist())
             raise MultipleFixedPoints(
                 f"the residual u(x, t) - t crosses zero more than once for "
                 f"Lottery(probs={probs!r})",
                 row=probs,
             )
-        k = int(np.count_nonzero(sign > 0.0))
-        if zeros and k in (0, n_scan - 1):
-            out[i] = ts[k]
+        k, zeros = int(np.count_nonzero(sign > 0.0)), int(np.count_nonzero(sign == 0.0))
+        if zeros and (k == 0 or k + zeros == n_scan):
+            # Best first, as solve_utility's shortcut, should a run span the scan.
+            out[i] = 1.0 if k + zeros == n_scan else 0.0
             continue
         # The cell from the last positive residual to the first negative one.
         inside.append(i)

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import DEFAULT_EPS_PREF, BlackBoxOracle, Ordering
+from .models import DEFAULT_EPS_PREF, BlackBoxOracle, Ordering, classify
 from .simplex import Lottery, lottery
+
+#: An oracle's gap for each :func:`~betweenu.models.classify` sign, indexed by it.
+_ORACLE_GAPS = np.asarray([0.0, np.inf, -np.inf])
 
 
 class _ValueOracle(BlackBoxOracle):
@@ -37,9 +40,8 @@ class _ValueOracle(BlackBoxOracle):
         return np.fromiter(map(self.value_fn, lotteries), dtype=float, count=len(lotteries))
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-        # compare_fn's subtraction and band test: a NaN difference is dispreferred.
-        d = kx - ky
-        return np.where(np.abs(d) <= self.eps_pref, 0.0, np.where(d > 0.0, np.inf, -np.inf))
+        # compare_fn's verdicts as gaps: a NaN difference is dispreferred.
+        return _ORACLE_GAPS[classify(kx - ky, self.eps_pref)]
 
 
 def oracle_from_value(
@@ -58,6 +60,8 @@ def oracle_from_value(
 
     def compare_fn(x: Lottery, y: Lottery) -> Ordering:
         d = value_fn(x) - value_fn(y)
+        # classify's band in scalar Python: the cyclic fixture asks once per
+        # pair, where a numpy call would cost more than the comparison.
         if abs(d) <= band:
             return Ordering.INDIFFERENT
         return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED

@@ -74,8 +74,8 @@ def classify(gaps, band: float) -> np.ndarray:
     """Signs of preference gaps under the indifference band ``[-band, band]``.
 
     1 marks a strict preference, -1 a strict dispreference and 0 a gap
-    inside the band (see :meth:`Ordering.of_sign`).  An oracle's gaps are
-    infinite or zero, so no band changes its signs.
+    inside the band (see :meth:`Ordering.of_sign`), and a NaN gap is -1.
+    An oracle's gaps are infinite or zero, so no band changes its signs.
     """
     gaps = np.asarray(gaps, dtype=float)
     return np.where(np.abs(gaps) <= band, 0, np.where(gaps > 0.0, 1, -1))
@@ -318,7 +318,8 @@ class BlackBoxOracle(PreferenceModel):
 
     ``compare_fn(x, y)`` must return an :class:`Ordering`.  The oracle is
     assumed deterministic.  Exceptions raised by the callable propagate to
-    the caller (the axiom checkers record them as completeness failures).
+    the caller: :func:`~betweenu.axioms.check_rationality` records them as
+    completeness failures, and the other checks and the solvers raise them.
 
     :meth:`compare` checks both lotteries' outcome counts and the return
     type on every call.  The solvers' path does the same work once per

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Branch, RepresentationContext, chord_point, local_value, solve_mixing_many
+from .engine import (
+    Branch, RepresentationContext, _chord_keys, chord_point, local_value, solve_mixing_many
+)
 from .errors import Infeasible, MembershipViolation
 from .models import classify
-from .simplex import Lottery, Polytope, lottery_rows, mix
+from .simplex import Lottery, Polytope, linprog, lottery_rows, mix
 
 #: Half-width of the equality band used for samples indifferent to the
 #: chord point, and for verifying separation; chosen above the solver's
@@ -40,19 +42,6 @@ _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
 def _record(check) -> dict:
     """A result's fields by name, for JSON, with tuples as lists."""
     return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(check).items()}
-
-
-def linprog(*args, **kwargs):
-    """:func:`scipy.optimize.linprog`, imported on the first call.
-
-    ``scipy.optimize`` takes about half a second to import, so only the
-    separation programs of :func:`_separators`, which make every HiGHS call
-    of this module through here, pay for it, not every command that
-    imports this module.
-    """
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -120,8 +109,7 @@ def _classify(ctx: RepresentationContext, t: float, probs) -> tuple[np.ndarray, 
     0 indifferent."""
     model = ctx.model
     rows = lottery_rows(list(probs), model.n_outcomes)
-    target = model.keys(chord_point(ctx, t).as_array()[None, :])
-    return rows, classify(model.gaps(model.keys(rows), target), model.eps_pref)
+    return rows, classify(model.gaps(model.keys(rows), _chord_keys(ctx, [t])), model.eps_pref)
 
 
 def separate(
@@ -186,19 +174,17 @@ def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunc
     list in ``blocks``.
 
     The programs share no variable and their L1 objectives add up, so one
-    HiGHS call solves them as one block-diagonal program.  If it fails,
-    they are solved one by one in order, and the first failing block raises
-    the error :func:`separate` on it would.
+    HiGHS call solves them as one block-diagonal program, one block being
+    the case of :func:`separate`.  If it fails, they are solved one by one
+    in order, and the first failing block raises the error :func:`separate`
+    on it would.
     """
+    from scipy.sparse import block_diag
+
     ubs = _inequalities(ctx, t, blocks)
     n, k = ctx.model.n_outcomes, len(ubs)
     eq = _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
-    if k == 1:
-        a_ub, a_eq = ubs[0][:, :-1], eq[:, :-1]
-    else:
-        from scipy.sparse import block_diag
-
-        a_ub, a_eq = block_diag([ub[:, :-1] for ub in ubs]), block_diag([eq[:, :-1]] * k)
+    a_ub, a_eq = block_diag([ub[:, :-1] for ub in ubs]), block_diag([eq[:, :-1]] * k)
     has_ub = sum(map(len, ubs)) > 0
     # The solver's feasibility tolerance must sit far below the band,
     # or constraint residuals eat the verification headroom.

@@ -16,6 +16,15 @@ import numpy as np
 SUM_TOL = 1e-12
 
 
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported on the first call: every
+    HiGHS call of the package goes through here, so only a command that
+    solves a program pays the half second ``scipy.optimize`` takes to load."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 @dataclass(frozen=True, order=True)
 class Lottery:
     """A probability distribution over finitely many outcomes.
@@ -184,8 +193,6 @@ class Polytope:
         generators = {v.probs for v in self.vertices}
         if x.probs in generators or all(degenerate(i, n).probs in generators for i in range(n)):
             return True
-        from scipy.optimize import linprog
-
         V = self.vertex_array()
         k = len(self.vertices)
         a_eq = np.vstack([V.T, np.ones((1, k))])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RepresentationContext, _bisect, chord_point
+from .engine import RepresentationContext, _bisect, _chord_keys, chord_point
 from .simplex import Lottery, degenerate, mix, mix_rows
 
 _SCAN_TOL = 1e-12
@@ -76,11 +76,13 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
         level = float(level)
         if not 0.0 < level < 1.0:
             raise ValueError(f"levels must lie in (0, 1), got {level!r}")
-        target = chord_point(ctx, level)
-        kt = model.keys(target.as_array()[None, :])
+        kt = _chord_keys(ctx, [level])
         ga, gb = model.gaps(ka, kt), model.gaps(kb, kt)
         # A segment whose ends sit strictly on one side misses the contour;
         # the others are bisected together, each gap steered by its sign at a.
+        # The ends' tests are exact, not banded: the scanlines steer on raw
+        # gap signs, as every bisection does, and a banded end would move
+        # the traced points.
         inner = np.flatnonzero((ga != 0.0) & (gb != 0.0) & ((ga > 0.0) != (gb > 0.0)))
 
         def gap_at(lam, a, b, steer):
@@ -91,7 +93,7 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
             gap_at, per_row, 0.0, 1.0, _SCAN_TOL, ctx.max_iter, "scanline", levels=level
         )
         at = dict(zip(inner.tolist(), (0.5 * (lo + hi)).tolist()))
-        found = [target]
+        found = [chord_point(ctx, level)]
         for i, (a, b) in enumerate(segments):
             if ga[i] == 0.0:
                 found.append(a)

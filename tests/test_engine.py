@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betweenu import (
     BetweenuError,
@@ -40,6 +42,7 @@ from betweenu import (
     utility_fixed_point_many,
 )
 from betweenu import engine
+from betweenu.models import DEFAULT_EPS_PREF
 
 from conftest import EU_U, NOT_LOTTERIES, WU_U, WU_W, solver_models
 
@@ -453,8 +456,10 @@ class TestImplicitUtility:
         assert implicit_utility(ctx, ctx.best, 1.0) == 1.0
 
     def test_extreme_normalization_exact_interior(self, family_model):
+        # Levels within MU_FLOOR of an end too: the extremes' closed-form
+        # weights are exact there, not collapsed bisections.
         ctx = context_for(family_model)
-        for t in (0.01, 0.37, 0.99):
+        for t in (5e-324, 1e-13, 0.01, 0.37, 0.99, 1.0 - 2.0**-53):
             assert implicit_utility(ctx, ctx.best, t) == 1.0
             assert implicit_utility(ctx, ctx.worst, t) == 0.0
 
@@ -654,14 +659,12 @@ class TestFixedPoint:
         [
             # A sign change back up: negative, then positive again.
             lambda ts: np.where(ts < 0.3, 0.1, np.where(ts < 0.6, -0.1, 0.1)),
-            # Two exact zeros, back to back.
-            lambda ts: np.where(ts < SCAN[300], 0.1, np.where(ts <= SCAN[301], 0.0, -0.1)),
             # An exact zero, then positive residuals again.
             lambda ts: np.where(ts == SCAN[200], 0.0, np.where(ts < 0.6, 0.1, -0.1)),
             # Negative residuals, then an exact zero.
             lambda ts: np.where(ts == SCAN[800], 0.0, np.where(ts < 0.3, 0.1, -0.1)),
         ],
-        ids=["negative-then-positive", "two-zeros", "zero-then-positive", "negative-then-zero"],
+        ids=["negative-then-positive", "zero-then-positive", "negative-then-zero"],
     )
     def test_multiple_crossings_detected(self, eu_model, monkeypatch, residual):
         ctx = context_for(eu_model)
@@ -685,6 +688,47 @@ class TestFixedPoint:
         assert utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3))) == pytest.approx(
             SCAN[500], abs=ctx.tol_t
         )
+
+    def test_zero_run_is_one_fixed_point(self, eu_model, monkeypatch):
+        # Two exact zeros back to back are one tie plateau, not two crossings.
+        ctx = context_for(eu_model)
+
+        def rigged(_ctx, xs, ts):
+            ts = np.asarray(ts, dtype=float)
+            return ts + np.where(ts < SCAN[300], 0.1, np.where(ts <= SCAN[301], 0.0, -0.1))
+
+        rig_implicit_utility(monkeypatch, rigged)
+        assert utility_fixed_point(ctx, lottery((0.2, 0.5, 0.3))) == pytest.approx(
+            0.5 * (SCAN[300] + SCAN[301]), abs=ctx.tol_t
+        )
+
+    @pytest.mark.parametrize(
+        "end, residual, level",
+        [
+            ("worst", lambda ts: np.where(ts <= SCAN[3], 0.0, -0.1), 0.0),
+            ("best", lambda ts: np.where(ts >= SCAN[996], 0.0, 0.1), 1.0),
+        ],
+        ids=["worst", "best"],
+    )
+    def test_zero_run_at_an_end_is_that_end(self, eu_model, monkeypatch, end, residual, level):
+        # The endpoint indicator is zero at the extreme, and the rigged
+        # residual stays zero over the three scan levels next to it.
+        ctx = context_for(eu_model)
+        rig_implicit_utility(monkeypatch, lambda _ctx, xs, ts: ts + residual(ts))
+        assert utility_fixed_point(ctx, getattr(ctx, end)) == level
+
+    def test_coarse_band_tie_plateau_is_one_fixed_point(self):
+        # At eps_pref 1e-3, (0, 1/3, 2/3) ties the chord points at two
+        # adjacent scan levels: one plateau, whose midpoint is returned.
+        model = WeightedUtility(WU_U, WU_W, eps_pref=1e-3)
+        ctx = context_for(model)
+        points = sorted(grid(3, 6))
+        found = utility_fixed_point_many(ctx, points)
+        chord_values = [model.value(chord_point(ctx, t)) for t in found]
+        assert np.abs(np.subtract(chord_values, model.values([x.probs for x in points]))).max() <= (
+            model.eps_pref
+        )
+        assert np.abs(found - solve_utility_many(ctx, points)).max() <= 1e-5
 
     def test_plateau_edge_iteration_limit(self, eu_model, monkeypatch):
         # A flat u(x, t) = 0.45 puts the fixed point inside a scan cell about
@@ -866,3 +910,67 @@ class TestOneSidedLimits:
         assert set(report) == {"at_zero", "near_zero", "near_one", "at_one"}
         assert report["at_zero"] == 1.0
         assert report["at_one"] == 0.0
+
+
+@st.composite
+def random_families(draw):
+    """An EU or WU family on 2 to 5 outcomes, four Dirichlet lottery rows
+    and three interior levels.
+
+    ``u`` attains 0 and 1, WU weights lie in [0.1, 10], and ``eps_pref`` is
+    the default or log-uniform in [1e-9, 1e-3].
+    """
+    n = draw(st.integers(2, 5))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    u = draw(st.permutations([0.0, 1.0, *inner]))
+    log_eps = draw(st.one_of(st.none(), st.floats(-9.0, -3.0)))
+    eps = DEFAULT_EPS_PREF if log_eps is None else 10.0**log_eps
+    if draw(st.booleans()):
+        model = ExpectedUtility(u, eps)
+    else:
+        w = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        model = WeightedUtility(u, w, eps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=3, max_size=3)
+    )
+    return model, rng.dirichlet(np.ones(n), size=4), np.asarray(levels)
+
+
+class TestRandomFamilies:
+    """The fixed-point search and the solvers' published identities on
+    drawn EU and WU families, at the default band and at coarse ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_families())
+    def test_fixed_point_and_identities(self, family):
+        model, rows, levels = family
+        ctx = context_for(model)
+        found = utility_fixed_point_many(ctx, rows)
+        solved = solve_utility_many(ctx, rows)
+        if model.eps_pref == DEFAULT_EPS_PREF:
+            assert np.abs(found - solved).max() <= 1e-9
+        # The returned level lies within tol_t of a level whose chord point
+        # ties x: the plateau edges are bracketed to tol_t, and where the
+        # chord is steep that, not the band, bounds the value gap.
+        chord_value = [
+            [model.value(chord_point(ctx, min(max(t + d, 0.0), 1.0))) for t in found]
+            for d in (-ctx.tol_t, ctx.tol_t)
+        ]
+        values = model.values(rows)
+        assert (chord_value[0] - values <= model.eps_pref).all()
+        assert (values - chord_value[1] <= model.eps_pref).all()
+        # One-row calls are the batched rows, bit for bit; a failing batch
+        # fails the same way on the row it names.
+        for x, u_x, t_x in zip(map(lottery, rows), solved, found):
+            assert solve_utility(ctx, x) == u_x
+            assert utility_fixed_point(ctx, x) == t_x
+        t = levels[0]
+        local = outcome(lambda: implicit_utility_many(ctx, rows, np.full(len(rows), t)))
+        if isinstance(local, np.ndarray):
+            assert [implicit_utility(ctx, x, t) for x in map(lottery, rows)] == local.tolist()
+        else:
+            assert outcome(lambda: implicit_utility(ctx, lottery(local[2]["row"]), t)) == local
+        # Normalization holds exactly at interior levels.
+        assert (implicit_utility_many(ctx, [ctx.best] * 3, levels) == 1.0).all()
+        assert (implicit_utility_many(ctx, [ctx.worst] * 3, levels) == 0.0).all()

@@ -148,6 +148,22 @@ class TestSegmentAndPolytope:
         monkeypatch.setattr(scipy.optimize, "linprog", no_program)
         assert [simplex.contains(x) for x in points] == expected
 
+    def test_membership_program_solves_through_the_one_loader(self, monkeypatch):
+        from betweenu import separation, simplex
+
+        # The separation programs call the same loader.
+        assert separation.linprog is simplex.linprog
+        solve, calls = simplex.linprog, []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "linprog", recorded)
+        chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
+        assert chord.contains(lottery((0.4, 0.0, 0.6)))
+        assert len(calls) == 1
+
     def test_polytope_vertex_fast_path(self):
         chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
         assert chord.contains(degenerate(0, 3))
