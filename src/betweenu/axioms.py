@@ -37,7 +37,13 @@ _APPROACH_STEPS = 10
 @dataclass(frozen=True)
 class Witness:
     """One replayable counterexample: the lotteries involved, the mixing
-    weight if a mixture was formed, and the orderings actually observed."""
+    weight if a mixture was formed, and the orderings actually observed.
+
+    A Betweenness or MixingNeutrality witness's third lottery is the
+    mixture row that was keyed and compared: the probs of
+    ``mix(lam, x, y)`` unless ``mix`` would return ``x`` for equal parents
+    or renormalize a sum drifting past ``SUM_TOL``.
+    """
 
     lotteries: tuple[Lottery, ...]
     lam: float | None
@@ -157,6 +163,8 @@ def check_rationality(
     pair check always runs in full.  ``samples_checked`` counts pairs
     plus triples examined.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     samples = list(samples)
     k = len(samples)
     if k < 3:
@@ -250,9 +258,10 @@ def _weights(lambdas) -> list[float]:
     return lambdas
 
 
-def _mixture_witness(samples, xi, yi, lam: float, signs, note: str) -> Witness:
-    x, y = samples[xi], samples[yi]
-    return Witness((x, y, mix(lam, x, y)), lam, _orderings(*signs), note)
+def _mixture_witness(samples, xi, yi, lam: float, row, signs, note: str) -> Witness:
+    """The witness of the pair ``xi``, ``yi`` and its keyed mixture ``row``."""
+    mixture = Lottery._trusted(tuple(row.tolist()))
+    return Witness((samples[xi], samples[yi], mixture), lam, _orderings(*signs), note)
 
 
 def check_betweenness(model: PreferenceModel, samples, lambdas) -> AxiomReport:
@@ -273,12 +282,13 @@ def check_betweenness(model: PreferenceModel, samples, lambdas) -> AxiomReport:
     xs, ys = np.where(up, first, second), np.where(up, second, first)
     witnesses = []
     for lam in lambdas:
-        kz = model.keys(mix_rows(lam, rows[xs], rows[ys]))
+        mixed = mix_rows(lam, rows[xs], rows[ys])
+        kz = model.keys(mixed)
         above, above_robust = _signs(model, model.gaps(keys[xs], kz))
         below, below_robust = _signs(model, model.gaps(kz, keys[ys]))
         why = "mixture escapes the preference interval of its parents"
         witnesses += [
-            _mixture_witness(samples, xs[p], ys[p], lam, (above[p], below[p]), why)
+            _mixture_witness(samples, xs[p], ys[p], lam, mixed[p], (above[p], below[p]), why)
             for p in np.flatnonzero((above_robust < 0) | (below_robust < 0))
         ]
     return _finish("Betweenness", witnesses, samples_checked=len(xs) * len(lambdas))
@@ -304,12 +314,13 @@ def check_mixing_neutrality(model: PreferenceModel, samples, lambdas) -> AxiomRe
         )
     witnesses = []
     for lam in lambdas:
-        kz = model.keys(mix_rows(lam, rows[xs], rows[ys]))
+        mixed = mix_rows(lam, rows[xs], rows[ys])
+        kz = model.keys(mixed)
         to_x, to_x_robust = _signs(model, model.gaps(kz, keys[xs]))
         to_y, to_y_robust = _signs(model, model.gaps(kz, keys[ys]))
         why = "mixture of an indifferent pair is not indifferent to a parent"
         witnesses += [
-            _mixture_witness(samples, xs[p], ys[p], lam, (to_x[p], to_y[p]), why)
+            _mixture_witness(samples, xs[p], ys[p], lam, mixed[p], (to_x[p], to_y[p]), why)
             for p in np.flatnonzero((to_x_robust != 0) | (to_y_robust != 0))
         ]
     note = "" if len(xs) else "no indifferent pairs among samples"

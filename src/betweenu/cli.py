@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated utility levels for triangle/separation (default 0.2,0.4,0.6,0.8)",
         )
         cmd.add_argument(
-            "--seed", type=int, default=0, help="seed for subsampled checks (default 0)"
+            "--seed", type=int, default=0, help="seed for subsampled checks, >= 0 (default 0)"
         )
         cmd.add_argument("--out", default="out", help="output directory (default ./out)")
     return parser
@@ -291,6 +291,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
         if args.t_grid < 2:
             raise ValueError(f"--t-grid must be >= 2, got {args.t_grid}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         levels = _parse_levels(args.levels)
         if args.command in ("triangle", "separation"):
             levels = _interior(levels)

@@ -29,15 +29,21 @@ _ORACLE_GAPS = np.asarray([0.0, np.inf, -np.inf])
 
 
 class _ValueOracle(BlackBoxOracle):
-    """A comparison oracle keyed by value: ``value_fn`` runs once per row."""
+    """A comparison oracle keyed by value: ``value_fn`` runs once per
+    distinct row of a batch, in order of first appearance, so the first
+    row whose call raises is the first such row of the batch.  Rows equal
+    as tuples, as their lotteries are, share the one call."""
 
     def __init__(self, value_fn, compare_fn, n_outcomes: int, eps_pref: float):
         super().__init__(compare_fn, n_outcomes, eps_pref)
         self.value_fn = value_fn
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        lotteries = super().keys(rows)
-        return np.fromiter(map(self.value_fn, lotteries), dtype=float, count=len(lotteries))
+        at = {}  # each distinct row's probs -> its place among them
+        index = [at.setdefault(probs, len(at)) for probs in self._probs(rows)]
+        trusted, value_fn = Lottery._trusted, self.value_fn
+        values = np.fromiter((value_fn(trusted(p)) for p in at), dtype=float, count=len(at))
+        return values[index]
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         # compare_fn's verdicts as gaps: a NaN difference is dispreferred.
@@ -52,9 +58,10 @@ def oracle_from_value(
     """Wrap a scalar lottery-value function as a comparison oracle.
 
     ``compare_fn`` compares two values under the band ``eps_pref``.  The
-    solvers' keys are the float64 values, one ``value_fn`` call per lottery,
-    so ``value_fn`` must return a real number; the gaps stay infinite or
-    zero, so the checkers learn no more than ``compare`` tells them.
+    solvers' keys are the float64 values, one ``value_fn`` call per distinct
+    lottery of a batch, so ``value_fn`` must return a real number and give
+    equal lotteries equal values; the gaps stay infinite or zero, so the
+    checkers learn no more than ``compare`` tells them.
     """
     band = float(eps_pref)
 

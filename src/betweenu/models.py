@@ -342,14 +342,17 @@ class BlackBoxOracle(PreferenceModel):
         return out
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            map(Lottery._trusted, self._probs(rows)), dtype=object, count=len(rows)
+        )
+
+    def _probs(self, rows: np.ndarray):
+        """Each row's probs as a tuple, once the rows' width is checked."""
         if rows.shape[1] != self.n_outcomes:
             raise ValueError(
                 f"rows have {rows.shape[1]} outcomes, model expects {self.n_outcomes}"
             )
-        trusted = Lottery._trusted
-        return np.fromiter(
-            (trusted(tuple(row)) for row in rows.tolist()), dtype=object, count=len(rows)
-        )
+        return map(tuple, rows.tolist())
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         compare_fn = self.compare_fn

@@ -175,9 +175,11 @@ def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunc
 
     The programs share no variable and their L1 objectives add up, so one
     HiGHS call solves them as one block-diagonal program, one block being
-    the case of :func:`separate`.  If it fails, they are solved one by one
-    in order, and the first failing block raises the error :func:`separate`
-    on it would.
+    the case of :func:`separate`.  That program is infeasible exactly when
+    one of its blocks is, so an infeasible batch raises :class:`Infeasible`
+    with the batch's solver message at once.  Only if the call fails
+    otherwise are the blocks solved one by one in order, and the first
+    failing block raises the error :func:`separate` on it would.
     """
     from scipy.sparse import block_diag
 
@@ -203,7 +205,7 @@ def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunc
     )
     if result.status == 0:
         return [_normalized(ctx, t, x[:n] - x[n:]) for x in result.x.reshape(k, 2 * n)]
-    if k > 1:
+    if k > 1 and result.status != 2:  # 2: infeasible, so one block is
         return [f for samples in blocks for f in _separators(ctx, t, [samples])]
     raise Infeasible(
         f"no affine functional separates the sampled contour sets at level {t!r} "

@@ -116,6 +116,11 @@ class TestRationality:
         with pytest.raises(ValueError):
             check_rationality(eu_model, samples3()[:2])
 
+    def test_negative_seed_rejected_up_front(self, eu_model):
+        # 28 samples give 3,276 triples, so the seed would never be drawn from.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            check_rationality(eu_model, samples3(), seed=-1)
+
     def test_subsampling_is_seeded_and_reported(self, eu_model):
         pts = samples3()
         r1 = check_rationality(eu_model, pts, max_triples=100, seed=7)
@@ -152,6 +157,28 @@ class TestBetweenness:
     def test_lambdas_validated(self, eu_model):
         with pytest.raises(ValueError):
             check_betweenness(eu_model, samples3(), (0.0, 0.5))
+
+
+class TestMixtureWitnesses:
+    """A mixture witness holds the row that was keyed and compared; on the
+    CLI's grids that row is ``mix(lam, x, y)`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model, resolution",
+        [(quadratic_oracle(), 6), (quadratic_oracle(), 9), (jump_oracle(), 6), (cyclic_oracle(), 6)],
+        ids=["quadratic-6", "quadratic-9", "jump-6", "cyclic-6"],
+    )
+    def test_third_lottery_is_the_mixture(self, model, resolution):
+        samples = sorted(grid(model.n_outcomes, resolution))
+        witnesses = [
+            w
+            for check in (check_betweenness, check_mixing_neutrality)
+            for w in check(model, samples, LAMBDAS).witnesses
+        ]
+        assert witnesses
+        for w in witnesses:
+            x, y, z = w.lotteries
+            assert [p.hex() for p in z.probs] == [p.hex() for p in mix(w.lam, x, y).probs]
 
 
 class TestMixingNeutrality:

@@ -242,6 +242,14 @@ class TestInputErrors:
         assert main(["repr", "--model", model, "--grid", "0"]) == 2
         assert main(["repr", "--model", model, "--t-grid", "1"]) == 2
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        model = write_model(tmp_path, "quadratic.json", {"kind": "quadratic"})
+        out = tmp_path / "out"
+        argv = ["check", "--model", model, "--grid", "9", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_check_grid_too_small_for_rationality(self, tmp_path, capsys):
         # Two outcomes at resolution 1 give only the two vertices.
         model = write_model(tmp_path, "jump.json", {"kind": "jump"})

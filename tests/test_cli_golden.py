@@ -14,7 +14,11 @@ cell moved by 2.2e-11; every other file and record held), and
 ``triangle.{wu,da,kernel,cyclic}``, re-recorded when the tracer began to
 list a point found by both scanline families once.  ``repr.jump`` gained
 one digest, for the ``error.json`` record an exit 3 now writes; its other
-digests held.  So any change
+digests held.  ``separation.quadratic@0.8`` runs the quadratic oracle at
+``--levels 0.8``, where the simplex separator exists and the
+cross-polytope programs are infeasible together; it was recorded at commit
+89a9fe5, before an infeasible batch stopped being re-solved block by
+block.  So any change
 to a printed number shows up here.  To re-record after an intended output
 change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
 its output over ``GOLDEN``.
@@ -56,17 +60,20 @@ GRIDS = {"check": 6, "triangle": 6, "separation": 4}
 #: 3 (``MultipleFixedPoints``).
 REPR_GRIDS = {"eu": 6, "wu": 6, "da": 1, "kernel": 3, "cyclic": 2, "jump": 3}
 
-JOBS = [(cmd, model, GRIDS[cmd]) for cmd in GRIDS for model in MODELS] + [
-    ("repr", model, res) for model, res in REPR_GRIDS.items()
-]
+#: Jobs as (subcommand, model, grid, levels), each recorded under its name.
+JOBS = {
+    **{f"{cmd}.{model}": (cmd, model, GRIDS[cmd], "0.5") for cmd in GRIDS for model in MODELS},
+    **{f"repr.{model}": ("repr", model, res, "0.5") for model, res in REPR_GRIDS.items()},
+    "separation.quadratic@0.8": ("separation", "quadratic", GRIDS["separation"], "0.8"),
+}
 
 
-def run_job(root: str, cmd: str, model: str, res: int) -> dict:
+def run_job(root: str, cmd: str, model: str, res: int, levels: str) -> dict:
     spec = os.path.join(root, f"{model}.json")
     with open(spec, "w", encoding="utf-8") as fh:
         json.dump(MODELS[model], fh)
-    out = os.path.join(root, f"{cmd}.{model}")
-    argv = [cmd, "--model", spec, "--grid", str(res), "--levels", "0.5", "--out", out]
+    out = os.path.join(root, f"{cmd}.{model}@{levels}")
+    argv = [cmd, "--model", spec, "--grid", str(res), "--levels", levels, "--out", out]
     printed, errors = StringIO(), StringIO()
     with redirect_stdout(printed), redirect_stderr(errors):
         code = main(argv)
@@ -247,6 +254,14 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
     },
+    "separation.quadratic@0.8": {
+        "exit": 1,
+        "files": {
+            "separation.json": "f37f738eeca76b28a79155eb8486c80311833513be10842adde3f68f5d2c9937"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
+    },
     "separation.wu": {
         "exit": 0,
         "files": {
@@ -318,12 +333,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("cmd, model, res", JOBS, ids=[f"{c}.{m}" for c, m, _ in JOBS])
-def test_outputs_match_recorded_digests(tmp_path, cmd, model, res):
-    assert run_job(str(tmp_path), cmd, model, res) == GOLDEN[f"{cmd}.{model}"]
+@pytest.mark.parametrize("name", JOBS)
+def test_outputs_match_recorded_digests(tmp_path, name):
+    assert run_job(str(tmp_path), *JOBS[name]) == GOLDEN[name]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        records = {f"{c}.{m}": run_job(root, c, m, res) for c, m, res in JOBS}
+        records = {name: run_job(root, *job) for name, job in JOBS.items()}
     print("GOLDEN = " + json.dumps(records, indent=4, sort_keys=True))

@@ -555,15 +555,16 @@ class TestOracleCompareSchedule:
         return oracle, values, compares
 
     def test_value_oracle_fixed_point_call_count(self):
-        # A value oracle keys each row by one value_fn call and never asks
-        # compare_fn on the solver path; comparing each pair by its two
-        # values made 57,304 value_fn calls here, and full mixing solves at
-        # the plateau edges 18,313.
+        # A value oracle keys each distinct row of a batch by one value_fn
+        # call and never asks compare_fn on the solver path; comparing each
+        # pair by its two values made 57,304 value_fn calls here, full
+        # mixing solves at the plateau edges 18,313, and one call per row,
+        # repeats included (the MU_FLOOR probe's), 9,705.
         oracle, values, compares = self.counted_value_oracle()
         ctx = context_for(oracle)
         values.clear()
         utility_fixed_point_many(ctx, sorted(grid(3, 3)))
-        assert (len(values), len(compares)) == (9705, 0)
+        assert (len(values), len(compares)) == (1577, 0)
 
     def test_extremes_key_each_vertex_once(self):
         # Ranking the vertices one compare call at a time made 5 compare_fn

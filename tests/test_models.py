@@ -513,6 +513,37 @@ class TestValueKeyedOracle:
         assert pairs.tolist() == twin.gaps(twin_keys[first], twin_keys[second]).tolist()
         assert against_one.tolist() == twin.gaps(twin_keys, twin_keys[:1]).tolist()
 
+    def test_keys_call_value_fn_once_per_distinct_row(self):
+        seen = []
+
+        def value_fn(x):
+            seen.append(x.probs)
+            return x.probs[0] / 3.0 + x.probs[1] ** 2 - math.sqrt(x.probs[2])
+
+        oracle = oracle_from_value(value_fn, 3)
+        distinct = lottery_rows([x.probs for x in sorted(grid(3, 7))], 3)
+        order = [3, 0, 3, 7, 0, 0, 7, 1, 3]
+        keys = oracle.keys(distinct[order])
+        assert seen == [tuple(distinct[i].tolist()) for i in (3, 0, 7, 1)]
+        per_row = [value_fn(Lottery(tuple(distinct[i].tolist()))) for i in order]
+        assert [k.hex() for k in keys.tolist()] == [v.hex() for v in per_row]
+        assert oracle.keys(distinct[:0]).tolist() == []
+
+    def test_raising_value_fn_raises_on_the_first_raising_row(self):
+        seen = []
+
+        def value_fn(x):
+            seen.append(x.probs)
+            if x.probs[0] in (0.25, 0.5):
+                raise ZeroDivisionError(f"planted at {x.probs}")
+            return x.probs[1]
+
+        oracle = oracle_from_value(value_fn, 2)
+        rows = np.asarray([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]])
+        with pytest.raises(ZeroDivisionError, match=r"planted at \(0\.5, 0\.5\)"):
+            oracle.keys(rows)
+        assert seen == [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)]
+
     def test_raising_value_fn_gives_the_same_completeness_witnesses(self):
         def value_fn(x):
             if x.probs[0] == 0.5:

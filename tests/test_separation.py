@@ -243,18 +243,60 @@ class TestBatchedSeparation:
         assert len(calls) == 4
         assert [call["c"].size for call in calls] == [6, 180, 6, 180]
 
-    def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch):
+    @staticmethod
+    def one_infeasible_block():
+        """A quadratic-oracle context, three blocks of which only the middle
+        one is infeasible at level 0.5, and that block's error alone."""
         ctx = context_for(quadratic_oracle())
         chord = sorted(chord_point(ctx, s) for s in (0.0, 0.25, 0.5, 0.75, 1.0))
         bowed = sorted(grid(3, 6))
         with pytest.raises(Infeasible) as single:
             separate(ctx, 0.5, full_simplex(3), bowed)
+        return ctx, [chord, bowed, chord], str(single.value)
+
+    def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch):
+        ctx, blocks, message = self.one_infeasible_block()
         calls = self.counted_linprog(monkeypatch)
         with pytest.raises(Infeasible) as batched:
-            separation._separators(ctx, 0.5, [chord, bowed, chord])
-        assert str(batched.value) == str(single.value)
+            separation._separators(ctx, 0.5, blocks)
+        assert str(batched.value) == message
+        # An infeasible batch holds an infeasible block, so it is not re-solved
+        # block by block (which took [18, 6, 6]).
+        assert [call["c"].size for call in calls] == [18]
+
+    @staticmethod
+    def failing_batch(monkeypatch) -> list:
+        """Make the first HiGHS call report status 4, a numerical failure,
+        and record every call's variable count."""
+        sizes = []
+        solve = separation.linprog
+
+        def flaky(**kwargs):
+            sizes.append(kwargs["c"].size)
+            result = solve(**kwargs)
+            if len(sizes) == 1:
+                result.status, result.message = 4, "planted numerical difficulty"
+            return result
+
+        monkeypatch.setattr(separation, "linprog", flaky)
+        return sizes
+
+    def test_a_batch_failing_otherwise_is_solved_block_by_block(self, wu_model, monkeypatch):
+        ctx = context_for(wu_model)
+        blocks = [contour_samples(ctx, 0.4, p) for p in query_polytopes(ctx, grid(3, 3)[4])]
+        expected = separation._separators(ctx, 0.4, blocks)
+        sizes = self.failing_batch(monkeypatch)
+        assert separation._separators(ctx, 0.4, blocks) == expected
+        assert sizes == [18, 6, 6, 6]
+
+    def test_a_block_solved_after_a_failing_batch_raises_its_own_error(self, monkeypatch):
+        ctx, blocks, message = self.one_infeasible_block()
+        sizes = self.failing_batch(monkeypatch)
+        with pytest.raises(Infeasible) as batched:
+            separation._separators(ctx, 0.5, blocks)
+        assert str(batched.value) == message
         # The batch, then the blocks one by one up to the failing one.
-        assert [call["c"].size for call in calls] == [18, 6, 6]
+        assert sizes == [18, 6, 6]
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_batch_matches_separate_bitwise(self, family_model, t):
