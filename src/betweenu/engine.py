@@ -75,6 +75,10 @@ _FLOOR_STEPS = -math.floor(math.log2(MU_FLOOR)) - 1
 
 _LIMIT_DELTA = 1e-4
 
+#: Uniform levels, endpoints included, that :func:`utility_fixed_point_many`
+#: scans per lottery.
+_SCAN_LEVELS = 1000
+
 #: Rows of a context's ``_ends`` (and ``_end_keys``): the best extreme, then the worst.
 _BEST, _WORST = 0, 1
 
@@ -460,18 +464,18 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     return out
 
 
-def utility_fixed_point(ctx: RepresentationContext, x: Lottery, n_scan: int = 1000) -> float:
+def utility_fixed_point(ctx: RepresentationContext, x: Lottery) -> float:
     """The level solving ``t = u(x, t)``, located without :func:`solve_utility`.
 
     A one-row call of :func:`utility_fixed_point_many`.
     """
-    return float(utility_fixed_point_many(ctx, [x], n_scan)[0])
+    return float(utility_fixed_point_many(ctx, [x])[0])
 
 
-def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000) -> np.ndarray:
+def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     """Vectorized :func:`utility_fixed_point` over lottery rows or Lottery lists.
 
-    Scans ``n_scan`` uniform levels (endpoints included) per lottery,
+    Scans 1000 uniform levels (endpoints included) per lottery,
     verifies the residual ``u(x, t) - t`` crosses zero once, then bisects
     the bracketing cell down to the context tolerance.  The endpoint
     indicators force the residual to start >= 0 and end <= 0, so it
@@ -509,15 +513,10 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     wider than ``tol_t`` after ``max_iter`` steps raises
     :class:`IterationLimit`.
     """
-    if not (math.isfinite(n_scan) and n_scan == math.floor(n_scan)):
-        raise ValueError(f"n_scan must be an integer, got {n_scan!r}")
-    n_scan = int(n_scan)
-    if n_scan < 3:
-        raise ValueError(f"need at least 3 scan points, got {n_scan}")
     rows = _as_rows(ctx, xs)
-    model, m = ctx.model, n_scan - 2
+    model, m = ctx.model, _SCAN_LEVELS - 2
     eval_ctx = replace(ctx, tol_t=min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12)))
-    ts = np.linspace(0.0, 1.0, n_scan)
+    ts = np.linspace(0.0, 1.0, _SCAN_LEVELS)
     k_chord = _chord_keys(eval_ctx, ts[1:-1])
     kx = model.keys(rows)
     # The endpoint signs follow the indicators of implicit_utility.
@@ -529,7 +528,7 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
     # Lotteries whose fixed point lies strictly inside a scan cell, with
     # the cell's ends.
     inside, cell_lo, cell_hi = [], [], []
-    # One scan per lottery keeps the working set at n_scan rows.
+    # One scan per lottery keeps the working set at one row per scan level.
     for i, row in enumerate(rows):
         scan_rows, k_scan = np.repeat(row[None, :], m, axis=0), np.repeat(kx[i : i + 1], m)
         inner = _residual_signs(eval_ctx, scan_rows, ts[1:-1], k_scan, k_chord, across)
@@ -542,9 +541,9 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs, n_scan: int = 1000)
                 row=probs,
             )
         k, zeros = int(np.count_nonzero(sign > 0.0)), int(np.count_nonzero(sign == 0.0))
-        if zeros and (k == 0 or k + zeros == n_scan):
+        if zeros and (k == 0 or k + zeros == _SCAN_LEVELS):
             # Best first, as solve_utility's shortcut, should a run span the scan.
-            out[i] = 1.0 if k + zeros == n_scan else 0.0
+            out[i] = 1.0 if k + zeros == _SCAN_LEVELS else 0.0
             continue
         # The cell from the last positive residual to the first negative one.
         inside.append(i)

@@ -2,7 +2,8 @@
 
 The CLI reads models from files; tests and embedders can call
 :func:`model_from_spec` on a plain dict.  Every description carries a
-``kind`` plus kind-specific fields, and optionally ``eps_pref``:
+``kind`` plus kind-specific fields, and optionally ``eps_pref``; any
+other field raises ``ValueError`` naming it:
 
     {"kind": "expected_utility", "u": [0.0, 0.4, 1.0]}
     {"kind": "weighted_utility", "u": [...], "w": [...]}
@@ -16,6 +17,9 @@ can be pointed at known-bad preferences:
     {"kind": "cyclic_oracle"}
     {"kind": "jump", "threshold": 0.5, "drop": 0.2}
     {"kind": "quadratic", "matrix": [[...], ...]}
+
+The fields of ``jump`` and ``quadratic`` are optional; the default matrix
+is ``[[0, 1, 0], [1, 0, 0], [0, 0, 1]]``.
 """
 
 from __future__ import annotations
@@ -33,18 +37,23 @@ from .models import (
     WeightedUtility,
 )
 
-KINDS = (
-    "expected_utility",
-    "weighted_utility",
-    "disappointment_aversion",
-    "implicit_kernel",
-    "cyclic_oracle",
-    "jump",
-    "quadratic",
-)
-
-
 _REQUIRED = object()
+
+#: Each kind's constructor, and its fields in argument order as
+#: ``(name, default, array)``; ``eps_pref`` follows them as the last argument.
+KINDS = {
+    "expected_utility": (ExpectedUtility, (("u", _REQUIRED, True),)),
+    "weighted_utility": (WeightedUtility, (("u", _REQUIRED, True), ("w", _REQUIRED, True))),
+    "disappointment_aversion": (
+        DisappointmentAversion, (("u", _REQUIRED, True), ("beta", _REQUIRED, False))
+    ),
+    "implicit_kernel": (
+        ImplicitKernel, (("t_grid", _REQUIRED, True), ("phi", _REQUIRED, True))
+    ),
+    "cyclic_oracle": (cyclic_oracle, ()),
+    "jump": (jump_oracle, (("threshold", 0.5, False), ("drop", 0.2, False))),
+    "quadratic": (quadratic_oracle, (("matrix", None, True),)),
+}
 
 
 def _is_numbers(value, array: bool) -> bool:
@@ -72,32 +81,27 @@ def _field(spec: dict, key: str, kind: str, default=_REQUIRED, array: bool = Fal
 
 
 def model_from_spec(spec: dict) -> PreferenceModel:
-    """Instantiate the model a JSON-style dict describes."""
+    """Instantiate the model a JSON-style dict describes.
+
+    A field that is neither ``kind``, ``eps_pref`` nor one of the kind's
+    own raises ``ValueError`` naming it, so a misspelt field is not
+    silently replaced by its default.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"model description must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {', '.join(KINDS)}")
+    build, fields = KINDS[kind]
+    known = ["kind", "eps_pref", *(name for name, _, _ in fields)]
+    for key in spec:
+        if key not in known:
+            raise ValueError(
+                f"model kind {kind!r} has no field {key!r}; its fields are {', '.join(known)}"
+            )
     eps_pref = _field(spec, "eps_pref", kind, DEFAULT_EPS_PREF)
-
-    def arrays(*keys):
-        return [_field(spec, key, kind, array=True) for key in keys]
-
-    if kind == "expected_utility":
-        return ExpectedUtility(*arrays("u"), eps_pref)
-    if kind == "weighted_utility":
-        return WeightedUtility(*arrays("u", "w"), eps_pref)
-    if kind == "disappointment_aversion":
-        return DisappointmentAversion(*arrays("u"), _field(spec, "beta", kind), eps_pref)
-    if kind == "implicit_kernel":
-        return ImplicitKernel(*arrays("t_grid", "phi"), eps_pref)
-    if kind == "cyclic_oracle":
-        return cyclic_oracle(eps_pref)
-    if kind == "jump":
-        return jump_oracle(
-            _field(spec, "threshold", kind, 0.5), _field(spec, "drop", kind, 0.2), eps_pref
-        )
-    return quadratic_oracle(_field(spec, "matrix", kind, None, array=True), eps_pref)
+    args = [_field(spec, name, kind, default, array) for name, default, array in fields]
+    return build(*args, eps_pref)
 
 
 def load_model(path: str) -> PreferenceModel:

@@ -38,6 +38,10 @@ SEPARATION_BAND = 1e-7
 
 _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
 
+#: Largest spread, among the separator values at a lottery and the engine's
+#: value, that :func:`cross_polytope_consistency` passes.
+CROSS_POLYTOPE_TOL = 1e-6
+
 
 def _record(check) -> dict:
     """A result's fields by name, for JSON, with tuples as lists."""
@@ -186,15 +190,13 @@ def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunc
     ubs = _inequalities(ctx, t, blocks)
     n, k = ctx.model.n_outcomes, len(ubs)
     eq = _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
-    a_ub, a_eq = block_diag([ub[:, :-1] for ub in ubs]), block_diag([eq[:, :-1]] * k)
-    has_ub = sum(map(len, ubs)) > 0
     # The solver's feasibility tolerance must sit far below the band,
     # or constraint residuals eat the verification headroom.
     result = linprog(
         c=np.ones(2 * n * k),
-        A_ub=a_ub if has_ub else None,
-        b_ub=np.concatenate([ub[:, -1] for ub in ubs]) if has_ub else None,
-        A_eq=a_eq,
+        A_ub=block_diag([ub[:, :-1] for ub in ubs]),
+        b_ub=np.concatenate([ub[:, -1] for ub in ubs]),
+        A_eq=block_diag([eq[:, :-1]] * k),
         b_eq=np.tile(eq[:, -1], k),
         bounds=[(0.0, None)] * (2 * n * k),
         method="highs",
@@ -271,25 +273,19 @@ def verify_separation(
     )
 
 
-def contour_samples(
-    ctx: RepresentationContext,
-    t: float,
-    polytope: Polytope,
-    include=(),
-) -> list[Lottery]:
+def contour_samples(ctx: RepresentationContext, t: float, polytope: Polytope) -> list[Lottery]:
     """A deterministic sample set inside the polytope for level ``t``.
 
     Combines the polytope's vertices, points along the extremes' chord,
-    the chord point itself, any extra lotteries in ``include``, and for
-    each vertex and included lottery the point where its segment toward
-    the opposite extreme crosses the contour of the chord point.  The
-    crossing points pin the functional along the contour, which is what
-    makes the separator's value at the included lotteries comparable to
+    the chord point itself, and for each vertex the point where its
+    segment toward the opposite extreme crosses the contour of the chord
+    point.  The crossing points pin the functional along the contour,
+    which is what makes the separator's value at a vertex comparable to
     the engine's to high accuracy.  Points are deduplicated and sorted.
     """
     t = _level(t)
     _require_extremes(ctx, polytope)
-    points = list(polytope.vertices) + list(include)
+    points = polytope.vertices
     return _sample_set(points, _crossings(ctx, t, points), _chords(ctx, t))
 
 
@@ -316,24 +312,22 @@ def _sample_set(points, crossings: dict, chords) -> list[Lottery]:
 
 
 def cross_polytope_consistency(
-    ctx: RepresentationContext,
-    x: Lottery,
-    t: float,
-    polytopes,
-    tol: float = 1e-6,
+    ctx: RepresentationContext, x: Lottery, t: float, polytopes
 ) -> CrossPolytopeCheck:
     """The separator value at ``x`` must not depend on the polytope.
 
     Solves the separation program inside every polytope (each must
-    contain ``x`` and both extremes) and compares all resulting values at
-    ``x`` with one another and with the engine's mixing-based value: a
-    one-lottery :func:`cross_polytope_consistency_many`.
+    contain ``x`` and both extremes) on its :func:`contour_samples` with
+    ``x`` added as a vertex, and passes when all resulting values at
+    ``x`` and the engine's mixing-based value lie within
+    :data:`CROSS_POLYTOPE_TOL` of one another: a one-lottery
+    :func:`cross_polytope_consistency_many`.
     """
-    return cross_polytope_consistency_many(ctx, [x], t, [polytopes], tol)[0]
+    return cross_polytope_consistency_many(ctx, [x], t, [polytopes])[0]
 
 
 def cross_polytope_consistency_many(
-    ctx: RepresentationContext, xs, t: float, polytopes, tol: float = 1e-6
+    ctx: RepresentationContext, xs, t: float, polytopes
 ) -> list[CrossPolytopeCheck]:
     """:func:`cross_polytope_consistency` of each lottery in ``xs`` in its
     own list of polytopes, the matching entry of ``polytopes``, at level ``t``.
@@ -345,7 +339,7 @@ def cross_polytope_consistency_many(
     :func:`contour_samples`; all the separation programs are solved in one
     HiGHS call (see :func:`_separators`).
     """
-    t = _level(t)
+    t, tol = _level(t), CROSS_POLYTOPE_TOL
     queries = [(x, list(polys)) for x, polys in zip(xs, polytopes, strict=True)]
     for x, polys in queries:
         if not polys:

@@ -138,8 +138,9 @@ def collinearity_residual(points) -> float:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_svg(curves, best: Lottery | None = None, worst: Lottery | None = None) -> str:
-    """A flat static rendering of the traced curves inside the triangle.
+def render_svg(curves, best: Lottery, worst: Lottery) -> str:
+    """A flat static rendering of the traced curves inside the triangle,
+    with the corners of the ``best`` and ``worst`` extremes labelled.
 
     Pure string assembly with fixed formatting, so identical inputs give
     identical bytes.
@@ -170,9 +171,9 @@ def render_svg(curves, best: Lottery | None = None, worst: Lottery | None = None
     offsets = ((-12.0, 16.0), (6.0, 16.0), (0.0, -10.0))
     for i, ((px, py), (dx, dy)) in enumerate(zip(corner_px, offsets)):
         tag = ""
-        if best is not None and degenerate(i, 3).probs == best.probs:
+        if degenerate(i, 3).probs == best.probs:
             tag = " (best)"
-        elif worst is not None and degenerate(i, 3).probs == worst.probs:
+        elif degenerate(i, 3).probs == worst.probs:
             tag = " (worst)"
         parts.append(
             f'<text x="{fmt(px + dx)}" y="{fmt(py + dy)}" font-family="sans-serif" '

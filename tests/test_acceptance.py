@@ -124,7 +124,7 @@ def test_03_unique_fixed_point():
     scanned = 0
     for name, model in sorted(family_models().items()):
         ctx = context_for(model)
-        roots = utility_fixed_point_many(ctx, points, n_scan=1000)
+        roots = utility_fixed_point_many(ctx, points)
         worst_gap = max(worst_gap, float(np.abs(roots - solve_utility_many(ctx, points)).max()))
         # The search reads its scan signs off chord comparisons; the
         # single crossing is checked here on u itself.

@@ -112,6 +112,25 @@ class TestRationality:
         # The failed pair drops out of the pair count and of every triple.
         assert report.samples_checked == math.comb(k, 2) - 1 + math.comb(k, 3) - (k - 2)
 
+    def test_pair_strict_both_ways_is_recorded(self):
+        pts = samples3()
+        a, b = pts[3], pts[10]
+        base = oracle_from_value(lambda x: x.probs[2], 3).compare_fn
+
+        def compare_fn(x, y):
+            if {x.probs, y.probs} == {a.probs, b.probs}:
+                return Ordering.STRICTLY_PREFERS
+            return base(x, y)
+
+        report = check_rationality(BlackBoxOracle(compare_fn, 3), pts)
+        both = (Ordering.STRICTLY_PREFERS, Ordering.STRICTLY_PREFERS)
+        assert [w.to_dict() for w in report.witnesses] == [
+            Witness((a, b), None, both, "swapped comparison is not the converse").to_dict()
+        ]
+        k = len(pts)
+        # The pair drops out of the pair count and of every triple.
+        assert report.samples_checked == math.comb(k, 2) - 1 + math.comb(k, 3) - (k - 2)
+
     def test_needs_three_samples(self, eu_model):
         with pytest.raises(ValueError):
             check_rationality(eu_model, samples3()[:2])
@@ -122,9 +141,9 @@ class TestRationality:
             check_rationality(eu_model, samples3(), seed=-1)
 
     def test_subsampling_is_seeded_and_reported(self, eu_model):
-        pts = samples3()
-        r1 = check_rationality(eu_model, pts, max_triples=100, seed=7)
-        r2 = check_rationality(eu_model, pts, max_triples=100, seed=7)
+        pts = sorted(grid(3, 9))  # 26,235 triples
+        r1 = check_rationality(eu_model, pts, seed=7)
+        r2 = check_rationality(eu_model, pts, seed=7)
         assert "seed 7" in r1.note and "subsampled" in r1.note
         assert r1.samples_checked == r2.samples_checked
         assert r1.witnesses == r2.witnesses

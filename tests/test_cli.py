@@ -250,6 +250,19 @@ class TestInputErrors:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_unknown_field_rejected(self, tmp_path, capsys):
+        # A misspelt eps_pref would otherwise leave the band at its default.
+        spec = {"kind": "expected_utility", "u": [0, 0.4, 1], "eps-pref": 1e-3}
+        model = write_model(tmp_path, "eu.json", spec)
+        out = tmp_path / "out"
+        assert main(["repr", "--model", model, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: model kind 'expected_utility' has no field 'eps-pref'; "
+            "its fields are kind, eps_pref, u\n",
+        )
+        assert not out.exists()
+
     def test_check_grid_too_small_for_rationality(self, tmp_path, capsys):
         # Two outcomes at resolution 1 give only the two vertices.
         model = write_model(tmp_path, "jump.json", {"kind": "jump"})

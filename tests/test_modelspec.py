@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from betweenu import (
     load_model,
     model_from_spec,
 )
+from betweenu.modelspec import KINDS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestModelFromSpec:
@@ -59,6 +63,33 @@ class TestModelFromSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             model_from_spec({"kind": "prospect_theory"})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "expected_utility", "u": [0, 0.4, 1], "eps-pref": 1e-3}, "eps-pref"),
+            ({"kind": "quadratic", "matrx": [[1.0, 0.0], [0.0, 1.0]]}, "matrx"),
+            ({"kind": "cyclic_oracle", "u": [0.0, 1.0]}, "u"),
+            ({"kind": "disappointment_aversion", "u": [0.0, 1.0], "beta": 1.0, "w": [1, 1]}, "w"),
+        ],
+    )
+    def test_unknown_fields_rejected_naming_them(self, spec, field):
+        with pytest.raises(ValueError, match=f"has no field '{field}'"):
+            model_from_spec(spec)
+
+    def test_readme_schema_builds(self):
+        # Every description of the README's schema block, read one after another.
+        text = README.read_text(encoding="utf-8")
+        block = text.split("### Model description schema", 1)[1]
+        block = block.split("```json\n", 1)[1].split("```", 1)[0]
+        decoder, specs, at = json.JSONDecoder(), [], 0
+        while block[at:].strip():
+            at = len(block) - len(block[at:].lstrip())
+            spec, at = decoder.raw_decode(block, at)
+            specs.append(spec)
+        assert [spec["kind"] for spec in specs] == list(KINDS)
+        for spec in specs:
+            model_from_spec(spec)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ class TestSeparate:
         monkeypatch.setattr(separation, "linprog", recorded)
         functional = separate(ctx, 0.5, full_simplex(3), [])
         assert len(calls) == 1
-        assert calls[0]["A_ub"] is None and calls[0]["b_ub"] is None
+        assert calls[0]["A_ub"].shape[0] == 0 and len(calls[0]["b_ub"]) == 0
         assert functional.value(ctx.best) == 1.0
         assert functional.value(ctx.worst) == 0.0
 
@@ -304,7 +304,7 @@ class TestBatchedSeparation:
         queries = sorted(grid(3, 3))
         polytopes = [query_polytopes(ctx, x) for x in queries]
         blocks = [
-            (x, p, contour_samples(ctx, t, p, include=[x]))
+            (x, p, contour_samples(ctx, t, Polytope((*p.vertices, x))))
             for x, polys in zip(queries, polytopes)
             for p in polys
         ]

@@ -61,6 +61,15 @@ class TestMix:
         for lam in (0.0, 0.1, 0.5, 0.77, 1.0):
             assert mix(lam, x, x) == x
 
+    def test_drifting_sum_is_renormalized(self):
+        lam = 0.5396174484497788
+        x = lottery((0.16859429703830597, 0.831405702960694))
+        y = lottery((0.9820766375385342, 0.017923362460465754))
+        raw = mix_rows(lam, x.probs, y.probs).tolist()
+        total = math.fsum(raw)
+        assert total == 0.9999999999989999
+        assert mix(lam, x, y).probs == tuple(p / total for p in raw)
+
     def test_rejects_bad_weight_and_dims(self):
         x, y = lottery((0.2, 0.8)), lottery((0.6, 0.4))
         with pytest.raises(ValueError):

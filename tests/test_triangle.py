@@ -9,6 +9,7 @@ from betweenu import (
     collinearity_residual,
     context_for,
     degenerate,
+    chord_point,
     embed_coords,
     lottery,
     quadratic_oracle,
@@ -106,6 +107,14 @@ class TestTraceLevelCurves:
         lattice = np.array([16.0, 4.0, 3.0]) / 23.0
         near = [p for p in curve.points if np.abs(p.as_array() - lattice).max() <= 1e-9]
         assert len(near) == 1
+
+    def test_level_on_a_scanline_lists_its_chord_point_once(self, eu_model):
+        # The scanline from this chord point ties the level at its end, so
+        # the chord point is found twice: as itself and as that end.
+        ctx = context_for(eu_model)
+        level = float(np.linspace(0, 1, 24)[5])
+        (curve,) = trace_level_curves(ctx, (level,))
+        assert curve.points.count(chord_point(ctx, level)) == 1
 
     def test_validates_inputs(self, eu_model):
         ctx = context_for(eu_model)
