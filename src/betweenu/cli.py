@@ -18,8 +18,13 @@ CSV layout: lottery components first, then inputs such as the level,
 then computed quantities.  Input columns are printed with full
 round-trip precision so every row can be recomputed by calling the
 matching library operation; computed columns carry 12 significant
-digits.  All outputs are byte-deterministic for a fixed model, flags,
-and seed.
+digits.  Every JSON file holds exactly ``json.dumps(payload, indent=2,
+sort_keys=True)`` and one newline: two-space indentation, sorted keys,
+non-ASCII characters as ``\\uXXXX`` escapes, floats as ``repr`` spells
+them (``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones),
+and a trailing newline; :func:`_write_json` streams that text without
+building it whole.  All outputs are byte-deterministic for a fixed model,
+flags, and seed.
 
 Exit codes: 0 ok, 1 a property or check failed, 2 input error,
 3 numeric failure inside the construction, also recorded in error.json
@@ -31,9 +36,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import functools
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -125,9 +132,138 @@ def _write_csv(path: str, header, rows) -> None:
     _write_text(path, "".join(",".join(fields) + "\n" for fields in [header, *rows]))
 
 
+#: One level of JSON indentation.
+_INDENT = "  "
+#: The types json writes as arrays.
+_LIST = (list, tuple)
+
+
+def _scalar(v) -> str | None:
+    """``v`` as json spells a string, None, bool, int or float (NaN and the
+    infinities by name); None for any other value."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    return None
+
+
+def _flat(items, sep: str) -> str | None:
+    """The ``sep``-joined texts of a non-empty list or tuple of floats or of
+    strings, or None for any other value."""
+    if not isinstance(items, _LIST) or not items:
+        return None
+    try:
+        if isinstance(items[0], str):
+            return sep.join(map(encode_basestring_ascii, items))
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:  # float.__repr__ or the encoder met another type
+        return None
+    # float.__repr__ spells NaN and the infinities nan, inf and -inf.
+    return sep.join(map(_scalar, items)) if "n" in text else text
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a scalar other than a string as the
+    string of its JSON text."""
+    text = key if isinstance(key, str) else _scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+_WITNESS_KEYS = {"lam", "lotteries", "note", "observed"}
+
+
+@functools.cache
+def _witness_template(nl: str) -> tuple[str, str, str, str]:
+    """The format of a witness dict opened at newline-and-indent ``nl``,
+    and the separators of its probabilities, its rows and its orderings."""
+    i1 = nl + _INDENT
+    i2 = i1 + _INDENT
+    i3 = i2 + _INDENT
+    text = (
+        f'{{{i1}"lam": %s,{i1}"lotteries": [{i2}[{i3}%s{i2}]{i1}],{i1}"note": %s,'
+        f'{i1}"observed": [{i2}%s{i1}]{nl}}}'
+    )
+    return text, "," + i3, f"{i2}],{i2}[{i3}", "," + i2
+
+
+def _witness(w: dict, nl: str) -> str | None:
+    """The text of a :class:`~betweenu.axioms.Witness` dict opened at
+    newline-and-indent ``nl``; None unless ``lam`` is a finite float or
+    None, ``lotteries`` a non-empty list of non-empty lists of finite
+    floats, ``note`` a string and ``observed`` a non-empty list of strings."""
+    text, in_row, between_rows, in_observed = _witness_template(nl)
+    lam, rows, note, observed = w["lam"], w["lotteries"], w["note"], w["observed"]
+    if not (isinstance(rows, _LIST) and rows and isinstance(observed, _LIST) and observed):
+        return None
+    for row in rows:
+        if not (isinstance(row, _LIST) and row):
+            return None
+    try:  # float.__repr__ and the encoder type-check every value
+        lam_text = "null" if lam is None else float.__repr__(lam)
+        probs = between_rows.join([in_row.join(map(float.__repr__, row)) for row in rows])
+        text %= (lam_text, probs, encode_basestring_ascii(note), in_observed.join(
+            map(encode_basestring_ascii, observed)
+        ))
+    except TypeError:
+        return None
+    # float.__repr__ spells NaN and the infinities nan, inf and -inf.
+    if "n" in probs or (lam is not None and "n" in lam_text):
+        return None
+    return text
+
+
+def _dump(value, write, nl: str = "\n") -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2, sort_keys=True)``
+    spells it, opened at newline-and-indent ``nl``, piece by piece."""
+    text = _scalar(value)
+    if text is not None:
+        write(text)
+    elif isinstance(value, _LIST):
+        inner = nl + _INDENT
+        flat = _flat(value, "," + inner)
+        if flat is not None:
+            write(f"[{inner}{flat}{nl}]")
+        elif not value:
+            write("[]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                _dump(item, write, inner)
+                sep = "," + inner
+            write(nl + "]")
+    elif isinstance(value, dict):
+        inner = nl + _INDENT
+        text = _witness(value, nl) if value.keys() == _WITNESS_KEYS else None
+        if text is not None:
+            write(text)
+        elif not value:
+            write("{}")
+        else:
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                write(f"{sep}{_key(key)}: ")
+                _dump(item, write, inner)
+                sep = "," + inner
+            write(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, payload, announce: bool = True) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline
+    to ``path`` without building the whole text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        _dump(payload, fh.write)
         fh.write("\n")
     if announce:
         print(f"wrote {path}")

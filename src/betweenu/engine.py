@@ -206,8 +206,10 @@ def chord_point(ctx: RepresentationContext, t: float) -> Lottery:
 
 
 def _as_rows(ctx: RepresentationContext, xs) -> np.ndarray:
+    """``xs`` (an array, or a list of Lotteries and plain rows) as
+    validated lottery rows."""
     if not isinstance(xs, np.ndarray):
-        xs = [x.probs for x in xs]
+        xs = [x.probs if isinstance(x, Lottery) else x for x in xs]
     return lottery_rows(xs, ctx.model.n_outcomes)
 
 

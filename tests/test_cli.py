@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betweenu
 from betweenu import cli, context_for, implicit_utility, load_model, lottery, solve_utility
@@ -350,3 +353,98 @@ class TestColdStart:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def dumped(payload) -> str:
+    """The text ``cli._dump`` writes for ``payload``."""
+    pieces = []
+    cli._dump(payload, pieces.append)
+    return "".join(pieces)
+
+
+#: Floats json spells in its own way or that round-trip awkwardly.
+ODD_FLOATS = (-0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf, 1e16, 0.1, 1 / 3)
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(ODD_FLOATS), st.floats().map(np.float64))
+#: Non-ASCII text and characters that need escaping, and plain text.
+TEXTS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00", "é", "\u2028", "\U0001f600"]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXTS)
+#: Dicts shaped as ``Witness.to_dict`` makes them, with any floats.
+WITNESSES = st.fixed_dictionaries(
+    {
+        "lam": st.one_of(st.none(), FLOATS),
+        "lotteries": st.lists(st.lists(FLOATS, min_size=1, max_size=4), min_size=1, max_size=3),
+        "note": TEXTS,
+        "observed": st.lists(TEXTS, min_size=1, max_size=3),
+    }
+)
+#: Values of each witness key that the template does not spell, or spells
+#: from another type: an int or bool ``lam``, an empty list or row, a row
+#: that is a tuple or holds ints, a ``note`` or an ordering that is no
+#: string.
+ODD_VALUES = {
+    "lam": st.one_of(st.integers(), st.booleans()),
+    "lotteries": st.one_of(
+        st.just([]),
+        st.lists(st.lists(FLOATS, max_size=2), min_size=1, max_size=3),
+        st.lists(st.lists(st.one_of(FLOATS, st.integers()), max_size=4).map(tuple), max_size=3),
+    ),
+    "note": st.one_of(st.none(), st.integers()),
+    "observed": st.one_of(st.just([]), st.lists(SCALARS, max_size=2)),
+}
+#: Witness dicts with one value replaced by an odd one.
+ODD_WITNESSES = st.one_of(
+    *(
+        st.tuples(WITNESSES, odd).map(lambda pair, key=key: {**pair[0], key: pair[1]})
+        for key, odd in ODD_VALUES.items()
+    )
+)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, WITNESSES, ODD_WITNESSES, st.lists(FLOATS), st.lists(TEXTS)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXTS, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(FLOATS, children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(PAYLOADS)
+    def test_writes_what_json_dumps_writes(self, payload):
+        assert dumped(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(WITNESSES, ODD_WITNESSES))
+    def test_writes_witness_dicts_as_json_dumps_does(self, witness):
+        assert dumped([witness]) == json.dumps([witness], indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    def test_witness_records_take_the_template(self, lam):
+        witness = {
+            "lam": lam,
+            "lotteries": [[0.0, 0.25, 0.75], [1.0, 0.0, -0.0]],
+            "note": "mixture escapes the preference interval of its parents",
+            "observed": ["strictly_prefers", "indifferent"],
+        }
+        assert cli._witness(witness, "\n    ") is not None
+        assert dumped([[witness]]) == json.dumps([[witness]], indent=2, sort_keys=True)
+
+    def test_file_ends_in_a_newline_and_holds_ascii(self, tmp_path):
+        payload = {"b": ["\u00e9", math.nan], "a": {"lam": None}}
+        path = str(tmp_path / "x.json")
+        cli._write_json(path, payload, announce=False)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        assert blob == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+    def test_unserializable_values_raise_as_json_does(self):
+        for payload in ({"a": object()}, {(1, 2): 3}, [np.int64(1)]):
+            with pytest.raises(TypeError):
+                json.dumps(payload, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                dumped(payload)

@@ -18,7 +18,9 @@ digests held.  ``separation.quadratic@0.8`` runs the quadratic oracle at
 ``--levels 0.8``, where the simplex separator exists and the
 cross-polytope programs are infeasible together; it was recorded at commit
 89a9fe5, before an infeasible batch stopped being re-solved block by
-block.  So any change
+block.  ``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
+the benchmark writes; it was recorded at commit 4a229aa, while the file
+still went through ``json.dump``.  So any change
 to a printed number shows up here.  To re-record after an intended output
 change, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste
 its output over ``GOLDEN``.
@@ -65,6 +67,7 @@ JOBS = {
     **{f"{cmd}.{model}": (cmd, model, GRIDS[cmd], "0.5") for cmd in GRIDS for model in MODELS},
     **{f"repr.{model}": ("repr", model, res, "0.5") for model, res in REPR_GRIDS.items()},
     "separation.quadratic@0.8": ("separation", "quadratic", GRIDS["separation"], "0.8"),
+    "check.quadratic@grid9": ("check", "quadratic", 9, "0.5"),
 }
 
 
@@ -134,6 +137,14 @@ GOLDEN = {
         "exit": 1,
         "files": {
             "axioms.json": "0aa46ca24f688382901c14203a7a7c1a674d46e1daf972d7cd8c6103d54720ae"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "46ed170628f5dc8baa1f62cd6c4df807d11cfa759df57d7a18cb3a002e12b2cb"
+    },
+    "check.quadratic@grid9": {
+        "exit": 1,
+        "files": {
+            "axioms.json": "d9af26def2ad3ca4342c8393d3645f679539197a0a24ddeff5be4aa84dca72bb"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "46ed170628f5dc8baa1f62cd6c4df807d11cfa759df57d7a18cb3a002e12b2cb"

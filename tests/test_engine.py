@@ -603,6 +603,50 @@ class TestRejectsNonLotteryRows:
         with pytest.raises(ValueError):
             solve_utility_many(ctx, np.asarray([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("rows", NOT_LOTTERIES)
+    @pytest.mark.parametrize("as_row", [list, tuple], ids=["lists", "tuples"])
+    def test_plain_rows_rejected_as_arrays_are(self, eu_model, rows, as_row):
+        ctx = context_for(eu_model)
+        rows = [as_row(row) for row in rows]
+        bad = len(rows) - 1
+        with pytest.raises(ValueError, match=f"row {bad} is not a lottery"):
+            solve_utility_many(ctx, rows)
+        with pytest.raises(ValueError, match=f"row {bad} is not a lottery"):
+            implicit_utility_many(ctx, rows, 0.5)
+        with pytest.raises(ValueError, match=f"row {bad} is not a lottery"):
+            utility_fixed_point_many(ctx, rows)
+
+
+class TestAcceptsPlainRows:
+    """The batch solvers take lists and tuples of rows, alone or mixed with
+    Lotteries, and give the array results bit for bit."""
+
+    ROWS = ((0.2, 0.3, 0.5), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda rows: [list(row) for row in rows],
+            lambda rows: [tuple(row) for row in rows],
+            lambda rows: [lottery(rows[0]), list(rows[1]), tuple(rows[2])],
+        ],
+        ids=["lists", "tuples", "mixed"],
+    )
+    def test_batch_solvers(self, wu_model, wrap):
+        ctx = context_for(wu_model)
+        array = np.asarray(self.ROWS)
+        np.testing.assert_array_equal(
+            solve_utility_many(ctx, wrap(self.ROWS)), solve_utility_many(ctx, array)
+        )
+        np.testing.assert_array_equal(
+            implicit_utility_many(ctx, wrap(self.ROWS), 0.5),
+            implicit_utility_many(ctx, array, 0.5),
+        )
+        np.testing.assert_array_equal(
+            utility_fixed_point_many(ctx, wrap(self.ROWS)),
+            utility_fixed_point_many(ctx, array),
+        )
+
 
 #: Interior, edge and vertex lotteries for the fixed-point batch tests.
 FIXED_POINT_LOTTERIES = (
