@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 from itertools import combinations
 
 import numpy as np
@@ -53,6 +54,10 @@ class Witness:
     lam: float | None
     observed: tuple[Ordering, ...]
     note: str
+
+    #: The keys of :meth:`to_dict`; the CLI writes dicts with exactly
+    #: these keys from one template.
+    KEYS: ClassVar[frozenset[str]] = frozenset({"lam", "lotteries", "note", "observed"})
 
     def to_dict(self) -> dict:
         return {

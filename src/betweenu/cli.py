@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .axioms import run_all_checks
+from .axioms import Witness, run_all_checks
 from .engine import (
     context_for,
     implicit_utility_many,
@@ -154,21 +154,6 @@ def _scalar(v) -> str | None:
     return None
 
 
-def _flat(items, sep: str) -> str | None:
-    """The ``sep``-joined texts of a non-empty list or tuple of floats or of
-    strings, or None for any other value."""
-    if not isinstance(items, _LIST) or not items:
-        return None
-    try:
-        if isinstance(items[0], str):
-            return sep.join(map(encode_basestring_ascii, items))
-        text = sep.join(map(float.__repr__, items))
-    except TypeError:  # float.__repr__ or the encoder met another type
-        return None
-    # float.__repr__ spells NaN and the infinities nan, inf and -inf.
-    return sep.join(map(_scalar, items)) if "n" in text else text
-
-
 def _key(key) -> str:
     """A dict key as json writes it: a scalar other than a string as the
     string of its JSON text."""
@@ -176,9 +161,6 @@ def _key(key) -> str:
     if text is None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
     return encode_basestring_ascii(text)
-
-
-_WITNESS_KEYS = {"lam", "lotteries", "note", "observed"}
 
 
 @functools.cache
@@ -229,10 +211,7 @@ def _dump(value, write, nl: str = "\n") -> None:
         write(text)
     elif isinstance(value, _LIST):
         inner = nl + _INDENT
-        flat = _flat(value, "," + inner)
-        if flat is not None:
-            write(f"[{inner}{flat}{nl}]")
-        elif not value:
+        if not value:
             write("[]")
         else:
             sep = "[" + inner
@@ -243,7 +222,7 @@ def _dump(value, write, nl: str = "\n") -> None:
             write(nl + "]")
     elif isinstance(value, dict):
         inner = nl + _INDENT
-        text = _witness(value, nl) if value.keys() == _WITNESS_KEYS else None
+        text = _witness(value, nl) if value.keys() == Witness.KEYS else None
         if text is not None:
             write(text)
         elif not value:

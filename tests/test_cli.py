@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import betweenu
 from betweenu import cli, context_for, implicit_utility, load_model, lottery, solve_utility
+from betweenu.axioms import Witness
 from betweenu.cli import main
 from betweenu.errors import IterationLimit, NoCrossing
+from betweenu.models import Ordering
 
 EU_SPEC = {"kind": "expected_utility", "u": [0.0, 0.4, 1.0]}
 WU_SPEC = {"kind": "weighted_utility", "u": [0.0, 0.4, 1.0], "w": [1.0, 2.0, 0.5]}
@@ -425,12 +427,13 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("lam", [None, 0.5])
     def test_witness_records_take_the_template(self, lam):
-        witness = {
-            "lam": lam,
-            "lotteries": [[0.0, 0.25, 0.75], [1.0, 0.0, -0.0]],
-            "note": "mixture escapes the preference interval of its parents",
-            "observed": ["strictly_prefers", "indifferent"],
-        }
+        witness = Witness(
+            lotteries=(lottery([0.0, 0.25, 0.75]), lottery([1.0, 0.0, 0.0])),
+            lam=lam,
+            observed=(Ordering.STRICTLY_PREFERS, Ordering.INDIFFERENT),
+            note="mixture escapes the preference interval of its parents",
+        ).to_dict()
+        assert witness.keys() == Witness.KEYS
         assert cli._witness(witness, "\n    ") is not None
         assert dumped([[witness]]) == json.dumps([[witness]], indent=2, sort_keys=True)
 
