@@ -157,15 +157,34 @@ def _transitive(s_xy, s_yz, s_xz) -> np.ndarray:
     return (s_xy * s_yz < 0) | (s_xz == np.sign(s_xy + s_yz))
 
 
+def _triples(k: int, seed: int) -> tuple[np.ndarray, str]:
+    """The index triples i < j < l among ``k`` samples that
+    :func:`check_rationality` checks, in lexicographic order, and its note:
+    all of them up to 20,000, else the distinct ones among 20,000 draws
+    with ``seed``."""
+    total = math.comb(k, 3)
+    if total <= _MAX_TRIPLES:
+        return np.asarray(list(combinations(range(k), 3))), ""
+    rng = np.random.default_rng(seed)
+    draws = np.sort(rng.integers(0, k, size=(_MAX_TRIPLES, 3)), axis=1)
+    draws = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])]
+    # np.unique(draws, axis=0) on one int64 code per row: codes sort as the
+    # rows do, without sorting a structured view of the rows.
+    codes = np.unique((draws[:, 0] * k + draws[:, 1]) * k + draws[:, 2])
+    triples = np.stack([codes // (k * k), codes // k % k, codes % k], axis=1)
+    return triples, f"transitivity subsampled from {total} triples with seed {seed}"
+
+
 def check_rationality(model: PreferenceModel, samples, seed: int = 0) -> AxiomReport:
     """Completeness and transitivity over the sampled lotteries.
 
     Completeness: every ordered pair compares without error and the two
     directions are converses.  Transitivity: no sampled triple shows an
     ordering pattern inconsistent with a total preorder.  Above 20,000
-    triples, 20,000 draws with the given seed pick the triples checked;
-    the pair check always runs in full.  ``samples_checked`` counts pairs
-    plus triples examined.
+    triples, 20,000 draws with the given seed pick the triples checked:
+    draws of three distinct samples, deduplicated and checked in
+    lexicographic order.  The pair check always runs in full.
+    ``samples_checked`` counts pairs plus triples examined.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
@@ -199,16 +218,7 @@ def check_rationality(model: PreferenceModel, samples, seed: int = 0) -> AxiomRe
         )
         valid[p] = False
 
-    total = math.comb(k, 3)
-    if total <= _MAX_TRIPLES:
-        triples = np.asarray(list(combinations(range(k), 3)))
-        note = ""
-    else:
-        rng = np.random.default_rng(seed)
-        draws = np.sort(rng.integers(0, k, size=(_MAX_TRIPLES, 3)), axis=1)
-        draws = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])]
-        triples = np.unique(draws, axis=0)
-        note = f"transitivity subsampled from {total} triples with seed {seed}"
+    triples, note = _triples(k, seed)
     # Forward gaps by sample indices, NaN where a pair was not ordered.
     gaps = np.full((k, k), np.nan)
     gaps[first[valid], second[valid]] = fwd[valid]

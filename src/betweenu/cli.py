@@ -40,6 +40,7 @@ import functools
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -136,6 +137,23 @@ def _write_csv(path: str, header, rows) -> None:
 _INDENT = "  "
 #: The types json writes as arrays.
 _LIST = (list, tuple)
+#: The types of a witness's probabilities when each is exactly a float.
+_FLOATS = frozenset({float})
+
+
+class _FloatTexts(dict):
+    """A memo of ``float.__repr__`` for one file: a missing float's text is
+    made, and kept when the float is finite and not zero.  Look up exact
+    floats only, since 1, True and 1.0 are equal keys; zeros are not kept,
+    since 0.0 and -0.0 are."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: float) -> str:
+        text = float.__repr__(v)
+        if v and math.isfinite(v):
+            self[v] = text
+        return text
 
 
 def _scalar(v) -> str | None:
@@ -177,10 +195,11 @@ def _witness_template(nl: str) -> tuple[str, str, str, str]:
     return text, "," + i3, f"{i2}],{i2}[{i3}", "," + i2
 
 
-def _witness(w: dict, nl: str) -> str | None:
+def _witness(w: dict, nl: str, texts: _FloatTexts | None = None) -> str | None:
     """The text of a :class:`~betweenu.axioms.Witness` dict opened at
-    newline-and-indent ``nl``; None unless ``lam`` is a finite float or
-    None, ``lotteries`` a non-empty list of non-empty lists of finite
+    newline-and-indent ``nl``, its probabilities spelt through ``texts``
+    when they are all exact floats; None unless ``lam`` is a finite float
+    or None, ``lotteries`` a non-empty list of non-empty lists of finite
     floats, ``note`` a string and ``observed`` a non-empty list of strings."""
     text, in_row, between_rows, in_observed = _witness_template(nl)
     lam, rows, note, observed = w["lam"], w["lotteries"], w["note"], w["observed"]
@@ -189,9 +208,12 @@ def _witness(w: dict, nl: str) -> str | None:
     for row in rows:
         if not (isinstance(row, _LIST) and row):
             return None
+    spell = float.__repr__
+    if texts is not None and set(map(type, chain.from_iterable(rows))) == _FLOATS:
+        spell = texts.__getitem__
     try:  # float.__repr__ and the encoder type-check every value
         lam_text = "null" if lam is None else float.__repr__(lam)
-        probs = between_rows.join([in_row.join(map(float.__repr__, row)) for row in rows])
+        probs = between_rows.join([in_row.join(map(spell, row)) for row in rows])
         text %= (lam_text, probs, encode_basestring_ascii(note), in_observed.join(
             map(encode_basestring_ascii, observed)
         ))
@@ -203,9 +225,12 @@ def _witness(w: dict, nl: str) -> str | None:
     return text
 
 
-def _dump(value, write, nl: str = "\n") -> None:
+def _dump(value, write, nl: str = "\n", texts: _FloatTexts | None = None) -> None:
     """Write ``value`` as ``json.dumps(value, indent=2, sort_keys=True)``
-    spells it, opened at newline-and-indent ``nl``, piece by piece."""
+    spells it, opened at newline-and-indent ``nl``, piece by piece.  Its
+    witnesses share the float texts of ``texts``, a new memo when None."""
+    if texts is None:
+        texts = _FloatTexts()
     text = _scalar(value)
     if text is not None:
         write(text)
@@ -217,12 +242,12 @@ def _dump(value, write, nl: str = "\n") -> None:
             sep = "[" + inner
             for item in value:
                 write(sep)
-                _dump(item, write, inner)
+                _dump(item, write, inner, texts)
                 sep = "," + inner
             write(nl + "]")
     elif isinstance(value, dict):
         inner = nl + _INDENT
-        text = _witness(value, nl) if value.keys() == Witness.KEYS else None
+        text = _witness(value, nl, texts) if value.keys() == Witness.KEYS else None
         if text is not None:
             write(text)
         elif not value:
@@ -231,7 +256,7 @@ def _dump(value, write, nl: str = "\n") -> None:
             sep = "{" + inner
             for key, item in sorted(value.items()):
                 write(f"{sep}{_key(key)}: ")
-                _dump(item, write, inner)
+                _dump(item, write, inner, texts)
                 sep = "," + inner
             write(nl + "}")
     else:

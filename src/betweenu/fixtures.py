@@ -86,21 +86,32 @@ CYCLE: tuple[Lottery, Lottery, Lottery] = (
 )
 
 
+def _cyclic_value(x: Lottery) -> float:
+    """Expected utility of ``x`` under u = (0, 1/2, 1), in plain floats.
+
+    It equals ``float(np.dot(x.as_array(), (0.0, 0.5, 1.0)))`` bit for bit
+    without building an array.  ``ddot`` starts from +0 and adds in index
+    order.  p0 * 0 is +0 and p2 * 1 is p2, both exact; p1 * 1/2 is exact
+    unless it is subnormal, and then rounds the same way on both paths (a
+    fused multiply-add onto +0 rounds it once too).  Adding it to +0 is
+    exact, so the last addition is the one other rounding, done alike on
+    both paths.  The leading ``0.0 +`` keeps -0.0 components from giving
+    -0.0.
+    """
+    _, p1, p2 = x.probs
+    return 0.0 + 0.5 * p1 + p2
+
+
 def cyclic_oracle(eps_pref: float = DEFAULT_EPS_PREF) -> BlackBoxOracle:
     """Expected-utility comparisons with one planted preference cycle.
 
-    The base ordering is expected utility with u = (0, 1/2, 1).  On the
-    planted triple a > b > c the base order is overridden for the single
-    pair (c, a) to c > a, closing a cycle while leaving every other
-    comparison intact.
+    The base ordering is expected utility with u = (0, 1/2, 1), valued by
+    :func:`_cyclic_value`.  On the planted triple a > b > c the base order
+    is overridden for the single pair (c, a) to c > a, closing a cycle
+    while leaving every other comparison intact.
     """
-    u = np.asarray([0.0, 0.5, 1.0])
     a, b, c = CYCLE
-
-    def value_fn(x: Lottery) -> float:
-        return float(np.dot(x.as_array(), u))
-
-    base = oracle_from_value(value_fn, 3, eps_pref).compare_fn
+    base = oracle_from_value(_cyclic_value, 3, eps_pref).compare_fn
 
     def compare_fn(x: Lottery, y: Lottery) -> Ordering:
         if x.probs == c.probs and y.probs == a.probs:

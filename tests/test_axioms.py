@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from betweenu import (
     quadratic_oracle,
     run_all_checks,
 )
-from betweenu.axioms import _finish, _keyed, _orderings, _signs
+from betweenu import axioms
+from betweenu.axioms import _finish, _keyed, _orderings, _signs, _triples
 from betweenu.models import classify
 from betweenu.simplex import mix_rows
 
@@ -147,6 +149,57 @@ class TestRationality:
         assert "seed 7" in r1.note and "subsampled" in r1.note
         assert r1.samples_checked == r2.samples_checked
         assert r1.witnesses == r2.witnesses
+
+
+def unique_draws(k: int, seed: int) -> np.ndarray:
+    """``np.unique(draws, axis=0)`` over the rows of three distinct sample
+    indices among 20,000 sorted draws with ``seed``."""
+    rng = np.random.default_rng(seed)
+    draws = np.sort(rng.integers(0, k, size=(20000, 3)), axis=1)
+    draws = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])]
+    return np.unique(draws, axis=0)
+
+
+class TestTransitivitySubsample:
+    @pytest.mark.parametrize("k", [51, 55, 80])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_triples_are_the_unique_draws_in_row_order(self, k, seed):
+        triples, note = _triples(k, seed)
+        expected = unique_draws(k, seed)
+        assert triples.dtype == expected.dtype
+        assert triples.shape == expected.shape
+        assert np.array_equal(triples, expected)
+        assert note == f"transitivity subsampled from {math.comb(k, 3)} triples with seed {seed}"
+
+    @pytest.mark.parametrize("k", [51, 55, 80])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_check_rationality_checks_the_unique_draws(self, monkeypatch, eu_model, k, seed):
+        samples = sorted(grid(3, 12))[:k]
+        keys = eu_model.keys(np.asarray([x.probs for x in samples]))
+        i, j, l = unique_draws(k, seed).T
+        # Each triple's forward gaps (ij, jl, il), in the expected row order.
+        expected = np.stack([keys[i] - keys[j], keys[j] - keys[l], keys[i] - keys[l]])
+        seen = []
+
+        def spy(model, gaps):
+            seen.append(gaps)
+            return _signs(model, gaps)
+
+        monkeypatch.setattr(axioms, "_signs", spy)
+        report = check_rationality(eu_model, samples, seed=seed)
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
+        assert report.passed
+        assert report.note == f"transitivity subsampled from {math.comb(k, 3)} triples with seed {seed}"
+        assert report.samples_checked == math.comb(k, 2) + len(i)
+
+    def test_fifty_samples_are_checked_exhaustively(self, eu_model):
+        samples = sorted(grid(3, 9))[:50]  # 19,600 triples
+        triples, note = _triples(50, 0)
+        assert note == ""
+        assert triples.tolist() == [list(t) for t in itertools.combinations(range(50), 3)]
+        report = check_rationality(eu_model, samples, seed=7)
+        assert report.note == ""
+        assert report.samples_checked == math.comb(50, 2) + math.comb(50, 3)
 
 
 class TestNondegeneracy:

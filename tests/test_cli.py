@@ -451,3 +451,32 @@ class TestJsonWriter:
                 json.dumps(payload, indent=2, sort_keys=True)
             with pytest.raises(TypeError):
                 dumped(payload)
+
+
+def witness_of(*rows) -> dict:
+    return {"lam": None, "lotteries": [list(row) for row in rows], "note": "", "observed": ["~"]}
+
+
+class TestWitnessFloatMemo:
+    """One file's witnesses share the texts of their floats.  Values that
+    are equal keys but spelt apart (1, True and 1.0; 0.0 and -0.0) keep
+    their own spelling whichever comes first."""
+
+    def test_memo_keeps_finite_nonzero_floats_only(self):
+        texts = cli._FloatTexts()
+        spelt = [texts[v] for v in (0.5, 0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, 1e-310)]
+        assert spelt == ["0.5", "0.0", "-0.0", "inf", "-inf", "nan", "0.5", "1e-310"]
+        assert dict(texts) == {0.5: "0.5", 1e-310: "1e-310"}
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_equal_keys_keep_their_spelling(self, order):
+        witnesses = [
+            witness_of([1.0, 0.0, 0.5], [0.25, 0.25, 0.5]),
+            witness_of([-0.0, 1.0, 0.0], [0.5, 0.5, -0.0]),
+            witness_of([1, 0.5, 0.0]),
+            witness_of([True, 0.5], [False, 1.0]),
+            witness_of([np.float64(1.0), 0.5], [np.float64(-0.0), 0.0]),
+            witness_of([math.nan, 0.5], [math.inf, 1.0]),
+            witness_of([0.0, -0.0, 0.0, 1.0, 1, 1.0]),
+        ][::order]
+        assert dumped(witnesses) == json.dumps(witnesses, indent=2, sort_keys=True)

@@ -31,6 +31,7 @@ from betweenu import (
     utility_fixed_point_many,
 )
 from betweenu.cli import LAMBDA_GRID
+from betweenu.fixtures import CYCLE, _cyclic_value
 from betweenu.models import classify
 from betweenu.simplex import SUM_TOL, lottery_rows, mix_rows
 
@@ -556,3 +557,76 @@ class TestValueKeyedOracle:
         assert report == check_rationality(compare_only(oracle), samples).to_dict()
         notes = {w["note"] for w in report["witnesses"]}
         assert notes == {"comparison failed: ZeroDivisionError: planted"}
+
+
+#: The cyclic fixture's outcome utilities, as its old ``np.dot`` value used them.
+CYCLIC_U = np.asarray([0.0, 0.5, 1.0])
+
+
+def np_dot_value(x: Lottery) -> float:
+    """The cyclic fixture's value as ``np.dot`` computes it."""
+    return float(np.dot(x.as_array(), CYCLIC_U))
+
+
+def subnormal_rows() -> list[tuple[float, ...]]:
+    """Rows with subnormal components (odd multiples of 5e-324, which halve
+    inexactly), one just above the normal range, and -0.0 components."""
+    tiny = [m * 5e-324 for m in (1, 3, 5, 7, 1001, 2**51 + 1)]
+    rows = [(1.0, t, 0.0) for t in tiny] + [(1.0, 0.0, t) for t in tiny]
+    rows += [(1.0, t, s) for t in tiny for s in tiny]
+    rows += [(0.5, t, 0.5) for t in tiny] + [(0.5, 0.5, t) for t in tiny]
+    rows += [(1.0, 2.2250738585072014e-308 * (1 + 2**-52), 0.0)]
+    rows += [(1.0, -0.0, -0.0), (-0.0, -0.0, 1.0), (-0.0, 1.0, -0.0), (1.0, 0.0, -0.0)]
+    return rows
+
+
+class TestCyclicFixture:
+    """The cyclic fixture values lotteries in plain floats; each value and
+    each verdict equals the ``np.dot`` expected utility it replaced."""
+
+    @staticmethod
+    def assert_values_bitwise(lotteries):
+        for x in lotteries:
+            assert _cyclic_value(x).hex() == np_dot_value(x).hex(), x.probs
+
+    @pytest.mark.parametrize("resolution", range(1, 13))
+    def test_value_equals_np_dot_on_grids(self, resolution):
+        self.assert_values_bitwise(grid(3, resolution))
+
+    def test_value_equals_np_dot_on_the_planted_cycle(self):
+        self.assert_values_bitwise(CYCLE)
+
+    def test_value_equals_np_dot_on_dirichlet_rows(self):
+        rows = np.random.default_rng(20240).dirichlet(np.ones(3), size=100_000)
+        self.assert_values_bitwise(Lottery(tuple(row)) for row in rows.tolist())
+
+    def test_value_equals_np_dot_on_subnormal_rows(self):
+        self.assert_values_bitwise(Lottery(row) for row in subnormal_rows())
+
+    def test_compare_matches_np_dot_reference(self):
+        a, _, c = CYCLE
+        oracle = cyclic_oracle()
+        band = oracle.eps_pref
+
+        def reference(x, y):
+            if (x.probs, y.probs) == (c.probs, a.probs):
+                return Ordering.STRICTLY_PREFERS
+            if (x.probs, y.probs) == (a.probs, c.probs):
+                return Ordering.STRICTLY_DISPREFERRED
+            d = np_dot_value(x) - np_dot_value(y)
+            if abs(d) <= band:
+                return Ordering.INDIFFERENT
+            return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
+
+        points = grid(3, 6)
+        assert {a.probs, c.probs} <= {x.probs for x in points}
+        verdicts = {
+            (x.probs, y.probs): oracle.compare_fn(x, y) for x in points for y in points
+        }
+        assert len(verdicts) == len(points) ** 2
+        assert verdicts == {
+            (x.probs, y.probs): reference(x, y) for x in points for y in points
+        }
+        # The planted pair overrides the base order, which ranks a above c.
+        assert verdicts[c.probs, a.probs] is Ordering.STRICTLY_PREFERS
+        assert np_dot_value(a) > np_dot_value(c)
