@@ -167,11 +167,17 @@ def _triples(k: int, seed: int) -> tuple[np.ndarray, str]:
         return np.asarray(list(combinations(range(k), 3))), ""
     rng = np.random.default_rng(seed)
     draws = np.sort(rng.integers(0, k, size=(_MAX_TRIPLES, 3)), axis=1)
-    draws = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])]
-    # np.unique(draws, axis=0) on one int64 code per row: codes sort as the
-    # rows do, without sorting a structured view of the rows.
-    codes = np.unique((draws[:, 0] * k + draws[:, 1]) * k + draws[:, 2])
-    triples = np.stack([codes // (k * k), codes // k % k, codes % k], axis=1)
+    distinct = (draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])
+    # np.unique(draws[distinct], axis=0) from one code per row: codes sort
+    # as the rows do.  Sorting them is faster than sorting a structured view
+    # of the rows, and unlike np.unique(codes), which hashes them on numpy
+    # 2.3 and later, it leaves no larger heap behind.
+    shape = (k, k, k)
+    codes = np.ravel_multi_index(draws.T, shape)[distinct]
+    codes.sort()
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    triples = np.stack(np.unravel_index(codes[first], shape), axis=1)
     return triples, f"transitivity subsampled from {total} triples with seed {seed}"
 
 
