@@ -105,10 +105,12 @@ def _cyclic_value(x: Lottery) -> float:
 def cyclic_oracle(eps_pref: float = DEFAULT_EPS_PREF) -> BlackBoxOracle:
     """Expected-utility comparisons with one planted preference cycle.
 
-    The base ordering is expected utility with u = (0, 1/2, 1), valued by
-    :func:`_cyclic_value`.  On the planted triple a > b > c the base order
-    is overridden for the single pair (c, a) to c > a, closing a cycle
-    while leaving every other comparison intact.
+    The base ordering is expected utility with u = (0, 1/2, 1), valued in
+    plain floats by :func:`_cyclic_value`.  That value is the ``np.dot`` one
+    bit for bit: with these utilities the only roundings are p1 / 2 and the
+    last addition, and both paths do them alike.  On the planted triple
+    a > b > c the base order is overridden for the single pair (c, a) to
+    c > a, closing a cycle while leaving every other comparison intact.
     """
     a, b, c = CYCLE
     base = oracle_from_value(_cyclic_value, 3, eps_pref).compare_fn
