@@ -55,9 +55,7 @@ from .engine import (
 )
 from .errors import BetweenuError, Infeasible
 from .modelspec import load_model
-from .separation import (
-    contour_samples, cross_polytope_consistency_many, separate, verify_separation
-)
+from .separation import contour_samples, cross_polytope_consistency_many, separate_and_verify
 from .simplex import Polytope, degenerate, grid, mix
 from .triangle import collinearity_residual, embed_coords, render_svg, trace_level_curves
 
@@ -385,8 +383,7 @@ def cmd_separation(model, args, levels) -> int:
         try:
             base = contour_samples(ctx, t, simplex)
             audit = sorted({x.probs: x for x in [*base, *grid_samples]}.values())
-            functional = separate(ctx, t, simplex, audit)
-            check = verify_separation(ctx, t, functional, audit)
+            functional, check = separate_and_verify(ctx, t, simplex, audit)
             entry["functional"] = functional.to_dict()
             entry["separation"] = check.to_dict()
             level_ok = check.passed

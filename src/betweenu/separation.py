@@ -10,8 +10,13 @@ lottery does not depend on which polytope the separation is carried out
 in, matching the engine's mixing-based value.
 
 The programs of one level share no variable, so :func:`_separators`
-solves any number of them in one HiGHS call; :func:`separate` is the
-one-program case.
+solves any number of them at once; :func:`separate` is the one-program
+case.  With degenerate extremes on at most three outcomes each program
+has one free coefficient (none on two), and :func:`_closed_form` solves
+it without a solver.  HiGHS solves the rest in one call: programs with
+four or more outcomes or other extremes, and any batch holding an
+infeasible program, so every :class:`~betweenu.errors.Infeasible` carries
+the solver's status and message.
 
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
@@ -116,6 +121,18 @@ def _classify(ctx: RepresentationContext, t: float, probs) -> tuple[np.ndarray, 
     return rows, classify(model.gaps(model.keys(rows), _chord_keys(ctx, [t])), model.eps_pref)
 
 
+def _classified(
+    ctx: RepresentationContext, t: float, blocks
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """:func:`_classify` of the distinct samples of all ``blocks``, each
+    classified once, with each one's probs mapped to its row."""
+    at = {}
+    for samples in blocks:
+        for x in samples:
+            at.setdefault(x.probs, len(at))
+    return (at, *_classify(ctx, t, at))
+
+
 def separate(
     ctx: RepresentationContext,
     t: float,
@@ -142,6 +159,25 @@ def separate(
     return _separators(ctx, t, [samples])[0]
 
 
+def separate_and_verify(
+    ctx: RepresentationContext,
+    t: float,
+    polytope: Polytope,
+    samples,
+) -> tuple[AffineFunctional, SeparationCheck]:
+    """:func:`separate` and then :func:`verify_separation` on the same
+    samples, with each distinct sample classified against the chord point
+    once for both: an oracle is asked about each sample once, not twice."""
+    t = _level(t)
+    _require_extremes(ctx, polytope)
+    samples = list(samples)
+    classified = _classified(ctx, t, [samples])
+    functional = _separators(ctx, t, [samples], classified)[0]
+    at, rows, side = classified
+    idx = [at[x.probs] for x in samples]
+    return functional, _verified(ctx, t, functional, samples, rows[idx], side[idx])
+
+
 def _split(rows: np.ndarray, rhs) -> np.ndarray:
     """Constraint rows over the coefficients split into positive and negative
     parts, so the L1 objective is linear and every variable is >= 0, with
@@ -149,14 +185,10 @@ def _split(rows: np.ndarray, rhs) -> np.ndarray:
     return np.column_stack([rows, -rows, np.full(len(rows), rhs)])
 
 
-def _inequalities(ctx: RepresentationContext, t: float, blocks) -> list[np.ndarray]:
+def _inequalities(ctx: RepresentationContext, t: float, blocks, classified) -> list[np.ndarray]:
     """The inequality rows of each sample list's separation program at level
-    ``t``, right-hand side last, with the distinct samples classified once."""
-    at = {}
-    for samples in blocks:
-        for x in samples:
-            at.setdefault(x.probs, len(at))
-    rows, side = _classify(ctx, t, at)
+    ``t``, right-hand side last, from the :func:`_classified` samples."""
+    at, rows, side = classified
     width = 2 * ctx.model.n_outcomes + 1
     # Half the published band: the L1 objective parks the solution on a
     # constraint boundary, and verification at the full band must not
@@ -173,21 +205,30 @@ def _inequalities(ctx: RepresentationContext, t: float, blocks) -> list[np.ndarr
     return ubs
 
 
-def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunctional]:
+def _separators(
+    ctx: RepresentationContext, t: float, blocks, classified=None
+) -> list[AffineFunctional]:
     """The functional of :func:`separate` at level ``t`` for each sample
-    list in ``blocks``.
+    list in ``blocks``, whose samples ``classified`` holds if given.
 
-    The programs share no variable and their L1 objectives add up, so one
-    HiGHS call solves them as one block-diagonal program, one block being
-    the case of :func:`separate`.  That program is infeasible exactly when
-    one of its blocks is, so an infeasible batch raises :class:`Infeasible`
-    with the batch's solver message at once.  Only if the call fails
+    When every program has at most one free coefficient and a non-empty
+    interval for it, :func:`_closed_form` answers the call and HiGHS is not
+    loaded.  Otherwise the programs, which share no variable and whose L1
+    objectives add up, go to one HiGHS call as one block-diagonal program,
+    one block being the case of :func:`separate`.  That program is
+    infeasible exactly when one of its blocks is, so an infeasible batch
+    raises :class:`Infeasible` with the batch's solver message at once.  Only if the call fails
     otherwise are the blocks solved one by one in order, and the first
     failing block raises the error :func:`separate` on it would.
     """
+    if classified is None:
+        classified = _classified(ctx, t, blocks)
+    ubs = _inequalities(ctx, t, blocks, classified)
+    closed = _closed_form(ctx, ubs)
+    if closed is not None:
+        return [_normalized(ctx, t, coeffs) for coeffs in closed]
     from scipy.sparse import block_diag
 
-    ubs = _inequalities(ctx, t, blocks)
     n, k = ctx.model.n_outcomes, len(ubs)
     eq = _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
     # The solver's feasibility tolerance must sit far below the band,
@@ -208,11 +249,51 @@ def _separators(ctx: RepresentationContext, t: float, blocks) -> list[AffineFunc
     if result.status == 0:
         return [_normalized(ctx, t, x[:n] - x[n:]) for x in result.x.reshape(k, 2 * n)]
     if k > 1 and result.status != 2:  # 2: infeasible, so one block is
-        return [f for samples in blocks for f in _separators(ctx, t, [samples])]
+        return [f for samples in blocks for f in _separators(ctx, t, [samples], classified)]
     raise Infeasible(
         f"no affine functional separates the sampled contour sets at level {t!r} "
         f"(solver status {result.status}: {result.message})"
     )
+
+
+def _closed_form(ctx: RepresentationContext, ubs) -> list[np.ndarray] | None:
+    """Each program's L1 optimum without a solver, or None to leave the
+    call to HiGHS.
+
+    With unit extremes on at most three outcomes, the normalization fixes
+    the best extreme's coefficient at 1 and the worst's at 0.  So each
+    program has at most one free coefficient ``c``, each row reads
+    ``a * c <= r``, and the rows leave an interval for ``c``.  The optimum
+    is the point of that interval nearest 0, and it is unique.  If some
+    interval is empty the call goes to HiGHS, so every :class:`Infeasible`
+    keeps the solver's status and text.
+
+    This is HiGHS's answer bit for bit unless a second row comes within
+    HiGHS's feasibility tolerance (1e-10) of active at the optimum: HiGHS
+    may then stop at that row's bound, violating the binding row by up to
+    the tolerance, while this optimum meets every row.
+    """
+    best, worst = ctx.best.probs, ctx.worst.probs
+    n = len(best)
+    if n > 3 or any(p.count(1.0) != 1 or p.count(0.0) != n - 1 for p in (best, worst)):
+        return None
+    b, w = best.index(1.0), worst.index(1.0)
+    if b == w:
+        return None
+    free = [i for i in range(n) if i not in (b, w)]
+    out = []
+    for ub in ubs:
+        r = ub[:, -1] - ub[:, b]
+        a = ub[:, free[0]] if free else np.zeros(len(r))
+        lo = float(np.max(r[a < 0.0] / a[a < 0.0], initial=-np.inf))
+        hi = float(np.min(r[a > 0.0] / a[a > 0.0], initial=np.inf))
+        if lo > hi or np.any(r[a == 0.0] < 0.0):
+            return None
+        coeffs = np.zeros(n)
+        coeffs[b] = 1.0
+        coeffs[free] = min(max(0.0, lo), hi)
+        out.append(coeffs)
+    return out
 
 
 def _normalized(ctx: RepresentationContext, t: float, coeffs: np.ndarray) -> AffineFunctional:
@@ -247,7 +328,14 @@ def verify_separation(
     """
     t = _level(t)
     samples = list(samples)
-    rows, side = _classify(ctx, t, [x.probs for x in samples])
+    return _verified(ctx, t, functional, samples, *_classify(ctx, t, [x.probs for x in samples]))
+
+
+def _verified(
+    ctx: RepresentationContext, t: float, functional: AffineFunctional, samples, rows, side
+) -> SeparationCheck:
+    """:func:`verify_separation` of ``samples``, given them as ``rows`` and
+    each one's ``side`` of the chord point."""
     values = np.asarray([functional.value(x) for x in samples], dtype=float)
     bad = np.where(
         side == 1,

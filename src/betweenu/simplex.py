@@ -19,7 +19,12 @@ SUM_TOL = 1e-12
 def linprog(*args, **kwargs):
     """:func:`scipy.optimize.linprog`, imported on the first call: every
     HiGHS call of the package goes through here, so only a command that
-    solves a program pays the half second ``scipy.optimize`` takes to load."""
+    solves a program with HiGHS pays the half second ``scipy.optimize``
+    takes to load.  Those are separation programs with two or more free
+    coefficients or an infeasible level (one free coefficient is solved in
+    closed form, see :func:`betweenu.separation._closed_form`), and
+    :meth:`Polytope.contains` on a polytope without every degenerate
+    lottery."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)

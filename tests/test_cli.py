@@ -19,6 +19,11 @@ from betweenu.models import Ordering
 EU_SPEC = {"kind": "expected_utility", "u": [0.0, 0.4, 1.0]}
 WU_SPEC = {"kind": "weighted_utility", "u": [0.0, 0.4, 1.0], "w": [1.0, 2.0, 0.5]}
 DA_SPEC = {"kind": "disappointment_aversion", "u": [0.0, 0.4, 1.0], "beta": 1.0}
+KERNEL_SPEC = {
+    "kind": "implicit_kernel",
+    "t_grid": [0.0, 0.5, 1.0],
+    "phi": [[0.0, 0.05, 0.15], [0.35, 0.5, 0.7], [0.9, 0.95, 1.0]],
+}
 FLAT_KERNEL_SPEC = {
     "kind": "implicit_kernel",
     "t_grid": [0.0, 1.0],
@@ -355,6 +360,29 @@ class TestColdStart:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_three_outcome_separation_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # Every program of these runs has one free coefficient and a
+        # non-empty interval, so none reaches HiGHS.
+        specs = [EU_SPEC, WU_SPEC, DA_SPEC, KERNEL_SPEC, {"kind": "cyclic_oracle"}]
+        models = [write_model(tmp_path, f"m{i}.json", spec) for i, spec in enumerate(specs)]
+        script = (
+            "import sys\n"
+            "from betweenu.cli import main\n"
+            "for i, model in enumerate(sys.argv[2:]):\n"
+            "    out = f'{sys.argv[1]}/out{i}'\n"
+            "    assert main(['separation', '--model', model, '--out', out]) == 0, model\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), *models],
+            capture_output=True,
+            text=True,
+            env=package_env(),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 def dumped(payload) -> str:

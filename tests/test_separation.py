@@ -1,11 +1,17 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betweenu import (
     AffineFunctional,
+    DisappointmentAversion,
     ExpectedUtility,
+    ImplicitKernel,
     Infeasible,
     MembershipViolation,
     Polytope,
+    WeightedUtility,
     chord_point,
     context_for,
     contour_samples,
@@ -30,15 +36,24 @@ def full_simplex(n: int) -> Polytope:
 
 def query_polytopes(ctx, x) -> list[Polytope]:
     """The hull of ``x`` and the extremes, the simplex, and a widened hull."""
-    third = next(
-        v for v in (degenerate(i, 3) for i in range(3))
-        if v not in (ctx.best, ctx.worst)
-    )
+    n = x.n_outcomes
+    others = [v for v in (degenerate(i, n) for i in range(n)) if v not in (ctx.best, ctx.worst)]
     return [
         Polytope(tuple(sorted((ctx.best, ctx.worst, x)))),
-        full_simplex(3),
-        Polytope(tuple(sorted((ctx.best, ctx.worst, x, mix(0.5, third, x))))),
+        full_simplex(n),
+        Polytope(tuple(sorted((ctx.best, ctx.worst, x, *(mix(0.5, v, x) for v in others))))),
     ]
+
+
+#: A 4-outcome weighted utility and quadratic oracle: their programs have
+#: two free coefficients, so they reach HiGHS.
+WU4 = WeightedUtility((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5))
+QUADRATIC4 = [
+    [0.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.5],
+]
 
 
 def audit_samples(ctx, t, polytope, resolution=6):
@@ -78,8 +93,8 @@ class TestSeparate:
         with pytest.raises(ValueError):
             separate(ctx, 0.5, chordless, sorted(grid(3, 4)))
 
-    def test_no_samples_leaves_out_the_inequalities(self, wu_model, monkeypatch):
-        ctx = context_for(wu_model)
+    def test_no_samples_leaves_out_the_inequalities(self, monkeypatch):
+        ctx = context_for(WU4)
         calls = []
         solve = separation.linprog
 
@@ -88,7 +103,7 @@ class TestSeparate:
             return solve(**kwargs)
 
         monkeypatch.setattr(separation, "linprog", recorded)
-        functional = separate(ctx, 0.5, full_simplex(3), [])
+        functional = separate(ctx, 0.5, full_simplex(4), [])
         assert len(calls) == 1
         assert calls[0]["A_ub"].shape[0] == 0 and len(calls[0]["b_ub"]) == 0
         assert functional.value(ctx.best) == 1.0
@@ -233,33 +248,53 @@ class TestBatchedSeparation:
         return calls
 
     def test_two_highs_calls_per_passing_level(self, tmp_path, monkeypatch):
-        # The simplex separator, then all 10 queries x 3 polytopes at once
-        # (31 calls a level when solved one program at a time).
-        path = tmp_path / "wu.json"
-        path.write_text('{"kind": "weighted_utility", "u": [0, 0.4, 1], "w": [1, 2, 0.5]}')
+        # On four outcomes: the simplex separator, then all 20 queries x 3
+        # polytopes at once (61 calls a level when solved one program at a
+        # time).
+        path = tmp_path / "wu4.json"
+        path.write_text(
+            '{"kind": "weighted_utility", "u": [0, 0.3, 0.7, 1], "w": [1, 2, 0.5, 1.5]}'
+        )
         calls = self.counted_linprog(monkeypatch)
         out = str(tmp_path / "out")
         assert main(["separation", "--model", str(path), "--levels", "0.3,0.6", "--out", out]) == 0
         assert len(calls) == 4
-        assert [call["c"].size for call in calls] == [6, 180, 6, 180]
+        assert [call["c"].size for call in calls] == [8, 480, 8, 480]
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "weighted_utility", "u": [0, 0.4, 1], "w": [1, 2, 0.5]}',
+        '{"kind": "cyclic_oracle"}',
+    ])
+    def test_no_highs_call_on_three_outcomes(self, tmp_path, monkeypatch, spec):
+        # Every program has one free coefficient and a non-empty interval.
+        path = tmp_path / "model.json"
+        path.write_text(spec)
+        calls = self.counted_linprog(monkeypatch)
+        out = str(tmp_path / "out")
+        assert main(["separation", "--model", str(path), "--out", out]) == 0
+        assert calls == []
 
     @staticmethod
-    def one_infeasible_block():
+    def one_infeasible_block(matrix=None):
         """A quadratic-oracle context, three blocks of which only the middle
         one is infeasible at level 0.5, and that block's error alone."""
-        ctx = context_for(quadratic_oracle())
+        ctx = context_for(quadratic_oracle(matrix))
+        n = ctx.model.n_outcomes
         chord = sorted(chord_point(ctx, s) for s in (0.0, 0.25, 0.5, 0.75, 1.0))
-        bowed = sorted(grid(3, 6))
+        bowed = sorted(grid(n, 6))
         with pytest.raises(Infeasible) as single:
-            separate(ctx, 0.5, full_simplex(3), bowed)
+            separate(ctx, 0.5, full_simplex(n), bowed)
         return ctx, [chord, bowed, chord], str(single.value)
 
     def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch):
+        # The bowed block's interval is empty, so the whole three-outcome
+        # batch goes to HiGHS.
         ctx, blocks, message = self.one_infeasible_block()
         calls = self.counted_linprog(monkeypatch)
         with pytest.raises(Infeasible) as batched:
             separation._separators(ctx, 0.5, blocks)
         assert str(batched.value) == message
+        assert "solver status 2" in message
         # An infeasible batch holds an infeasible block, so it is not re-solved
         # block by block (which took [18, 6, 6]).
         assert [call["c"].size for call in calls] == [18]
@@ -281,22 +316,22 @@ class TestBatchedSeparation:
         monkeypatch.setattr(separation, "linprog", flaky)
         return sizes
 
-    def test_a_batch_failing_otherwise_is_solved_block_by_block(self, wu_model, monkeypatch):
-        ctx = context_for(wu_model)
-        blocks = [contour_samples(ctx, 0.4, p) for p in query_polytopes(ctx, grid(3, 3)[4])]
+    def test_a_batch_failing_otherwise_is_solved_block_by_block(self, monkeypatch):
+        ctx = context_for(WU4)
+        blocks = [contour_samples(ctx, 0.4, p) for p in query_polytopes(ctx, grid(4, 3)[4])]
         expected = separation._separators(ctx, 0.4, blocks)
         sizes = self.failing_batch(monkeypatch)
         assert separation._separators(ctx, 0.4, blocks) == expected
-        assert sizes == [18, 6, 6, 6]
+        assert sizes == [24, 8, 8, 8]
 
     def test_a_block_solved_after_a_failing_batch_raises_its_own_error(self, monkeypatch):
-        ctx, blocks, message = self.one_infeasible_block()
+        ctx, blocks, message = self.one_infeasible_block(QUADRATIC4)
         sizes = self.failing_batch(monkeypatch)
         with pytest.raises(Infeasible) as batched:
             separation._separators(ctx, 0.5, blocks)
         assert str(batched.value) == message
         # The batch, then the blocks one by one up to the failing one.
-        assert sizes == [18, 6, 6]
+        assert sizes == [24, 8, 8]
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_batch_matches_separate_bitwise(self, family_model, t):
@@ -316,6 +351,150 @@ class TestBatchedSeparation:
         results = cross_polytope_consistency_many(ctx, queries, t, polytopes)
         values = [f.value(x).hex() for (x, _, _), f in zip(blocks, singles)]
         assert [v.hex() for r in results for v in r.separator_values] == values
+
+
+def functionals_or_error(ctx, t, blocks, highs_only=False):
+    """``_separators`` of ``blocks`` as the bits of each coefficient, or the
+    text of the :class:`Infeasible` it raises; with ``highs_only`` the
+    closed form is switched off, so HiGHS solves every program."""
+    with pytest.MonkeyPatch.context() as mp:
+        if highs_only:
+            mp.setattr(separation, "_closed_form", lambda ctx, ubs: None)
+        try:
+            return [[c.hex() for c in f.coeffs] for f in separation._separators(ctx, t, blocks)]
+        except Infeasible as exc:
+            return str(exc)
+
+
+def near_tie(ctx, ub: np.ndarray, coeffs) -> bool:
+    """Whether HiGHS may stop at a point other than the exact optimum
+    ``coeffs`` of the program ``ub``.
+
+    HiGHS accepts a row violated by up to its 1e-10 feasibility tolerance.
+    So a row that is within 1e-9 of active at the optimum, though its bound
+    is not the optimum, can move HiGHS's answer off it.  The same holds for
+    0 when it violates no row by more than 1e-9.
+    """
+    n = ctx.model.n_outcomes
+    if n == 2:
+        return False
+    b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
+    (m,) = set(range(n)) - {b, w}
+    r = ub[:, -1] - ub[:, b]
+    a, c = ub[:, m], coeffs[m]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        binding = r / a == c
+    slack = r - a * c
+    return bool(np.any(~binding & (np.abs(slack) <= 1e-9)) or np.any((r < 0.0) & (r >= -1e-9)))
+
+
+@st.composite
+def separation_programs(draw):
+    """An EU, WU, DA or kernel family on 2 or 3 outcomes, a level in
+    [0.01, 0.99], and the sample lists of one level's programs: the
+    simplex's contour samples with a grid and seeded Dirichlet rows, and on
+    3 outcomes the contour samples of one drawn query's polytopes.
+
+    ``u`` attains 0 and 1, WU weights lie in [0.1, 10], DA's ``beta`` in
+    (-1, 5], and a kernel is linear in the level from ``u[i]`` (back from 1
+    where ``u[i]`` is 1) with slopes of at most 0.9.
+    """
+    n = draw(st.integers(2, 3))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    u = draw(st.permutations([0.0, 1.0, *inner]))
+    kind = draw(st.sampled_from(["eu", "wu", "da", "kernel"]))
+    if kind == "eu":
+        model = ExpectedUtility(u)
+    elif kind == "wu":
+        model = WeightedUtility(u, draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    elif kind == "da":
+        model = DisappointmentAversion(u, draw(st.floats(-1.0, 5.0, exclude_min=True)))
+    else:
+        slopes = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+        phi = [
+            (1.0 - s, 1.0) if u_i == 1.0 else (u_i, min(u_i + s, 1.0))
+            for u_i, s in zip(u, slopes)
+        ]
+        model = ImplicitKernel((0.0, 1.0), phi)
+    ctx = context_for(model)
+    t = draw(st.floats(0.01, 0.99))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drawn = [lottery(row) for row in rng.dirichlet(np.ones(n), size=draw(st.integers(0, 8)))]
+    base = contour_samples(ctx, t, full_simplex(n))
+    extra = [*grid(n, draw(st.integers(1, 10))), *drawn]
+    blocks = [sorted({x.probs: x for x in [*base, *extra]}.values())]
+    if n == 3:
+        x = lottery(rng.dirichlet(np.ones(n)))
+        blocks += [contour_samples(ctx, t, p) for p in query_polytopes(ctx, x)]
+    return ctx, t, blocks
+
+
+class TestClosedForm:
+    """Programs with one free coefficient are solved without HiGHS, to the
+    bits HiGHS gives them wherever it reaches their exact optimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(separation_programs())
+    def test_matches_highs(self, program):
+        ctx, t, blocks = program
+        closed = functionals_or_error(ctx, t, blocks)
+        highs = functionals_or_error(ctx, t, blocks, highs_only=True)
+        if isinstance(highs, str):
+            assert closed == highs
+            return
+        ubs = separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
+        optima = separation._closed_form(ctx, ubs)
+        assert optima is not None
+        for ub, coeffs, ours, theirs in zip(ubs, optima, closed, highs):
+            if near_tie(ctx, ub, coeffs):
+                assert np.allclose(
+                    [float.fromhex(c) for c in ours], [float.fromhex(c) for c in theirs],
+                    rtol=0.0, atol=separation.CROSS_POLYTOPE_TOL,
+                )
+            else:
+                assert ours == theirs
+
+    @pytest.mark.parametrize("model", [
+        ExpectedUtility((0.0, 1.0)),
+        WeightedUtility((1.0, 0.0), (0.5, 3.0)),
+        DisappointmentAversion((0.0, 1.0), 2.0),
+    ])
+    def test_two_outcomes_need_no_solver(self, model, monkeypatch):
+        ctx = context_for(model)
+        blocks = [sorted(grid(2, 8)), contour_samples(ctx, 0.3, full_simplex(2))]
+        highs = functionals_or_error(ctx, 0.3, blocks, highs_only=True)
+        monkeypatch.setattr(separation, "linprog", None)
+        assert functionals_or_error(ctx, 0.3, blocks) == highs
+
+    def test_an_empty_interval_goes_to_highs(self, monkeypatch):
+        # The bowed quadratic contour leaves no coefficient, so HiGHS proves
+        # the program infeasible and its status and message are raised.
+        ctx = context_for(quadratic_oracle())
+        bowed = [sorted(grid(3, 6))]
+        ubs = separation._inequalities(ctx, 0.5, bowed, separation._classified(ctx, 0.5, bowed))
+        assert separation._closed_form(ctx, ubs) is None
+        message = functionals_or_error(ctx, 0.5, bowed, highs_only=True)
+        assert "solver status 2" in message
+        assert functionals_or_error(ctx, 0.5, bowed) == message
+
+    @pytest.mark.parametrize("t", [0.15, 0.35])
+    def test_a_near_tie_gets_the_exact_optimum(self, t):
+        # Two rows bound the free coefficient within 2e-11 of each other.
+        # HiGHS stops at the looser bound, so its answer violates the tighter
+        # row within its tolerance.  The closed form meets every row exactly
+        # and is the true L1 optimum.
+        ctx = context_for(WeightedUtility((1.0, 0.3, 0.0), (0.5, 3.0, 1.0)))
+        x = lottery((0.0, 2 / 3, 1 / 3))
+        blocks = [contour_samples(ctx, t, Polytope((*full_simplex(3).vertices, x)))]
+        (ub,) = separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
+        ours, theirs = (
+            np.array([float.fromhex(c) for c in functionals_or_error(ctx, t, blocks, h)[0]])
+            for h in (False, True)
+        )
+        assert near_tie(ctx, ub, ours)
+        excess = [(ub[:, :3] @ coeffs - ub[:, -1]).max() for coeffs in (ours, theirs)]
+        assert excess[0] <= 0.0 < excess[1] <= 1e-10
+        assert np.abs(theirs).sum() < np.abs(ours).sum()
 
 
 class TestAffineFunctional:
