@@ -73,6 +73,7 @@ from .modelspec import load_model, model_from_spec
 from .separation import (
     AffineFunctional,
     CrossPolytopeCheck,
+    FarkasCertificate,
     SeparationCheck,
     contour_samples,
     cross_polytope_consistency,
@@ -101,6 +102,7 @@ __all__ = [
     "DegeneratePreference",
     "DisappointmentAversion",
     "ExpectedUtility",
+    "FarkasCertificate",
     "ImplicitKernel",
     "Infeasible",
     "IterationLimit",

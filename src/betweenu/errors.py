@@ -56,7 +56,19 @@ class MultipleFixedPoints(BetweenuError):
 
 
 class Infeasible(BetweenuError):
-    """The separation program has no solution on the sampled data."""
+    """The separation program has no solution on the sampled data.
+
+    ``level`` is the chord level of the program, or None.  ``certificate``
+    is the :class:`~betweenu.separation.FarkasCertificate` that proves a
+    one-free-coefficient program infeasible without a solver, or None where
+    HiGHS decided (its status and message are in the text) or where the
+    functional degenerated to a constant.
+    """
+
+    def __init__(self, message: str, level: float | None = None, certificate=None):
+        super().__init__(message)
+        self.level = level
+        self.certificate = certificate
 
 
 class MembershipViolation(BetweenuError):

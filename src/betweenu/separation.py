@@ -13,10 +13,15 @@ The programs of one level share no variable, so :func:`_separators`
 solves any number of them at once; :func:`separate` is the one-program
 case.  With degenerate extremes on at most three outcomes each program
 has one free coefficient (none on two), and :func:`_closed_form` solves
-it without a solver.  HiGHS solves the rest in one call: programs with
-four or more outcomes or other extremes, and any batch holding an
-infeasible program, so every :class:`~betweenu.errors.Infeasible` carries
-the solver's status and message.
+it without a solver.  When such a program is infeasible, the
+:class:`~betweenu.errors.Infeasible` it raises carries a
+:class:`FarkasCertificate`, two sample rows that no normalized
+functional meets together, checked in numpy.  HiGHS solves the rest in
+one call: programs with four or more outcomes or other extremes, and a
+program that some row misses by no more than HiGHS's feasibility
+tolerance, so the solver's verdict stands there; its
+:class:`~betweenu.errors.Infeasible` carries the solver's status and
+message and no certificate.
 
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
@@ -46,6 +51,15 @@ _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
 #: Largest spread, among the separator values at a lottery and the engine's
 #: value, that :func:`cross_polytope_consistency` passes.
 CROSS_POLYTOPE_TOL = 1e-6
+
+#: HiGHS's primal and dual feasibility tolerance.  A one-free-coefficient
+#: program is proved infeasible without HiGHS only when its certificate's
+#: rows miss by more than this; nearer cases keep HiGHS's verdict.
+_FEASIBILITY_TOL = 1e-10
+
+#: Largest amount by which a :class:`FarkasCertificate`'s weighted rows may
+#: fail to cancel a coefficient: rounding, far below ``_FEASIBILITY_TOL``.
+_CERTIFICATE_TOL = 1e-13
 
 
 def _record(check) -> dict:
@@ -80,6 +94,32 @@ class SeparationCheck:
     n_indifferent: int
     chord_value: float
     violations: tuple[dict, ...]
+
+    to_dict = _record
+
+
+@dataclass(frozen=True)
+class FarkasCertificate:
+    """Two rows of a separation program at ``level`` that no functional with
+    value 1 at the best extreme and 0 at the worst meets together.
+
+    Each of ``rows`` is one sample's bound: its ``lottery``, its ``class``
+    against the chord point (``"upper"``, ``"lower"`` or ``"indifferent"``,
+    as in :class:`SeparationCheck`), the ``relation`` (``">="`` or
+    ``"<="``) its functional value must bear to ``bound``, and its
+    ``weight``; the weights are nonnegative and sum to 1.  Weighting the
+    rows so, and the two normalization equalities by
+    ``normalization_weights``, cancels every coefficient to within
+    ``residual`` and leaves ``0 <= -gap``.  By Farkas' lemma no functional
+    meets both rows; ``gap`` is also the least amount by which some row
+    must be missed.
+    """
+
+    level: float
+    rows: tuple[dict, ...]
+    normalization_weights: tuple[float, float]
+    residual: float
+    gap: float
 
     to_dict = _record
 
@@ -146,10 +186,14 @@ def separate(
     ``SEPARATION_BAND``; the functional is 1 at the best extreme and 0 at
     the worst.  Among feasible functionals the one with the smallest
     coefficient L1 norm is returned, which fixes the gauge left free by a
-    lower-dimensional polytope and makes the output deterministic.
+    lower-dimensional polytope and makes the output deterministic.  It is
+    the exact optimum on three outcomes or fewer (see :func:`_closed_form`);
+    on four or more HiGHS finds it only to its 1e-10 feasibility
+    tolerance, and where two rows nearly tie it may stop that far from it.
     Existence can only fail if the sampled data admits no separating
     functional, which means the model violates betweenness or continuity
-    on the samples; that raises :class:`Infeasible`.
+    on the samples; that raises :class:`Infeasible`, with a
+    :class:`FarkasCertificate` when the program has one free coefficient.
 
     The caller is responsible for ``samples`` lying in the polytope and
     arriving in a deterministic order.
@@ -211,26 +255,28 @@ def _separators(
     """The functional of :func:`separate` at level ``t`` for each sample
     list in ``blocks``, whose samples ``classified`` holds if given.
 
-    When every program has at most one free coefficient and a non-empty
-    interval for it, :func:`_closed_form` answers the call and HiGHS is not
-    loaded.  Otherwise the programs, which share no variable and whose L1
-    objectives add up, go to one HiGHS call as one block-diagonal program,
-    one block being the case of :func:`separate`.  That program is
-    infeasible exactly when one of its blocks is, so an infeasible batch
-    raises :class:`Infeasible` with the batch's solver message at once.  Only if the call fails
-    otherwise are the blocks solved one by one in order, and the first
-    failing block raises the error :func:`separate` on it would.
+    When every program has at most one free coefficient, :func:`_closed_form`
+    answers the call and HiGHS is not loaded: it returns every optimum, or
+    raises the first infeasible block's :class:`Infeasible` with its
+    :class:`FarkasCertificate`.  Otherwise the programs, which share no
+    variable and whose L1 objectives add up, go to one HiGHS call as one
+    block-diagonal program, one block being the case of :func:`separate`.
+    That program is infeasible exactly when one of its blocks is, so an
+    infeasible batch raises :class:`Infeasible` with the batch's solver
+    message at once.  Only if the call fails otherwise are the blocks solved
+    one by one in order, and the first failing block raises the error
+    :func:`separate` on it would.
     """
     if classified is None:
         classified = _classified(ctx, t, blocks)
     ubs = _inequalities(ctx, t, blocks, classified)
-    closed = _closed_form(ctx, ubs)
+    closed = _closed_form(ctx, t, ubs)
     if closed is not None:
         return [_normalized(ctx, t, coeffs) for coeffs in closed]
     from scipy.sparse import block_diag
 
     n, k = ctx.model.n_outcomes, len(ubs)
-    eq = _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
+    eq = _normalization(ctx)
     # The solver's feasibility tolerance must sit far below the band,
     # or constraint residuals eat the verification headroom.
     result = linprog(
@@ -242,8 +288,8 @@ def _separators(
         bounds=[(0.0, None)] * (2 * n * k),
         method="highs",
         options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
+            "primal_feasibility_tolerance": _FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": _FEASIBILITY_TOL,
         },
     )
     if result.status == 0:
@@ -252,21 +298,32 @@ def _separators(
         return [f for samples in blocks for f in _separators(ctx, t, [samples], classified)]
     raise Infeasible(
         f"no affine functional separates the sampled contour sets at level {t!r} "
-        f"(solver status {result.status}: {result.message})"
+        f"(solver status {result.status}: {result.message})",
+        level=t,
     )
 
 
-def _closed_form(ctx: RepresentationContext, ubs) -> list[np.ndarray] | None:
-    """Each program's L1 optimum without a solver, or None to leave the
-    call to HiGHS.
+def _normalization(ctx: RepresentationContext) -> np.ndarray:
+    """The equality rows of every separation program: value 1 at the best
+    extreme and 0 at the worst, split as :func:`_split` splits."""
+    return _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
+
+
+def _closed_form(ctx: RepresentationContext, t: float, ubs) -> list[np.ndarray] | None:
+    """Each program's L1 optimum at level ``t`` without a solver, or None
+    to leave the call to HiGHS.
 
     With unit extremes on at most three outcomes, the normalization fixes
     the best extreme's coefficient at 1 and the worst's at 0.  So each
     program has at most one free coefficient ``c``, each row reads
     ``a * c <= r``, and the rows leave an interval for ``c``.  The optimum
-    is the point of that interval nearest 0, and it is unique.  If some
-    interval is empty the call goes to HiGHS, so every :class:`Infeasible`
-    keeps the solver's status and text.
+    is the point of that interval nearest 0, and it is unique.
+
+    The first program in order with a row ``a == 0`` and ``r < 0``, or an
+    empty interval, is infeasible: it raises :class:`Infeasible` carrying
+    its :func:`_certificate`, which makes no solver call.  A program whose
+    rows miss by no more than HiGHS's feasibility tolerance (no certificate
+    checks) goes to HiGHS, so HiGHS's verdict stands there.
 
     This is HiGHS's answer bit for bit unless a second row comes within
     HiGHS's feasibility tolerance (1e-10) of active at the optimum: HiGHS
@@ -288,12 +345,75 @@ def _closed_form(ctx: RepresentationContext, ubs) -> list[np.ndarray] | None:
         lo = float(np.max(r[a < 0.0] / a[a < 0.0], initial=-np.inf))
         hi = float(np.min(r[a > 0.0] / a[a > 0.0], initial=np.inf))
         if lo > hi or np.any(r[a == 0.0] < 0.0):
-            return None
+            certificate = _certificate(ctx, t, ub, r, a)
+            if certificate is None:
+                return None
+            raise Infeasible(
+                f"no affine functional separates the sampled contour sets at level {t!r} ("
+                + " and ".join(
+                    f"sample {tuple(row['lottery'])} needs value {row['relation']} "
+                    f"{row['bound']!r}"
+                    for row in certificate.rows
+                )
+                + ")",
+                level=t,
+                certificate=certificate,
+            )
         coeffs = np.zeros(n)
         coeffs[b] = 1.0
         coeffs[free] = min(max(0.0, lo), hi)
         out.append(coeffs)
     return out
+
+
+def _certificate(
+    ctx: RepresentationContext, t: float, ub: np.ndarray, r: np.ndarray, a: np.ndarray
+) -> FarkasCertificate | None:
+    """The :class:`FarkasCertificate` of the infeasible program ``ub`` of
+    :func:`_closed_form`, whose rows read ``a * c <= r``, or None unless it
+    checks.
+
+    It weights the row with ``a == 0`` and the least ``r`` if that ``r`` is
+    negative, else the rows ``i`` and ``j`` that set the interval's ends by
+    ``a_j`` and ``-a_i``.  The weights ``y`` are rescaled to sum to 1 and
+    the normalization weights ``z`` set to cancel the extremes'
+    coefficients.  Then, with the program's split rows ``A_ub x <= b_ub``,
+    ``A_eq x = b_eq`` over ``x >= 0``, the certificate checks when
+    ``A_ub^T y + A_eq^T z >= -_CERTIFICATE_TOL`` and
+    ``b_ub . y + b_eq . z < -_FEASIBILITY_TOL``: no functional can then
+    meet the program's rows to within HiGHS's feasibility tolerance.
+    """
+    at = np.arange(len(r))
+    flat, down, up = at[a == 0.0], at[a < 0.0], at[a > 0.0]
+    if np.any(r[flat] < 0.0):
+        weights = {flat[np.argmin(r[flat])]: 1.0}
+    else:
+        i, j = down[np.argmax(r[down] / a[down])], up[np.argmin(r[up] / a[up])]
+        weights = {i: a[j], j: -a[i]}
+    n = ctx.model.n_outcomes
+    eq = _normalization(ctx)
+    y = np.zeros(len(ub))
+    y[list(weights)] = list(weights.values())
+    y /= y.sum()
+    b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
+    z = -(ub[:, :n].T @ y)[[b, w]]
+    residual = max(0.0, -float(np.min(ub[:, :-1].T @ y + eq[:, :-1].T @ z)))
+    gap = -float(ub[:, -1] @ y + eq[:, -1] @ z)
+    if residual > _CERTIFICATE_TOL or not gap > _FEASIBILITY_TOL:
+        return None
+    # A row of _inequalities is a sample's lottery, negated for a ">="
+    # bound, and the bound, negated alike; only a strictly ranked sample's
+    # bound is t itself.
+    rows = []
+    for k in weights:
+        sign, lottery = np.sign(ub[k, :n].sum()), np.abs(ub[k, :n])
+        bound = float(sign * ub[k, -1])
+        kind = ("lower" if sign > 0 else "upper") if bound == t else "indifferent"
+        rows.append({
+            "lottery": lottery.tolist(), "class": kind,
+            "relation": "<=" if sign > 0 else ">=", "bound": bound, "weight": float(y[k]),
+        })
+    return FarkasCertificate(t, tuple(rows), (float(z[0]), float(z[1])), residual, gap)
 
 
 def _normalized(ctx: RepresentationContext, t: float, coeffs: np.ndarray) -> AffineFunctional:
@@ -304,7 +424,7 @@ def _normalized(ctx: RepresentationContext, t: float, coeffs: np.ndarray) -> Aff
     span = at_best - at_worst
     if abs(span) < 1e-6:
         raise Infeasible(
-            f"separating functional degenerated to a constant at level {t!r}"
+            f"separating functional degenerated to a constant at level {t!r}", level=t
         )
     # The +0.0 maps any -0.0 produced by the rescale to plain 0.0.
     coeffs = (coeffs - at_worst) / span + 0.0
@@ -424,8 +544,9 @@ def cross_polytope_consistency_many(
     vertices gives both the engine values, through
     :func:`~betweenu.engine.local_value` (bitwise
     :func:`~betweenu.engine.implicit_utility`), and every polytope's
-    :func:`contour_samples`; all the separation programs are solved in one
-    HiGHS call (see :func:`_separators`).
+    :func:`contour_samples`; all the separation programs are solved at
+    once (see :func:`_separators`), and the first infeasible one raises
+    :class:`Infeasible`.
     """
     t, tol = _level(t), CROSS_POLYTOPE_TOL
     queries = [(x, list(polys)) for x, polys in zip(xs, polytopes, strict=True)]

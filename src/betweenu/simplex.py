@@ -21,7 +21,8 @@ def linprog(*args, **kwargs):
     HiGHS call of the package goes through here, so only a command that
     solves a program with HiGHS pays the half second ``scipy.optimize``
     takes to load.  Those are separation programs with two or more free
-    coefficients or an infeasible level (one free coefficient is solved in
+    coefficients, or with rows missed only within HiGHS's feasibility
+    tolerance (one free coefficient is solved, or proved infeasible, in
     closed form, see :func:`betweenu.separation._closed_form`), and
     :meth:`Polytope.contains` on a polytope without every degenerate
     lottery."""

@@ -206,13 +206,20 @@ class TestSeparation:
             entries = json.load(fh)["entries"]
         assert [e["level"] for e in entries] == [0.2, 0.4, 0.6, 0.8]
         assert all("infeasible" in e for e in entries)
-        assert [sorted(e) for e in entries[:3]] == [["infeasible", "level"]] * 3
+        assert [sorted(e) for e in entries[:3]] == [["certificate", "infeasible", "level"]] * 3
         last = entries[-1]
-        assert sorted(last) == ["functional", "infeasible", "level", "separation"]
+        assert sorted(last) == ["certificate", "functional", "infeasible", "level", "separation"]
         assert last["separation"]["passed"]
         assert last["infeasible"].startswith(
-            "no affine functional separates the sampled contour sets at level 0.8 (solver status 2"
+            "no affine functional separates the sampled contour sets at level 0.8 (sample "
         )
+        # Each level's program is proved infeasible without a solver.
+        for entry in entries:
+            certificate = entry["certificate"]
+            assert certificate["level"] == entry["level"]
+            assert certificate["residual"] <= 1e-13 < 1e-10 < certificate["gap"]
+            assert len(certificate["rows"]) == 2
+            assert sum(row["weight"] for row in certificate["rows"]) == pytest.approx(1.0)
 
 
 class TestInputErrors:
@@ -383,6 +390,28 @@ class TestColdStart:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
+
+    def test_infeasible_quadratic_separation_leaves_scipy_unloaded(self, tmp_path):
+        # Every infeasible level of the quadratic oracle, at default flags
+        # and at 0.8 (a cross-polytope program), is proved so in closed form.
+        model = write_model(tmp_path, "quad.json", {"kind": "quadratic"})
+        script = (
+            "import sys\n"
+            "from betweenu.cli import main\n"
+            "for i, levels in enumerate(([], ['--levels', '0.8'])):\n"
+            "    out = f'{sys.argv[1]}/out{i}'\n"
+            "    assert main(['separation', '--model', sys.argv[2], '--out', out, *levels]) == 1\n"
+            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), model],
+            capture_output=True,
+            text=True,
+            env=package_env(),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 def dumped(payload) -> str:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betweenu import (
     AffineFunctional,
+    DegeneratePreference,
     DisappointmentAversion,
     ExpectedUtility,
     ImplicitKernel,
@@ -54,6 +55,40 @@ QUADRATIC4 = [
     [0.0, 0.0, 1.0, 0.0],
     [0.0, 0.0, 0.0, 0.5],
 ]
+
+
+def assert_certificate(ctx, t, certificate, samples):
+    """Recheck a :class:`FarkasCertificate` from its record alone.
+
+    Each row must be a bound the level-``t`` program sets on one of
+    ``samples``, given its class against the chord point.  The weighted
+    rows and normalization equalities must cancel every coefficient and
+    sum to ``0 <= -gap`` with ``gap`` past HiGHS's feasibility tolerance.
+    """
+    assert certificate.level == t
+    assert certificate.residual <= separation._CERTIFICATE_TOL
+    probs = {x.probs for x in samples}
+    half_band = 0.5 * separation.SEPARATION_BAND
+    bounds = {
+        ("upper", ">="): t, ("lower", "<="): t,
+        ("indifferent", "<="): t + half_band, ("indifferent", ">="): t - half_band,
+    }
+    combined, total = np.zeros(ctx.model.n_outcomes), 0.0
+    for row in certificate.rows:
+        assert tuple(row["lottery"]) in probs
+        _, side = separation._classify(ctx, t, [row["lottery"]])
+        assert row["class"] == {1: "upper", -1: "lower", 0: "indifferent"}[side[0]]
+        assert row["bound"] == bounds[row["class"], row["relation"]]
+        assert row["weight"] >= 0.0
+        sign = 1.0 if row["relation"] == "<=" else -1.0
+        combined += row["weight"] * sign * np.asarray(row["lottery"])
+        total += row["weight"] * sign * row["bound"]
+    z_best, z_worst = certificate.normalization_weights
+    combined += z_best * ctx.best.as_array() + z_worst * ctx.worst.as_array()
+    assert sum(row["weight"] for row in certificate.rows) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(combined).max() <= separation._CERTIFICATE_TOL
+    assert total + z_best == pytest.approx(-certificate.gap, abs=1e-15)
+    assert certificate.gap > separation._FEASIBILITY_TOL
 
 
 def audit_samples(ctx, t, polytope, resolution=6):
@@ -284,20 +319,20 @@ class TestBatchedSeparation:
         bowed = sorted(grid(n, 6))
         with pytest.raises(Infeasible) as single:
             separate(ctx, 0.5, full_simplex(n), bowed)
-        return ctx, [chord, bowed, chord], str(single.value)
+        return ctx, [chord, bowed, chord], single.value
 
     def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch):
-        # The bowed block's interval is empty, so the whole three-outcome
-        # batch goes to HiGHS.
-        ctx, blocks, message = self.one_infeasible_block()
+        # On three outcomes the bowed block's empty interval raises with its
+        # certificate in closed form; HiGHS is not called.
+        ctx, blocks, single = self.one_infeasible_block()
         calls = self.counted_linprog(monkeypatch)
         with pytest.raises(Infeasible) as batched:
             separation._separators(ctx, 0.5, blocks)
-        assert str(batched.value) == message
-        assert "solver status 2" in message
-        # An infeasible batch holds an infeasible block, so it is not re-solved
-        # block by block (which took [18, 6, 6]).
-        assert [call["c"].size for call in calls] == [18]
+        assert calls == []
+        assert str(batched.value) == str(single)
+        assert batched.value.level == single.level == 0.5
+        assert batched.value.certificate == single.certificate
+        assert_certificate(ctx, 0.5, batched.value.certificate, blocks[1])
 
     @staticmethod
     def failing_batch(monkeypatch) -> list:
@@ -325,11 +360,13 @@ class TestBatchedSeparation:
         assert sizes == [24, 8, 8, 8]
 
     def test_a_block_solved_after_a_failing_batch_raises_its_own_error(self, monkeypatch):
-        ctx, blocks, message = self.one_infeasible_block(QUADRATIC4)
+        ctx, blocks, single = self.one_infeasible_block(QUADRATIC4)
         sizes = self.failing_batch(monkeypatch)
         with pytest.raises(Infeasible) as batched:
             separation._separators(ctx, 0.5, blocks)
-        assert str(batched.value) == message
+        assert str(batched.value) == str(single)
+        assert "solver status 2" in str(single)
+        assert batched.value.level == 0.5 and batched.value.certificate is None
         # The batch, then the blocks one by one up to the failing one.
         assert sizes == [24, 8, 8]
 
@@ -359,7 +396,7 @@ def functionals_or_error(ctx, t, blocks, highs_only=False):
     closed form is switched off, so HiGHS solves every program."""
     with pytest.MonkeyPatch.context() as mp:
         if highs_only:
-            mp.setattr(separation, "_closed_form", lambda ctx, ubs: None)
+            mp.setattr(separation, "_closed_form", lambda ctx, t, ubs: None)
         try:
             return [[c.hex() for c in f.coeffs] for f in separation._separators(ctx, t, blocks)]
         except Infeasible as exc:
@@ -429,9 +466,29 @@ def separation_programs(draw):
     return ctx, t, blocks
 
 
+@st.composite
+def quadratic_programs(draw):
+    """A quadratic oracle on 3 outcomes with a drawn symmetric matrix
+    (entries in [-1, 1]), a level in [0.05, 0.95], and one or two grid
+    sample lists of resolution 1 to 8: bowed contours, so some programs
+    are infeasible and some are not."""
+    upper = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    matrix = np.zeros((3, 3))
+    matrix[np.triu_indices(3)] = upper
+    matrix = matrix + np.triu(matrix, 1).T
+    try:
+        ctx = context_for(quadratic_oracle(matrix.tolist()))
+    except DegeneratePreference:
+        assume(False)
+    t = draw(st.floats(0.05, 0.95))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+    return ctx, t, [sorted(grid(3, size)) for size in sizes]
+
+
 class TestClosedForm:
     """Programs with one free coefficient are solved without HiGHS, to the
-    bits HiGHS gives them wherever it reaches their exact optimum."""
+    bits HiGHS gives them wherever it reaches their exact optimum, and
+    proved infeasible without it wherever HiGHS finds them infeasible."""
 
     @settings(max_examples=40, deadline=None)
     @given(separation_programs())
@@ -440,10 +497,10 @@ class TestClosedForm:
         closed = functionals_or_error(ctx, t, blocks)
         highs = functionals_or_error(ctx, t, blocks, highs_only=True)
         if isinstance(highs, str):
-            assert closed == highs
+            assert isinstance(closed, str)
             return
         ubs = separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
-        optima = separation._closed_form(ctx, ubs)
+        optima = separation._closed_form(ctx, t, ubs)
         assert optima is not None
         for ub, coeffs, ours, theirs in zip(ubs, optima, closed, highs):
             if near_tie(ctx, ub, coeffs):
@@ -466,16 +523,69 @@ class TestClosedForm:
         monkeypatch.setattr(separation, "linprog", None)
         assert functionals_or_error(ctx, 0.3, blocks) == highs
 
-    def test_an_empty_interval_goes_to_highs(self, monkeypatch):
-        # The bowed quadratic contour leaves no coefficient, so HiGHS proves
-        # the program infeasible and its status and message are raised.
+    @settings(max_examples=40, deadline=None)
+    @given(quadratic_programs())
+    def test_infeasible_exactly_when_highs_says_so(self, program):
+        ctx, t, blocks = program
+        highs = functionals_or_error(ctx, t, blocks, highs_only=True)
+        try:
+            separation._separators(ctx, t, blocks)
+        except Infeasible as exc:
+            assert isinstance(highs, str) and "solver status 2" in highs
+            if exc.certificate is not None:
+                # Both rows are bounds of one block's program.
+                lotteries = [tuple(row["lottery"]) for row in exc.certificate.rows]
+                block = next(
+                    samples for samples in blocks
+                    if set(lotteries) <= {x.probs for x in samples}
+                )
+                assert_certificate(ctx, t, exc.certificate, block)
+        else:
+            assert not isinstance(highs, str)
+
+    def test_an_empty_interval_raises_a_checked_certificate(self, monkeypatch):
+        # The bowed quadratic contour leaves no coefficient: at level 0.5 the
+        # free coefficient must be at least 3 for (5/6, 1/6, 0), strictly
+        # preferred to the chord point, and at most 1e-7 for (0, 1/2, 1/2),
+        # indifferent to it.  HiGHS finds the program infeasible too.
         ctx = context_for(quadratic_oracle())
-        bowed = [sorted(grid(3, 6))]
-        ubs = separation._inequalities(ctx, 0.5, bowed, separation._classified(ctx, 0.5, bowed))
-        assert separation._closed_form(ctx, ubs) is None
-        message = functionals_or_error(ctx, 0.5, bowed, highs_only=True)
-        assert "solver status 2" in message
-        assert functionals_or_error(ctx, 0.5, bowed) == message
+        bowed = sorted(grid(3, 6))
+        assert "solver status 2" in functionals_or_error(ctx, 0.5, [bowed], highs_only=True)
+        calls = TestBatchedSeparation.counted_linprog(monkeypatch)
+        with pytest.raises(Infeasible) as exc:
+            separation._separators(ctx, 0.5, [bowed])
+        assert calls == []
+        assert str(exc.value) == (
+            "no affine functional separates the sampled contour sets at level 0.5 "
+            "(sample (0.8333333333333334, 0.16666666666666666, 0.0) needs value >= 0.5 "
+            "and sample (0.0, 0.5, 0.5) needs value <= 0.50000005)"
+        )
+        certificate = exc.value.certificate
+        assert exc.value.level == certificate.level == 0.5
+        assert [(row["lottery"], row["class"], row["weight"]) for row in certificate.rows] == [
+            ([5 / 6, 1 / 6, 0.0], "upper", 0.75), ([0.0, 0.5, 0.5], "indifferent", 0.25),
+        ]
+        assert_certificate(ctx, 0.5, certificate, bowed)
+
+    @pytest.mark.parametrize("miss, raises", [(5e-11, False), (1e-9, True)])
+    def test_rows_missed_within_the_tolerance_go_to_highs(self, eu_model, miss, raises):
+        # A row with no free coefficient missed by ``miss``, and an interval
+        # [0.5, 0.5 - 2 * miss] (empty by 2 * miss; its rows, weighted 1/2
+        # each, miss by ``miss``): within HiGHS's 1e-10 the call goes to
+        # HiGHS, past it the closed form raises.
+        ctx = context_for(eu_model)
+        b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
+        (m,) = {0, 1, 2} - {b, w}
+        best, free = np.eye(3)[b], np.eye(3)[m]
+        flat = separation._split(best[None], [1.0 - miss])
+        interval = separation._split(np.stack([-free, free]), [-0.5, 0.5 - 2 * miss])
+        for ub in (flat, interval):
+            if raises:
+                with pytest.raises(Infeasible) as exc:
+                    separation._closed_form(ctx, 0.5, [ub])
+                assert exc.value.certificate.gap == pytest.approx(miss, rel=1e-6)
+            else:
+                assert separation._closed_form(ctx, 0.5, [ub]) is None
 
     @pytest.mark.parametrize("t", [0.15, 0.35])
     def test_a_near_tie_gets_the_exact_optimum(self, t):
