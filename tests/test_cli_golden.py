@@ -16,9 +16,13 @@ list a point found by both scanline families once.  ``repr.jump`` gained
 one digest, for the ``error.json`` record an exit 3 now writes; its other
 digests held.  ``separation.quadratic@0.8`` runs the quadratic oracle at
 ``--levels 0.8``, where the simplex separator exists and the
-cross-polytope programs are infeasible together; it was recorded at commit
-89a9fe5, before an infeasible batch stopped being re-solved block by
-block.  ``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
+cross-polytope programs are infeasible together.  ``separation.quadratic``,
+``separation.quadratic@0.8`` and ``separation.jump`` were re-recorded when
+an infeasible program with one free coefficient began to raise a Farkas
+certificate in place of HiGHS's status: each level's ``infeasible``
+message now names the samples whose bounds exclude each other, and the
+level carries a ``certificate``; exit codes, stdout and stderr held.
+``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
 the benchmark writes; it was recorded at commit 4a229aa, while the file
 still went through ``json.dump``.  So any change
 to a printed number shows up here.  To re-record after an intended output
@@ -244,7 +248,7 @@ GOLDEN = {
     "separation.jump": {
         "exit": 1,
         "files": {
-            "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
+            "separation.json": "c37b66040fb142920a2dab47151b71f11b0e9ccb83f5a63d295cc21017dd8f90"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
@@ -260,7 +264,7 @@ GOLDEN = {
     "separation.quadratic": {
         "exit": 1,
         "files": {
-            "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
+            "separation.json": "0e0c206c1984c90397da8a0c63ae429442ce0fc5929454c00c5ec8b605047229"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
@@ -268,7 +272,7 @@ GOLDEN = {
     "separation.quadratic@0.8": {
         "exit": 1,
         "files": {
-            "separation.json": "f37f738eeca76b28a79155eb8486c80311833513be10842adde3f68f5d2c9937"
+            "separation.json": "335be2b3352bb89de22bb897aa037c5c3e14cefa2c9146ff47fb360be9a1d3ce"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
