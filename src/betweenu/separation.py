@@ -13,15 +13,13 @@ The programs of one level share no variable, so :func:`_separators`
 solves any number of them at once; :func:`separate` is the one-program
 case.  With degenerate extremes on at most three outcomes each program
 has one free coefficient (none on two), and :func:`_closed_form` solves
-it without a solver.  When such a program is infeasible, the
-:class:`~betweenu.errors.Infeasible` it raises carries a
-:class:`FarkasCertificate`, two sample rows that no normalized
-functional meets together, checked in numpy.  HiGHS solves the rest in
-one call: programs with four or more outcomes or other extremes, and a
-program that some row misses by no more than HiGHS's feasibility
-tolerance, so the solver's verdict stands there; its
-:class:`~betweenu.errors.Infeasible` carries the solver's status and
-message and no certificate.
+it without a solver; if it is infeasible, the
+:class:`~betweenu.errors.Infeasible` raised carries a
+:class:`FarkasCertificate` checked in numpy.  HiGHS solves the rest in
+one call: programs with four or more outcomes or other extremes, and
+programs whose rows miss by no more than HiGHS's feasibility tolerance,
+where an :class:`~betweenu.errors.Infeasible` carries the solver's
+status and message.
 
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
