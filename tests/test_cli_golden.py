@@ -22,6 +22,9 @@ an infeasible program with one free coefficient began to raise a Farkas
 certificate in place of HiGHS's status: each level's ``infeasible``
 message now names the samples whose bounds exclude each other, and the
 level carries a ``certificate``; exit codes, stdout and stderr held.
+``separation.wu4`` and ``separation.quadratic4`` run ``separation`` on
+the four-outcome models of ``MODELS4``; they were recorded while HiGHS
+solved every program with two or more free coefficients.
 ``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
 the benchmark writes; it was recorded at commit 4a229aa, while the file
 still went through ``json.dump``.  So any change
@@ -55,6 +58,18 @@ MODELS = {
     "jump": {"kind": "jump"},
 }
 
+#: Four-outcome models, audited by ``separation`` alone: the weighted
+#: utility of the benchmark's ``wu4`` job, and a quadratic oracle whose
+#: matrix leaves some levels without a separating functional.
+MODELS4 = {
+    "wu4": {"kind": "weighted_utility", "u": [0.0, 0.3, 0.7, 1.0], "w": [1.0, 2.0, 0.5, 1.5]},
+    "quadratic4": {
+        "kind": "quadratic",
+        "matrix": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                   [0.0, 0.0, 0.0, 0.5]],
+    },
+}
+
 #: Grid resolution per subcommand: grid 6 holds the cyclic oracle's
 #: planted triple; the separation audit's cost barely depends on it.
 GRIDS = {"check": 6, "triangle": 6, "separation": 4}
@@ -72,13 +87,14 @@ JOBS = {
     **{f"repr.{model}": ("repr", model, res, "0.5") for model, res in REPR_GRIDS.items()},
     "separation.quadratic@0.8": ("separation", "quadratic", GRIDS["separation"], "0.8"),
     "check.quadratic@grid9": ("check", "quadratic", 9, "0.5"),
+    **{f"separation.{model}": ("separation", model, GRIDS["separation"], "0.5") for model in MODELS4},
 }
 
 
 def run_job(root: str, cmd: str, model: str, res: int, levels: str) -> dict:
     spec = os.path.join(root, f"{model}.json")
     with open(spec, "w", encoding="utf-8") as fh:
-        json.dump(MODELS[model], fh)
+        json.dump({**MODELS, **MODELS4}[model], fh)
     out = os.path.join(root, f"{cmd}.{model}@{levels}")
     argv = [cmd, "--model", spec, "--grid", str(res), "--levels", levels, "--out", out]
     printed, errors = StringIO(), StringIO()
@@ -269,6 +285,14 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
     },
+    "separation.quadratic4": {
+        "exit": 1,
+        "files": {
+            "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
+    },
     "separation.quadratic@0.8": {
         "exit": 1,
         "files": {
@@ -281,6 +305,14 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "separation.json": "fff59262088cbbbef47f7c9741b6e5ee11d729bbdfa5688089e6d13d172c79c9"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
+    },
+    "separation.wu4": {
+        "exit": 0,
+        "files": {
+            "separation.json": "91b52b26c9d6a0c4d9778bfbedda67f558a347e09adf882e07562c0c674e8a29"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
