@@ -12,8 +12,8 @@ results into an output directory:
 ``triangle``    curves.csv and triangle.svg for three-outcome models.
 ``separation``  separation.json: per-level separating functionals, the
                 sample-by-sample audit, and cross-polytope agreement, or
-                the message of a level's infeasible program, with its
-                Farkas certificate where it has one free coefficient.
+                the message of a level's infeasible program and its
+                Farkas certificate.
 
 CSV layout: lottery components first, then inputs such as the level,
 then computed quantities.  Input columns are printed with full
@@ -395,8 +395,7 @@ def cmd_separation(model, args, levels) -> int:
                 level_ok = all(result.passed for result in results)
         except Infeasible as exc:
             entry["infeasible"] = str(exc)
-            if exc.certificate is not None:
-                entry["certificate"] = exc.certificate.to_dict()
+            entry["certificate"] = exc.certificate.to_dict()
             level_ok = False
         entries.append(entry)
         all_ok = all_ok and level_ok

@@ -59,10 +59,9 @@ class Infeasible(BetweenuError):
     """The separation program has no solution on the sampled data.
 
     ``level`` is the chord level of the program, or None.  ``certificate``
-    is the :class:`~betweenu.separation.FarkasCertificate` that proves a
-    one-free-coefficient program infeasible without a solver, or None where
-    HiGHS decided (its status and message are in the text) or where the
-    functional degenerated to a constant.
+    is the :class:`~betweenu.separation.FarkasCertificate` that proves the
+    program infeasible, which every infeasible program raised by
+    :mod:`betweenu.separation` carries, or None.
     """
 
     def __init__(self, message: str, level: float | None = None, certificate=None):

@@ -9,17 +9,12 @@ property sample-by-sample, and confirms that the value assigned to a
 lottery does not depend on which polytope the separation is carried out
 in, matching the engine's mixing-based value.
 
-The programs of one level share no variable, so :func:`_separators`
-solves any number of them at once; :func:`separate` is the one-program
-case.  With degenerate extremes on at most three outcomes each program
-has one free coefficient (none on two), and :func:`_closed_form` solves
-it without a solver; if it is infeasible, the
-:class:`~betweenu.errors.Infeasible` raised carries a
-:class:`FarkasCertificate` checked in numpy.  HiGHS solves the rest in
-one call: programs with four or more outcomes or other extremes, and
-programs whose rows miss by no more than HiGHS's feasibility tolerance,
-where an :class:`~betweenu.errors.Infeasible` carries the solver's
-status and message.
+One solver, :func:`~betweenu.simplex.linprog`, answers every separation
+program, on any number of outcomes: with the exact least-L1-norm
+functional, or with a Farkas ray from which an infeasible program's
+:class:`~betweenu.errors.Infeasible` gets its :class:`FarkasCertificate`,
+checked in numpy.  :func:`_separators` hands it all the programs of one
+level at once; :func:`separate` is the one-program case.
 
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
@@ -40,8 +35,8 @@ from .models import classify
 from .simplex import Lottery, Polytope, linprog, lottery_rows, mix
 
 #: Half-width of the equality band used for samples indifferent to the
-#: chord point, and for verifying separation; chosen above the solver's
-#: feasibility tolerance and far below the verification tolerances.
+#: chord point, and for verifying separation; chosen far above
+#: ``_FEASIBILITY_TOL`` and far below the verification tolerances.
 SEPARATION_BAND = 1e-7
 
 _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
@@ -50,9 +45,10 @@ _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
 #: value, that :func:`cross_polytope_consistency` passes.
 CROSS_POLYTOPE_TOL = 1e-6
 
-#: HiGHS's primal and dual feasibility tolerance.  A one-free-coefficient
-#: program is proved infeasible without HiGHS only when its certificate's
-#: rows miss by more than this; nearer cases keep HiGHS's verdict.
+#: The least miss a program must force for :func:`_separators` to raise:
+#: an infeasible program whose certificate's gap is no more than this (a
+#: near miss, within the rounding of the samples) gets the optimum of its
+#: rows relaxed by this instead.
 _FEASIBILITY_TOL = 1e-10
 
 #: Largest amount by which a :class:`FarkasCertificate`'s weighted rows may
@@ -98,8 +94,9 @@ class SeparationCheck:
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Two rows of a separation program at ``level`` that no functional with
-    value 1 at the best extreme and 0 at the worst meets together.
+    """At most d + 1 rows of a separation program at ``level``, where d is
+    the number of outcomes less 2 (Helly's theorem), that no functional
+    with value 1 at the best extreme and 0 at the worst meets together.
 
     Each of ``rows`` is one sample's bound: its ``lottery``, its ``class``
     against the chord point (``"upper"``, ``"lower"`` or ``"indifferent"``,
@@ -109,7 +106,7 @@ class FarkasCertificate:
     rows so, and the two normalization equalities by
     ``normalization_weights``, cancels every coefficient to within
     ``residual`` and leaves ``0 <= -gap``.  By Farkas' lemma no functional
-    meets both rows; ``gap`` is also the least amount by which some row
+    meets all the rows; ``gap`` is also the least amount by which some row
     must be missed.
     """
 
@@ -183,15 +180,15 @@ def separate(
     strictly dispreferred ones <= t, indifferent ones t within
     ``SEPARATION_BAND``; the functional is 1 at the best extreme and 0 at
     the worst.  Among feasible functionals the one with the smallest
-    coefficient L1 norm is returned, which fixes the gauge left free by a
-    lower-dimensional polytope and makes the output deterministic.  It is
-    the exact optimum on three outcomes or fewer (see :func:`_closed_form`);
-    on four or more HiGHS finds it only to its 1e-10 feasibility
-    tolerance, and where two rows nearly tie it may stop that far from it.
+    coefficient L1 norm is returned, ties going to the lexicographically
+    least coefficients, which fixes the gauge left free by a
+    lower-dimensional polytope and makes the output unique.  It is the
+    exact optimum on any number of outcomes: it meets every row to the
+    rounding of evaluating it (see :func:`~betweenu.simplex.linprog`).
     Existence can only fail if the sampled data admits no separating
     functional, which means the model violates betweenness or continuity
-    on the samples; that raises :class:`Infeasible`, with a
-    :class:`FarkasCertificate` when the program has one free coefficient.
+    on the samples; that raises :class:`Infeasible` with a
+    :class:`FarkasCertificate`.
 
     The caller is responsible for ``samples`` lying in the polytope and
     arriving in a deterministic order.
@@ -253,52 +250,38 @@ def _separators(
     """The functional of :func:`separate` at level ``t`` for each sample
     list in ``blocks``, whose samples ``classified`` holds if given.
 
-    When every program has at most one free coefficient, :func:`_closed_form`
-    answers the call and HiGHS is not loaded: it returns every optimum, or
-    raises the first infeasible block's :class:`Infeasible` with its
-    :class:`FarkasCertificate`.  Otherwise the programs, which share no
-    variable and whose L1 objectives add up, go to one HiGHS call as one
-    block-diagonal program, one block being the case of :func:`separate`.
-    That program is infeasible exactly when one of its blocks is, so an
-    infeasible batch raises :class:`Infeasible` with the batch's solver
-    message at once.  Only if the call fails otherwise are the blocks solved
-    one by one in order, and the first failing block raises the error
-    :func:`separate` on it would.
+    One :func:`~betweenu.simplex.linprog` call solves every program.  The
+    first program in order that has none raises :class:`Infeasible` with
+    its :class:`FarkasCertificate`, once the certificate's gap exceeds
+    ``_FEASIBILITY_TOL``.  A program whose rows no functional meets, but
+    one misses by no more (a near miss), gets the optimum of its rows
+    relaxed by ``_FEASIBILITY_TOL`` instead.
     """
-    if classified is None:
-        classified = _classified(ctx, t, blocks)
-    ubs = _inequalities(ctx, t, blocks, classified)
-    closed = _closed_form(ctx, t, ubs)
-    if closed is not None:
-        return [_normalized(ctx, t, coeffs) for coeffs in closed]
-    from scipy.sparse import block_diag
+    ubs = _inequalities(ctx, t, blocks, classified or _classified(ctx, t, blocks))
+    out = []
+    for ub, (coeffs, ray) in zip(ubs, _solved(ctx, ubs, 0.0)):
+        certificate = ray and _certificate(ctx, t, ub, *ray())
+        if certificate and certificate.gap <= _FEASIBILITY_TOL:
+            ((coeffs, ray),) = _solved(ctx, [ub], _FEASIBILITY_TOL)
+            certificate = ray and _certificate(ctx, t, ub, *ray())
+        if certificate:
+            needs = " and ".join(
+                f"sample {tuple(row['lottery'])} needs value {row['relation']} {row['bound']!r}"
+                for row in certificate.rows
+            )
+            message = f"no affine functional separates the sampled contour sets at level {t!r}"
+            raise Infeasible(f"{message} ({needs})", level=t, certificate=certificate)
+        # The +0.0 maps any -0.0 to plain 0.0.
+        out.append(AffineFunctional(tuple((coeffs + 0.0).tolist())))
+    return out
 
-    n, k = ctx.model.n_outcomes, len(ubs)
-    eq = _normalization(ctx)
-    # The solver's feasibility tolerance must sit far below the band,
-    # or constraint residuals eat the verification headroom.
-    result = linprog(
-        c=np.ones(2 * n * k),
-        A_ub=block_diag([ub[:, :-1] for ub in ubs]),
-        b_ub=np.concatenate([ub[:, -1] for ub in ubs]),
-        A_eq=block_diag([eq[:, :-1]] * k),
-        b_eq=np.tile(eq[:, -1], k),
-        bounds=[(0.0, None)] * (2 * n * k),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": _FEASIBILITY_TOL,
-            "dual_feasibility_tolerance": _FEASIBILITY_TOL,
-        },
-    )
-    if result.status == 0:
-        return [_normalized(ctx, t, x[:n] - x[n:]) for x in result.x.reshape(k, 2 * n)]
-    if k > 1 and result.status != 2:  # 2: infeasible, so one block is
-        return [f for samples in blocks for f in _separators(ctx, t, [samples], classified)]
-    raise Infeasible(
-        f"no affine functional separates the sampled contour sets at level {t!r} "
-        f"(solver status {result.status}: {result.message})",
-        level=t,
-    )
+
+def _solved(ctx: RepresentationContext, ubs, slack: float) -> list:
+    """:func:`~betweenu.simplex.linprog` of the programs ``ubs``, split as
+    :func:`_split` splits, with each row's bound raised by ``slack``."""
+    n, eq = ctx.model.n_outcomes, _normalization(ctx)
+    rows, rhs = [ub[:, :n] for ub in ubs], [ub[:, -1] + slack for ub in ubs]
+    return linprog(rows, rhs, eq[:, :n], eq[:, -1])
 
 
 def _normalization(ctx: RepresentationContext) -> np.ndarray:
@@ -307,126 +290,29 @@ def _normalization(ctx: RepresentationContext) -> np.ndarray:
     return _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
 
 
-def _closed_form(ctx: RepresentationContext, t: float, ubs) -> list[np.ndarray] | None:
-    """Each program's L1 optimum at level ``t`` without a solver, or None
-    to leave the call to HiGHS.
+def _certificate(ctx: RepresentationContext, t: float, ub: np.ndarray, y, z) -> FarkasCertificate:
+    """The :class:`FarkasCertificate` of the program ``ub`` at level ``t``
+    that weights its rows by ``y`` and its normalization equalities by
+    ``z``, a ray of :func:`~betweenu.simplex.linprog`.
 
-    With unit extremes on at most three outcomes, the normalization fixes
-    the best extreme's coefficient at 1 and the worst's at 0.  So each
-    program has at most one free coefficient ``c``, each row reads
-    ``a * c <= r``, and the rows leave an interval for ``c``.  The optimum
-    is the point of that interval nearest 0, and it is unique.
-
-    The first program in order with a row ``a == 0`` and ``r < 0``, or an
-    empty interval, is infeasible: it raises :class:`Infeasible` carrying
-    its :func:`_certificate`, which makes no solver call.  A program whose
-    rows miss by no more than HiGHS's feasibility tolerance (no certificate
-    checks) goes to HiGHS, so HiGHS's verdict stands there.
-
-    This is HiGHS's answer bit for bit unless a second row comes within
-    HiGHS's feasibility tolerance (1e-10) of active at the optimum: HiGHS
-    may then stop at that row's bound, violating the binding row by up to
-    the tolerance, while this optimum meets every row.
+    With the program's split rows ``A_ub x <= b_ub``, ``A_eq x = b_eq`` over
+    ``x >= 0``, ``residual`` is how far ``A_ub^T y + A_eq^T z`` falls below 0
+    and ``gap`` is ``-(b_ub . y + b_eq . z)``.  The rows are listed ``>=``
+    bounds first, then ``<=`` bounds, each in the program's order.
     """
-    best, worst = ctx.best.probs, ctx.worst.probs
-    n = len(best)
-    if n > 3 or any(p.count(1.0) != 1 or p.count(0.0) != n - 1 for p in (best, worst)):
-        return None
-    b, w = best.index(1.0), worst.index(1.0)
-    if b == w:
-        return None
-    free = [i for i in range(n) if i not in (b, w)]
-    out = []
-    for ub in ubs:
-        r = ub[:, -1] - ub[:, b]
-        a = ub[:, free[0]] if free else np.zeros(len(r))
-        lo = float(np.max(r[a < 0.0] / a[a < 0.0], initial=-np.inf))
-        hi = float(np.min(r[a > 0.0] / a[a > 0.0], initial=np.inf))
-        if lo > hi or np.any(r[a == 0.0] < 0.0):
-            certificate = _certificate(ctx, t, ub, r, a)
-            if certificate is None:
-                return None
-            raise Infeasible(
-                f"no affine functional separates the sampled contour sets at level {t!r} ("
-                + " and ".join(
-                    f"sample {tuple(row['lottery'])} needs value {row['relation']} "
-                    f"{row['bound']!r}"
-                    for row in certificate.rows
-                )
-                + ")",
-                level=t,
-                certificate=certificate,
-            )
-        coeffs = np.zeros(n)
-        coeffs[b] = 1.0
-        coeffs[free] = min(max(0.0, lo), hi)
-        out.append(coeffs)
-    return out
-
-
-def _certificate(
-    ctx: RepresentationContext, t: float, ub: np.ndarray, r: np.ndarray, a: np.ndarray
-) -> FarkasCertificate | None:
-    """The :class:`FarkasCertificate` of the infeasible program ``ub`` of
-    :func:`_closed_form`, whose rows read ``a * c <= r``, or None unless it
-    checks.
-
-    It weights the row with ``a == 0`` and the least ``r`` if that ``r`` is
-    negative, else the rows ``i`` and ``j`` that set the interval's ends by
-    ``a_j`` and ``-a_i``.  The weights ``y`` are rescaled to sum to 1 and
-    the normalization weights ``z`` set to cancel the extremes'
-    coefficients.  Then, with the program's split rows ``A_ub x <= b_ub``,
-    ``A_eq x = b_eq`` over ``x >= 0``, the certificate checks when
-    ``A_ub^T y + A_eq^T z >= -_CERTIFICATE_TOL`` and
-    ``b_ub . y + b_eq . z < -_FEASIBILITY_TOL``: no functional can then
-    meet the program's rows to within HiGHS's feasibility tolerance.
-    """
-    at = np.arange(len(r))
-    flat, down, up = at[a == 0.0], at[a < 0.0], at[a > 0.0]
-    if np.any(r[flat] < 0.0):
-        weights = {flat[np.argmin(r[flat])]: 1.0}
-    else:
-        i, j = down[np.argmax(r[down] / a[down])], up[np.argmin(r[up] / a[up])]
-        weights = {i: a[j], j: -a[i]}
-    n = ctx.model.n_outcomes
-    eq = _normalization(ctx)
-    y = np.zeros(len(ub))
-    y[list(weights)] = list(weights.values())
-    y /= y.sum()
-    b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
-    z = -(ub[:, :n].T @ y)[[b, w]]
+    n, eq = ctx.model.n_outcomes, _normalization(ctx)
     residual = max(0.0, -float(np.min(ub[:, :-1].T @ y + eq[:, :-1].T @ z)))
     gap = -float(ub[:, -1] @ y + eq[:, -1] @ z)
-    if residual > _CERTIFICATE_TOL or not gap > _FEASIBILITY_TOL:
-        return None
     # A row of _inequalities is a sample's lottery, negated for a ">="
     # bound, and the bound, negated alike; only a strictly ranked sample's
     # bound is t itself.
     rows = []
-    for k in weights:
-        sign, lottery = np.sign(ub[k, :n].sum()), np.abs(ub[k, :n])
-        bound = float(sign * ub[k, -1])
+    for k in sorted(np.flatnonzero(y), key=lambda k: ub[k, :n].sum() > 0.0):
+        sign, bound = np.sign(ub[k, :n].sum()), float(np.sign(ub[k, :n].sum()) * ub[k, -1])
         kind = ("lower" if sign > 0 else "upper") if bound == t else "indifferent"
-        rows.append({
-            "lottery": lottery.tolist(), "class": kind,
-            "relation": "<=" if sign > 0 else ">=", "bound": bound, "weight": float(y[k]),
-        })
+        rows.append({"lottery": np.abs(ub[k, :n]).tolist(), "class": kind, "bound": bound,
+                     "relation": "<=" if sign > 0 else ">=", "weight": float(y[k])})
     return FarkasCertificate(t, tuple(rows), (float(z[0]), float(z[1])), residual, gap)
-
-
-def _normalized(ctx: RepresentationContext, t: float, coeffs: np.ndarray) -> AffineFunctional:
-    # The solver meets the normalization equalities only to its own
-    # feasibility tolerance; rescale so they hold exactly.
-    at_best = float(np.dot(coeffs, ctx.best.as_array()))
-    at_worst = float(np.dot(coeffs, ctx.worst.as_array()))
-    span = at_best - at_worst
-    if abs(span) < 1e-6:
-        raise Infeasible(
-            f"separating functional degenerated to a constant at level {t!r}", level=t
-        )
-    # The +0.0 maps any -0.0 produced by the rescale to plain 0.0.
-    coeffs = (coeffs - at_worst) / span + 0.0
-    return AffineFunctional(tuple(float(c) for c in coeffs))
 
 
 def verify_separation(

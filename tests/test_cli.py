@@ -351,35 +351,52 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
-class TestColdStart:
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize dominates a cold start; only the separation LP loads it.
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, betweenu.cli; print('scipy.optimize' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            env=package_env(),
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+#: Four-outcome models: the weighted utility of the benchmark's ``wu4`` job,
+#: and a quadratic oracle with no separating functional at some levels.
+WU4_SPEC = {"kind": "weighted_utility", "u": [0.0, 0.3, 0.7, 1.0], "w": [1.0, 2.0, 0.5, 1.5]}
+QUADRATIC4_SPEC = {
+    "kind": "quadratic",
+    "matrix": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5]],
+}
 
-    def test_three_outcome_separation_leaves_scipy_optimize_unloaded(self, tmp_path):
-        # Every program of these runs has one free coefficient and a
-        # non-empty interval, so none reaches HiGHS.
-        specs = [EU_SPEC, WU_SPEC, DA_SPEC, KERNEL_SPEC, {"kind": "cyclic_oracle"}]
+#: Runs every subcommand on each model given after the output root, at
+#: grid 2 and level 0.5, with ``scipy`` blocked from import if the first
+#: argument says so; prints the exit codes, a chord polytope's verdicts on
+#: lotteries on and off it, and the scipy modules loaded.
+EVERY_SUBCOMMAND = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import contextlib, io
+from betweenu import Polytope, degenerate, lottery
+from betweenu.cli import main
+codes = []
+for i, model in enumerate(sys.argv[3:]):
+    for cmd in ("repr", "check", "triangle", "separation"):
+        out = f"{sys.argv[2]}/{cmd}-{i}"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main([cmd, "--model", model, "--grid", "2", "--levels", "0.5", "--out", out]))
+chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
+print(codes, [chord.contains(lottery(p)) for p in ((0.4, 0.0, 0.6), (0.2, 0.3, 0.5))])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestColdStart:
+    def test_separation_loads_no_scipy(self, tmp_path):
+        # The package's one solver is numpy code: no command imports scipy.
+        specs = [
+            EU_SPEC, WU_SPEC, DA_SPEC, KERNEL_SPEC, {"kind": "cyclic_oracle"},
+            {"kind": "quadratic"}, WU4_SPEC, QUADRATIC4_SPEC,
+        ]
         models = [write_model(tmp_path, f"m{i}.json", spec) for i, spec in enumerate(specs)]
         script = (
             "import sys\n"
             "from betweenu.cli import main\n"
-            "for i, model in enumerate(sys.argv[2:]):\n"
-            "    out = f'{sys.argv[1]}/out{i}'\n"
-            "    assert main(['separation', '--model', model, '--out', out]) == 0, model\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "codes = [main(['separation', '--model', m, '--out', f'{sys.argv[1]}/out{i}'])\n"
+            "         for i, m in enumerate(sys.argv[2:])]\n"
+            "print(codes)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path), *models],
@@ -389,29 +406,32 @@ class TestColdStart:
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
+        assert result.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 1, 0, 1]", "[]"]
 
-    def test_infeasible_quadratic_separation_leaves_scipy_unloaded(self, tmp_path):
-        # Every infeasible level of the quadratic oracle, at default flags
-        # and at 0.8 (a cross-polytope program), is proved so in closed form.
-        model = write_model(tmp_path, "quad.json", {"kind": "quadratic"})
-        script = (
-            "import sys\n"
-            "from betweenu.cli import main\n"
-            "for i, levels in enumerate(([], ['--levels', '0.8'])):\n"
-            "    out = f'{sys.argv[1]}/out{i}'\n"
-            "    assert main(['separation', '--model', sys.argv[2], '--out', out, *levels]) == 1\n"
-            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path), model],
-            capture_output=True,
-            text=True,
-            env=package_env(),
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        specs = [EU_SPEC, {"kind": "cyclic_oracle"}, {"kind": "jump"}, WU4_SPEC, QUADRATIC4_SPEC]
+        models = [write_model(tmp_path, f"m{i}.json", spec) for i, spec in enumerate(specs)]
+        runs = {}
+        for mode in ("blocked", "open"):
+            root = tmp_path / mode
+            result = subprocess.run(
+                [sys.executable, "-c", EVERY_SUBCOMMAND, mode, str(root), *models],
+                capture_output=True,
+                text=True,
+                env=package_env(),
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            files = {}
+            for folder, _, names in os.walk(root):
+                for name in names:
+                    with open(os.path.join(folder, name), "rb") as fh:
+                        files[os.path.relpath(os.path.join(folder, name), root)] = fh.read()
+            runs[mode] = (result.stdout.splitlines()[0], files)
+        assert runs["blocked"] == runs["open"]
+        codes, verdicts = runs["blocked"][0].split("] [")
+        assert verdicts == "True, False]"
+        assert len(runs["blocked"][1]) > len(specs)
 
 
 def dumped(payload) -> str:

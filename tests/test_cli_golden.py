@@ -23,8 +23,15 @@ certificate in place of HiGHS's status: each level's ``infeasible``
 message now names the samples whose bounds exclude each other, and the
 level carries a ``certificate``; exit codes, stdout and stderr held.
 ``separation.wu4`` and ``separation.quadratic4`` run ``separation`` on
-the four-outcome models of ``MODELS4``; they were recorded while HiGHS
-solved every program with two or more free coefficients.
+the four-outcome models of ``MODELS4``.  Recorded while HiGHS solved
+every program with two or more free coefficients, both were re-recorded
+once when the package's own exact solver replaced it: on the weighted
+utility, programs whose least L1 norm several functionals share now get
+the lexicographically least (HiGHS put up to 0.54 on another
+coefficient), so ``separation.json`` moved; on the quadratic oracle the
+level's ``infeasible`` message names the two samples of its new Farkas
+``certificate`` in place of HiGHS's status.  Exit codes, stdout and
+stderr held.
 ``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
 the benchmark writes; it was recorded at commit 4a229aa, while the file
 still went through ``json.dump``.  So any change
@@ -288,7 +295,7 @@ GOLDEN = {
     "separation.quadratic4": {
         "exit": 1,
         "files": {
-            "separation.json": "0c8825a1c2318e9906fc9af14c4ef0c0a9920d242f6c8567a83ab0637ca6f433"
+            "separation.json": "d16f58f26dddfeccf4fb4912a9b9b0b94c6f39112f605696983e083e0eab4674"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"
@@ -312,7 +319,7 @@ GOLDEN = {
     "separation.wu4": {
         "exit": 0,
         "files": {
-            "separation.json": "91b52b26c9d6a0c4d9778bfbedda67f558a347e09adf882e07562c0c674e8a29"
+            "separation.json": "e277c4aa0ae17378791652e63e17ee716bfe9491553f5c44f480575aa32a322a"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog as highs
 
 from betweenu import (
     AffineFunctional,
@@ -29,6 +32,7 @@ from betweenu import (
 )
 from betweenu import engine, separation
 from betweenu.cli import main
+from betweenu.engine import RepresentationContext
 
 
 def full_simplex(n: int) -> Polytope:
@@ -47,7 +51,7 @@ def query_polytopes(ctx, x) -> list[Polytope]:
 
 
 #: A 4-outcome weighted utility and quadratic oracle: their programs have
-#: two free coefficients, so they reach HiGHS.
+#: two free coefficients.
 WU4 = WeightedUtility((0.0, 0.3, 0.7, 1.0), (1.0, 2.0, 0.5, 1.5))
 QUADRATIC4 = [
     [0.0, 1.0, 0.0, 0.0],
@@ -60,12 +64,17 @@ QUADRATIC4 = [
 def assert_certificate(ctx, t, certificate, samples):
     """Recheck a :class:`FarkasCertificate` from its record alone.
 
-    Each row must be a bound the level-``t`` program sets on one of
-    ``samples``, given its class against the chord point.  The weighted
-    rows and normalization equalities must cancel every coefficient and
-    sum to ``0 <= -gap`` with ``gap`` past HiGHS's feasibility tolerance.
+    It must list at most d + 1 rows, d the number of free coefficients,
+    ``>=`` bounds first.  Each row must be a bound the level-``t`` program
+    sets on one of ``samples``, given its class against the chord point.
+    The weighted rows and normalization equalities must cancel every
+    coefficient and sum to ``0 <= -gap`` with ``gap`` past the feasibility
+    tolerance.
     """
     assert certificate.level == t
+    assert 1 <= len(certificate.rows) <= ctx.model.n_outcomes - 1
+    relations = [row["relation"] for row in certificate.rows]
+    assert relations == sorted(relations, key=lambda r: r == "<=")
     assert certificate.residual <= separation._CERTIFICATE_TOL
     probs = {x.probs for x in samples}
     half_band = 0.5 * separation.SEPARATION_BAND
@@ -130,19 +139,14 @@ class TestSeparate:
 
     def test_no_samples_leaves_out_the_inequalities(self, monkeypatch):
         ctx = context_for(WU4)
-        calls = []
-        solve = separation.linprog
-
-        def recorded(**kwargs):
-            calls.append(kwargs)
-            return solve(**kwargs)
-
-        monkeypatch.setattr(separation, "linprog", recorded)
+        calls = TestBatchedSeparation.counted_linprog(monkeypatch)
         functional = separate(ctx, 0.5, full_simplex(4), [])
         assert len(calls) == 1
-        assert calls[0]["A_ub"].shape[0] == 0 and len(calls[0]["b_ub"]) == 0
-        assert functional.value(ctx.best) == 1.0
-        assert functional.value(ctx.worst) == 0.0
+        ((rows,), (rhs,), _, _) = calls[0]
+        assert rows.shape == (0, 4) and len(rhs) == 0
+        # The least-L1-norm functional with value 1 at the best extreme
+        # and 0 at the worst.
+        assert functional.coeffs == tuple(ctx.best.as_array())
 
     def test_nonconvex_contours_are_infeasible(self):
         ctx = context_for(quadratic_oracle())
@@ -272,42 +276,33 @@ class TestCrossPolytope:
 class TestBatchedSeparation:
     @staticmethod
     def counted_linprog(monkeypatch) -> list:
+        """Record the arguments of every solver call of the separation
+        module."""
         calls = []
         solve = separation.linprog
 
-        def recorded(**kwargs):
-            calls.append(kwargs)
-            return solve(**kwargs)
+        def recorded(*args):
+            calls.append(args)
+            return solve(*args)
 
         monkeypatch.setattr(separation, "linprog", recorded)
         return calls
 
-    def test_two_highs_calls_per_passing_level(self, tmp_path, monkeypatch):
-        # On four outcomes: the simplex separator, then all 20 queries x 3
-        # polytopes at once (61 calls a level when solved one program at a
-        # time).
-        path = tmp_path / "wu4.json"
-        path.write_text(
-            '{"kind": "weighted_utility", "u": [0, 0.3, 0.7, 1], "w": [1, 2, 0.5, 1.5]}'
-        )
-        calls = self.counted_linprog(monkeypatch)
-        out = str(tmp_path / "out")
-        assert main(["separation", "--model", str(path), "--levels", "0.3,0.6", "--out", out]) == 0
-        assert len(calls) == 4
-        assert [call["c"].size for call in calls] == [8, 480, 8, 480]
-
-    @pytest.mark.parametrize("spec", [
-        '{"kind": "weighted_utility", "u": [0, 0.4, 1], "w": [1, 2, 0.5]}',
-        '{"kind": "cyclic_oracle"}',
+    @pytest.mark.parametrize("spec, n", [
+        ('{"kind": "weighted_utility", "u": [0, 0.3, 0.7, 1], "w": [1, 2, 0.5, 1.5]}', 4),
+        ('{"kind": "weighted_utility", "u": [0, 0.4, 1], "w": [1, 2, 0.5]}', 3),
+        ('{"kind": "cyclic_oracle"}', 3),
     ])
-    def test_no_highs_call_on_three_outcomes(self, tmp_path, monkeypatch, spec):
-        # Every program has one free coefficient and a non-empty interval.
+    def test_two_solver_calls_per_passing_level(self, tmp_path, monkeypatch, spec, n):
+        # The simplex separator, then every query x 3 polytopes at once:
+        # grid(n, 3) holds 20 queries on four outcomes, 10 on three.
         path = tmp_path / "model.json"
         path.write_text(spec)
         calls = self.counted_linprog(monkeypatch)
         out = str(tmp_path / "out")
-        assert main(["separation", "--model", str(path), "--out", out]) == 0
-        assert calls == []
+        assert main(["separation", "--model", str(path), "--levels", "0.3,0.6", "--out", out]) == 0
+        queries = len(grid(n, 3))
+        assert [len(rows) for rows, *_ in calls] == [1, 3 * queries] * 2
 
     @staticmethod
     def one_infeasible_block(matrix=None):
@@ -321,54 +316,20 @@ class TestBatchedSeparation:
             separate(ctx, 0.5, full_simplex(n), bowed)
         return ctx, [chord, bowed, chord], single.value
 
-    def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch):
-        # On three outcomes the bowed block's empty interval raises with its
-        # certificate in closed form; HiGHS is not called.
-        ctx, blocks, single = self.one_infeasible_block()
+    @pytest.mark.parametrize("matrix", [None, QUADRATIC4])
+    def test_one_infeasible_block_raises_the_single_program_error(self, monkeypatch, matrix):
+        # On three outcomes and on four, one solver call finds the bowed
+        # block infeasible among the others, with the certificate it has
+        # alone.
+        ctx, blocks, single = self.one_infeasible_block(matrix)
         calls = self.counted_linprog(monkeypatch)
         with pytest.raises(Infeasible) as batched:
             separation._separators(ctx, 0.5, blocks)
-        assert calls == []
+        assert len(calls) == 1
         assert str(batched.value) == str(single)
         assert batched.value.level == single.level == 0.5
         assert batched.value.certificate == single.certificate
         assert_certificate(ctx, 0.5, batched.value.certificate, blocks[1])
-
-    @staticmethod
-    def failing_batch(monkeypatch) -> list:
-        """Make the first HiGHS call report status 4, a numerical failure,
-        and record every call's variable count."""
-        sizes = []
-        solve = separation.linprog
-
-        def flaky(**kwargs):
-            sizes.append(kwargs["c"].size)
-            result = solve(**kwargs)
-            if len(sizes) == 1:
-                result.status, result.message = 4, "planted numerical difficulty"
-            return result
-
-        monkeypatch.setattr(separation, "linprog", flaky)
-        return sizes
-
-    def test_a_batch_failing_otherwise_is_solved_block_by_block(self, monkeypatch):
-        ctx = context_for(WU4)
-        blocks = [contour_samples(ctx, 0.4, p) for p in query_polytopes(ctx, grid(4, 3)[4])]
-        expected = separation._separators(ctx, 0.4, blocks)
-        sizes = self.failing_batch(monkeypatch)
-        assert separation._separators(ctx, 0.4, blocks) == expected
-        assert sizes == [24, 8, 8, 8]
-
-    def test_a_block_solved_after_a_failing_batch_raises_its_own_error(self, monkeypatch):
-        ctx, blocks, single = self.one_infeasible_block(QUADRATIC4)
-        sizes = self.failing_batch(monkeypatch)
-        with pytest.raises(Infeasible) as batched:
-            separation._separators(ctx, 0.5, blocks)
-        assert str(batched.value) == str(single)
-        assert "solver status 2" in str(single)
-        assert batched.value.level == 0.5 and batched.value.certificate is None
-        # The batch, then the blocks one by one up to the failing one.
-        assert sizes == [24, 8, 8]
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_batch_matches_separate_bitwise(self, family_model, t):
@@ -390,53 +351,138 @@ class TestBatchedSeparation:
         assert [v.hex() for r in results for v in r.separator_values] == values
 
 
-def functionals_or_error(ctx, t, blocks, highs_only=False):
+def functionals_or_error(ctx, t, blocks):
     """``_separators`` of ``blocks`` as the bits of each coefficient, or the
-    text of the :class:`Infeasible` it raises; with ``highs_only`` the
-    closed form is switched off, so HiGHS solves every program."""
-    with pytest.MonkeyPatch.context() as mp:
-        if highs_only:
-            mp.setattr(separation, "_closed_form", lambda ctx, t, ubs: None)
-        try:
-            return [[c.hex() for c in f.coeffs] for f in separation._separators(ctx, t, blocks)]
-        except Infeasible as exc:
-            return str(exc)
+    text of the :class:`Infeasible` it raises."""
+    try:
+        return [[c.hex() for c in f.coeffs] for f in separation._separators(ctx, t, blocks)]
+    except Infeasible as exc:
+        return str(exc)
 
 
-def near_tie(ctx, ub: np.ndarray, coeffs) -> bool:
-    """Whether HiGHS may stop at a point other than the exact optimum
-    ``coeffs`` of the program ``ub``.
+def programs(ctx, t, blocks) -> list:
+    """The split programs of ``blocks`` at level ``t``."""
+    return separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
 
-    HiGHS accepts a row violated by up to its 1e-10 feasibility tolerance.
-    So a row that is within 1e-9 of active at the optimum, though its bound
-    is not the optimum, can move HiGHS's answer off it.  The same holds for
-    0 when it violates no row by more than 1e-9.
+
+def highs_optimum(ctx, ub):
+    """HiGHS's optimum of the split program ``ub`` at its 1e-10 feasibility
+    tolerance, as coefficients, or None where it reports status 2
+    (infeasible)."""
+    n, eq = ctx.model.n_outcomes, separation._normalization(ctx)
+    result = highs(
+        c=np.ones(2 * n), A_ub=ub[:, :-1], b_ub=ub[:, -1], A_eq=eq[:, :-1], b_eq=eq[:, -1],
+        bounds=[(0.0, None)] * (2 * n), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status in (0, 2), result.message
+    return result.x[:n] - result.x[n:] if result.status == 0 else None
+
+
+def brute_force(ctx, ub):
+    """The least-L1-norm, then lexicographically least, coefficients that
+    meet the split program ``ub`` to 1e-12, or None if none do.
+
+    With d free coefficients the optimum is a vertex of the planes the rows
+    and the ``c_i = 0`` bound: this solves every d of them with the
+    normalization, ranks the solutions that meet every row, and counts
+    values within 1e-9 as tied.  Only for small d.
     """
-    n = ctx.model.n_outcomes
-    if n == 2:
-        return False
+    n, eq = ctx.model.n_outcomes, separation._normalization(ctx)
+    planes = np.vstack([ub[:, :n], np.eye(n)])
+    bounds = np.concatenate([ub[:, -1], np.zeros(n)])
+    picks = list(combinations(range(len(planes)), n - 2))
+    picks = np.array(picks, dtype=int).reshape(len(picks), n - 2)
+    systems = np.concatenate([np.broadcast_to(eq[:, :n], (len(picks), 2, n)), planes[picks]], 1)
+    rhs = np.concatenate([np.broadcast_to(eq[:, -1], (len(picks), 2)), bounds[picks]], 1)
+    regular = np.abs(np.linalg.det(systems)) > 1e-12
+    coeffs = np.linalg.solve(systems[regular], rhs[regular][..., None])[..., 0]
+    coeffs = coeffs[(coeffs @ ub[:, :n].T - ub[:, -1]).max(axis=1, initial=-np.inf) <= 1e-12]
+    if not len(coeffs):
+        return None
+    norms = np.abs(coeffs).sum(axis=1)
+    coeffs = coeffs[norms <= norms.min() + 1e-9]
+    for i in range(n):
+        coeffs = coeffs[coeffs[:, i] <= coeffs[:, i].min() + 1e-9]
+    return coeffs[0]
+
+
+def interval_optimum(ctx, ub):
+    """With degenerate extremes on at most three outcomes: the end nearest
+    0 of the interval the rows of ``ub`` leave the free coefficient, as
+    ``(r - a_best) / a`` of the binding row, or None where it is empty."""
     b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
-    (m,) = set(range(n)) - {b, w}
+    free = [i for i in range(ctx.model.n_outcomes) if i not in (b, w)]
     r = ub[:, -1] - ub[:, b]
-    a, c = ub[:, m], coeffs[m]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        binding = r / a == c
-    slack = r - a * c
-    return bool(np.any(~binding & (np.abs(slack) <= 1e-9)) or np.any((r < 0.0) & (r >= -1e-9)))
+    a = ub[:, free[0]] if free else np.zeros(len(r))
+    lo = np.max(r[a < 0.0] / a[a < 0.0], initial=-np.inf)
+    hi = np.min(r[a > 0.0] / a[a > 0.0], initial=np.inf)
+    if lo > hi or np.any(r[a == 0.0] < 0.0):
+        return None
+    coeffs = np.zeros(ctx.model.n_outcomes)
+    coeffs[b], coeffs[free] = 1.0, min(max(0.0, lo), hi)
+    return coeffs
+
+
+def check_programs(ctx, t, blocks) -> int:
+    """Check the solver on each program of ``blocks`` and return how many
+    it proves infeasible.
+
+    Past the 1e-10 margin it raises exactly where HiGHS reports status 2,
+    with a certificate that checks; a near miss gets the optimum of its
+    relaxed rows.  Each optimum meets every (relaxed) row to the rounding
+    of evaluating it, matches the brute force to 1e-12, has an L1 norm
+    within 1e-9 of HiGHS's or less, and with one free coefficient is the
+    interval's end bit for bit.
+    """
+    n, eq = ctx.model.n_outcomes, separation._normalization(ctx)
+    ubs = programs(ctx, t, blocks)
+    degenerate_ends = all(p.count(1.0) == 1 for p in (ctx.best.probs, ctx.worst.probs))
+    infeasible = 0
+    for samples, ub, (coeffs, ray) in zip(blocks, ubs, separation._solved(ctx, ubs, 0.0)):
+        theirs, slack = highs_optimum(ctx, ub), 0.0
+        if ray is not None:
+            certificate = separation._certificate(ctx, t, ub, *ray())
+            if certificate.gap > separation._FEASIBILITY_TOL:
+                assert_certificate(ctx, t, certificate, samples)
+                assert theirs is None
+                infeasible += 1
+                continue
+            slack = separation._FEASIBILITY_TOL
+            ((coeffs, ray),) = separation._solved(ctx, [ub], slack)
+            assert ray is None
+        else:
+            assert theirs is not None
+        rows, bounds = ub[:, :n], ub[:, -1] + slack
+        rounding = 4 * n * np.finfo(float).eps
+        rounding *= np.abs(rows).sum(axis=1) * np.abs(coeffs).max() + np.abs(bounds)
+        assert np.all(rows @ coeffs - bounds <= rounding)
+        if theirs is not None:
+            assert np.abs(coeffs).sum() <= np.abs(theirs).sum() + 1e-9
+        if n <= 4:
+            exact = brute_force(ctx, np.column_stack([ub[:, :-1], bounds]))
+            assert exact is not None and np.abs(coeffs - exact).max() <= 1e-12
+        if n <= 3 and degenerate_ends and not slack:
+            ends = interval_optimum(ctx, ub)
+            assert ends is None or ends.tobytes() == coeffs.tobytes()
+    return infeasible
 
 
 @st.composite
 def separation_programs(draw):
-    """An EU, WU, DA or kernel family on 2 or 3 outcomes, a level in
+    """An EU, WU, DA or kernel family on 2 to 4 outcomes, a level in
     [0.01, 0.99], and the sample lists of one level's programs: the
     simplex's contour samples with a grid and seeded Dirichlet rows, and on
-    3 outcomes the contour samples of one drawn query's polytopes.
+    3 or 4 outcomes the contour samples of one drawn query's polytopes.
+    Alternatively, on 3 or 4 outcomes, a hand-built context whose extremes
+    are mixed toward drawn lotteries, so no coefficient is fixed alone,
+    with grid, Dirichlet and chord samples.
 
     ``u`` attains 0 and 1, WU weights lie in [0.1, 10], DA's ``beta`` in
     (-1, 5], and a kernel is linear in the level from ``u[i]`` (back from 1
     where ``u[i]`` is 1) with slopes of at most 0.9.
     """
-    n = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 4))
     inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
     u = draw(st.permutations([0.0, 1.0, *inner]))
     kind = draw(st.sampled_from(["eu", "wu", "da", "kernel"]))
@@ -457,10 +503,20 @@ def separation_programs(draw):
     t = draw(st.floats(0.01, 0.99))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     drawn = [lottery(row) for row in rng.dirichlet(np.ones(n), size=draw(st.integers(0, 8)))]
+    if n > 2 and draw(st.booleans()):
+        share = draw(st.floats(0.5, 0.9))
+        best, worst = (mix(share, x, lottery(rng.dirichlet(np.ones(n)))) for x in (ctx.best, ctx.worst))
+        try:
+            ctx = RepresentationContext(model, best, worst)
+        except DegeneratePreference:
+            assume(False)
+        chords = [chord_point(ctx, s) for s in (0.0, 0.5, 1.0, t)]
+        samples = [*grid(n, draw(st.integers(1, 4))), *drawn, *chords]
+        return ctx, t, [sorted({x.probs: x for x in samples}.values())]
     base = contour_samples(ctx, t, full_simplex(n))
-    extra = [*grid(n, draw(st.integers(1, 10))), *drawn]
+    extra = [*grid(n, draw(st.integers(1, 10 if n < 4 else 5))), *drawn]
     blocks = [sorted({x.probs: x for x in [*base, *extra]}.values())]
-    if n == 3:
+    if n > 2:
         x = lottery(rng.dirichlet(np.ones(n)))
         blocks += [contour_samples(ctx, t, p) for p in query_polytopes(ctx, x)]
     return ctx, t, blocks
@@ -468,93 +524,88 @@ def separation_programs(draw):
 
 @st.composite
 def quadratic_programs(draw):
-    """A quadratic oracle on 3 outcomes with a drawn symmetric matrix
+    """A quadratic oracle on 3 or 4 outcomes with a drawn symmetric matrix
     (entries in [-1, 1]), a level in [0.05, 0.95], and one or two grid
-    sample lists of resolution 1 to 8: bowed contours, so some programs
-    are infeasible and some are not."""
-    upper = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
-    matrix = np.zeros((3, 3))
-    matrix[np.triu_indices(3)] = upper
+    sample lists (resolution up to 8 on three outcomes, 5 on four): bowed
+    contours, so some programs are infeasible and some are not."""
+    n = draw(st.integers(3, 4))
+    upper = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    matrix = np.zeros((n, n))
+    matrix[np.triu_indices(n)] = upper
     matrix = matrix + np.triu(matrix, 1).T
     try:
         ctx = context_for(quadratic_oracle(matrix.tolist()))
     except DegeneratePreference:
         assume(False)
     t = draw(st.floats(0.05, 0.95))
-    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
-    return ctx, t, [sorted(grid(3, size)) for size in sizes]
+    sizes = draw(st.lists(st.integers(1, 8 if n == 3 else 5), min_size=1, max_size=2))
+    return ctx, t, [sorted(grid(n, size)) for size in sizes]
 
 
-class TestClosedForm:
-    """Programs with one free coefficient are solved without HiGHS, to the
-    bits HiGHS gives them wherever it reaches their exact optimum, and
-    proved infeasible without it wherever HiGHS finds them infeasible."""
+class TestSolver:
+    """One solver answers every separation program exactly: the least L1
+    norm, the lexicographically least coefficients among ties, and a
+    checked Farkas certificate of at most d + 1 rows where there is none."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(separation_programs())
-    def test_matches_highs(self, program):
+    def test_matches_the_references(self, program):
+        check_programs(*program)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quadratic_programs())
+    def test_infeasible_exactly_when_highs_says_so(self, program):
         ctx, t, blocks = program
-        closed = functionals_or_error(ctx, t, blocks)
-        highs = functionals_or_error(ctx, t, blocks, highs_only=True)
-        if isinstance(highs, str):
-            assert isinstance(closed, str)
-            return
-        ubs = separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
-        optima = separation._closed_form(ctx, t, ubs)
-        assert optima is not None
-        for ub, coeffs, ours, theirs in zip(ubs, optima, closed, highs):
-            if near_tie(ctx, ub, coeffs):
-                assert np.allclose(
-                    [float.fromhex(c) for c in ours], [float.fromhex(c) for c in theirs],
-                    rtol=0.0, atol=separation.CROSS_POLYTOPE_TOL,
-                )
-            else:
-                assert ours == theirs
+        infeasible = check_programs(ctx, t, blocks)
+        try:
+            separation._separators(ctx, t, blocks)
+        except Infeasible as exc:
+            assert infeasible
+            # The rows are bounds of one block's program.
+            lotteries = [tuple(row["lottery"]) for row in exc.certificate.rows]
+            block = next(
+                samples for samples in blocks
+                if set(lotteries) <= {x.probs for x in samples}
+            )
+            assert_certificate(ctx, t, exc.certificate, block)
+        else:
+            assert not infeasible
+
+    def test_one_free_coefficient_takes_the_binding_rows_bits(self):
+        # Two lower bounds on the free coefficient tie at 1/2 in exact
+        # arithmetic; in floats (r - a_best) / a gives 0.5 for one and
+        # 0.5000000000000001 for the other.  The optimum is the larger, as
+        # the binding row computes it.
+        ctx = context_for(quadratic_oracle([[1.0, 1.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.5, 1.0]]))
+        blocks = [sorted(grid(3, 3))]
+        (ub,) = programs(ctx, 0.5, blocks)
+        (functional,) = separation._separators(ctx, 0.5, blocks)
+        assert functional.coeffs == (1.0, 0.0, 0.5000000000000001)
+        assert np.array_equal(interval_optimum(ctx, ub), functional.coeffs)
 
     @pytest.mark.parametrize("model", [
         ExpectedUtility((0.0, 1.0)),
         WeightedUtility((1.0, 0.0), (0.5, 3.0)),
         DisappointmentAversion((0.0, 1.0), 2.0),
     ])
-    def test_two_outcomes_need_no_solver(self, model, monkeypatch):
+    def test_two_outcomes_leave_one_functional(self, model):
+        # The normalization fixes both coefficients.
         ctx = context_for(model)
         blocks = [sorted(grid(2, 8)), contour_samples(ctx, 0.3, full_simplex(2))]
-        highs = functionals_or_error(ctx, 0.3, blocks, highs_only=True)
-        monkeypatch.setattr(separation, "linprog", None)
-        assert functionals_or_error(ctx, 0.3, blocks) == highs
+        expected = [c.hex() for c in ctx.best.as_array()]
+        assert functionals_or_error(ctx, 0.3, blocks) == [expected, expected]
 
-    @settings(max_examples=40, deadline=None)
-    @given(quadratic_programs())
-    def test_infeasible_exactly_when_highs_says_so(self, program):
-        ctx, t, blocks = program
-        highs = functionals_or_error(ctx, t, blocks, highs_only=True)
-        try:
-            separation._separators(ctx, t, blocks)
-        except Infeasible as exc:
-            assert isinstance(highs, str) and "solver status 2" in highs
-            if exc.certificate is not None:
-                # Both rows are bounds of one block's program.
-                lotteries = [tuple(row["lottery"]) for row in exc.certificate.rows]
-                block = next(
-                    samples for samples in blocks
-                    if set(lotteries) <= {x.probs for x in samples}
-                )
-                assert_certificate(ctx, t, exc.certificate, block)
-        else:
-            assert not isinstance(highs, str)
-
-    def test_an_empty_interval_raises_a_checked_certificate(self, monkeypatch):
+    def test_an_empty_interval_raises_a_checked_certificate(self):
         # The bowed quadratic contour leaves no coefficient: at level 0.5 the
         # free coefficient must be at least 3 for (5/6, 1/6, 0), strictly
         # preferred to the chord point, and at most 1e-7 for (0, 1/2, 1/2),
         # indifferent to it.  HiGHS finds the program infeasible too.
         ctx = context_for(quadratic_oracle())
         bowed = sorted(grid(3, 6))
-        assert "solver status 2" in functionals_or_error(ctx, 0.5, [bowed], highs_only=True)
-        calls = TestBatchedSeparation.counted_linprog(monkeypatch)
+        (ub,) = programs(ctx, 0.5, [bowed])
+        assert highs_optimum(ctx, ub) is None
         with pytest.raises(Infeasible) as exc:
             separation._separators(ctx, 0.5, [bowed])
-        assert calls == []
         assert str(exc.value) == (
             "no affine functional separates the sampled contour sets at level 0.5 "
             "(sample (0.8333333333333334, 0.16666666666666666, 0.0) needs value >= 0.5 "
@@ -568,40 +619,41 @@ class TestClosedForm:
         assert_certificate(ctx, 0.5, certificate, bowed)
 
     @pytest.mark.parametrize("miss, raises", [(5e-11, False), (1e-9, True)])
-    def test_rows_missed_within_the_tolerance_go_to_highs(self, eu_model, miss, raises):
+    def test_a_near_miss_gets_the_relaxed_optimum(self, eu_model, monkeypatch, miss, raises):
         # A row with no free coefficient missed by ``miss``, and an interval
         # [0.5, 0.5 - 2 * miss] (empty by 2 * miss; its rows, weighted 1/2
-        # each, miss by ``miss``): within HiGHS's 1e-10 the call goes to
-        # HiGHS, past it the closed form raises.
+        # each, miss by ``miss``).  Within the 1e-10 tolerance each program
+        # gets the optimum of its rows relaxed by it; past it, a certificate
+        # whose gap is the miss.
         ctx = context_for(eu_model)
         b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
         (m,) = {0, 1, 2} - {b, w}
         best, free = np.eye(3)[b], np.eye(3)[m]
         flat = separation._split(best[None], [1.0 - miss])
         interval = separation._split(np.stack([-free, free]), [-0.5, 0.5 - 2 * miss])
-        for ub in (flat, interval):
+        for ub, coefficient in ((flat, 0.0), (interval, 0.5 - separation._FEASIBILITY_TOL)):
+            monkeypatch.setattr(separation, "_inequalities", lambda *args, ub=ub: [ub])
             if raises:
                 with pytest.raises(Infeasible) as exc:
-                    separation._closed_form(ctx, 0.5, [ub])
+                    separation._separators(ctx, 0.5, [[]])
                 assert exc.value.certificate.gap == pytest.approx(miss, rel=1e-6)
             else:
-                assert separation._closed_form(ctx, 0.5, [ub]) is None
+                (functional,) = separation._separators(ctx, 0.5, [[]])
+                assert functional.coeffs[b] == 1.0 and functional.coeffs[w] == 0.0
+                assert functional.coeffs[m] == pytest.approx(coefficient, abs=1e-15)
 
     @pytest.mark.parametrize("t", [0.15, 0.35])
     def test_a_near_tie_gets_the_exact_optimum(self, t):
         # Two rows bound the free coefficient within 2e-11 of each other.
         # HiGHS stops at the looser bound, so its answer violates the tighter
-        # row within its tolerance.  The closed form meets every row exactly
-        # and is the true L1 optimum.
+        # row within its tolerance.  The solver meets every row and is the
+        # true L1 optimum.
         ctx = context_for(WeightedUtility((1.0, 0.3, 0.0), (0.5, 3.0, 1.0)))
         x = lottery((0.0, 2 / 3, 1 / 3))
         blocks = [contour_samples(ctx, t, Polytope((*full_simplex(3).vertices, x)))]
-        (ub,) = separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
-        ours, theirs = (
-            np.array([float.fromhex(c) for c in functionals_or_error(ctx, t, blocks, h)[0]])
-            for h in (False, True)
-        )
-        assert near_tie(ctx, ub, ours)
+        (ub,) = programs(ctx, t, blocks)
+        ours = np.array([float.fromhex(c) for c in functionals_or_error(ctx, t, blocks)[0]])
+        theirs = highs_optimum(ctx, ub)
         excess = [(ub[:, :3] @ coeffs - ub[:, -1]).max() for coeffs in (ours, theirs)]
         assert excess[0] <= 0.0 < excess[1] <= 1e-10
         assert np.abs(theirs).sum() < np.abs(ours).sum()

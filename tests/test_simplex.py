@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betweenu import Lottery, Polytope, degenerate, grid, lottery, mix
+from betweenu import simplex
 from betweenu.simplex import mix_rows
 
 
@@ -130,13 +131,13 @@ class TestSegmentAndPolytope:
         import scipy.optimize
 
         # Generators in any order, with a duplicate and an interior point.
-        simplex = Polytope(
+        simplex_ = Polytope(
             tuple(degenerate(i, n) for i in reversed(range(n)))
             + (degenerate(0, n), lottery([1.0 / n] * n))
         )
         rng = np.random.default_rng(0)
         points = sorted(grid(n, 6)) + [lottery(p) for p in rng.dirichlet(np.ones(n), 50)]
-        V = simplex.vertex_array()
+        V = simplex_.vertex_array()
         k = len(V)
 
         def program(x):
@@ -154,24 +155,46 @@ class TestSegmentAndPolytope:
         def no_program(*args, **kwargs):
             raise AssertionError("solved a membership program for the full simplex")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", no_program)
-        assert [simplex.contains(x) for x in points] == expected
+        monkeypatch.setattr(simplex, "linprog", no_program)
+        assert [simplex_.contains(x) for x in points] == expected
 
-    def test_membership_program_solves_through_the_one_loader(self, monkeypatch):
-        from betweenu import separation, simplex
+    def test_membership_solves_one_program_with_linprog(self, monkeypatch):
+        from betweenu import separation
 
-        # The separation programs call the same loader.
+        # The separation programs call the same solver.
         assert separation.linprog is simplex.linprog
         solve, calls = simplex.linprog, []
 
-        def recorded(*args, **kwargs):
-            calls.append(kwargs)
-            return solve(*args, **kwargs)
+        def recorded(*args):
+            calls.append(args)
+            return solve(*args)
 
         monkeypatch.setattr(simplex, "linprog", recorded)
         chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
         assert chord.contains(lottery((0.4, 0.0, 0.6)))
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0][0]) == 1
+
+    @pytest.mark.parametrize("distance, inside", [(0.0, True), (5e-8, True), (2e-7, False), (0.3, False)])
+    def test_membership_tolerance(self, distance, inside):
+        # (0.4, d, 0.6 - d) lies d from the chord in its largest component.
+        chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
+        assert chord.contains(lottery((0.4, distance, 0.6 - distance))) is inside
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_membership_matches_highs_past_the_tolerance(self, n):
+        import scipy.optimize
+
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            polytope = Polytope(tuple(lottery(p) for p in rng.dirichlet(np.ones(n), rng.integers(1, 5))))
+            V = polytope.vertex_array()
+            w = rng.dirichlet(np.ones(len(V)))
+            for x in (lottery(V.T @ w), lottery(rng.dirichlet(np.ones(n)))):
+                expected = scipy.optimize.linprog(
+                    c=np.zeros(len(V)), A_eq=np.vstack([V.T, np.ones((1, len(V)))]),
+                    b_eq=np.append(x.as_array(), 1.0), bounds=[(0.0, None)] * len(V), method="highs",
+                ).status == 0
+                assert polytope.contains(x) == expected
 
     def test_polytope_vertex_fast_path(self):
         chord = Polytope((degenerate(0, 3), degenerate(2, 3)))
@@ -182,3 +205,63 @@ class TestSegmentAndPolytope:
             Polytope(())
         with pytest.raises(ValueError):
             Polytope((lottery((1.0, 0.0)), lottery((0.0, 0.0, 1.0))))
+
+
+class TestLinprog:
+    def test_least_l1_norm_then_lexicographically_least(self):
+        # c_0 + c_1 >= 1 with c_2 = 1: every split of 1 between c_0, c_1 >= 0
+        # has the least L1 norm, 2; the lexicographically least puts it on c_1.
+        ((c, ray),) = simplex.linprog(
+            [np.array([[-1.0, -1.0, 0.0]])], [np.array([-1.0])], np.array([[0.0, 0.0, 1.0]]), [1.0]
+        )
+        assert ray is None and c.tolist() == [0.0, 1.0, 1.0]
+
+    def test_programs_in_one_call_are_solved_alone(self):
+        rows = [np.array([[-1.0, 0.0]]), np.zeros((0, 2)), np.array([[0.0, 1.0], [1.0, 1.0]])]
+        rhs = [np.array([-2.0]), np.zeros(0), np.array([-1.0, -3.0])]
+        batched = simplex.linprog(rows, rhs, np.zeros((0, 2)), np.zeros(0))
+        assert [c.tolist() for c, _ in batched] == [[2.0, 0.0], [0.0, 0.0], [-2.0, -1.0]]
+        for (c, _), a, b in zip(batched, rows, rhs):
+            ((alone, _),) = simplex.linprog([a], [b], np.zeros((0, 2)), np.zeros(0))
+            assert alone.tobytes() == c.tobytes()
+
+    def test_an_infeasible_program_gets_a_farkas_ray(self):
+        # c_0 <= -1 and c_0 >= 1 exclude each other; c_1 <= 5 plays no part.
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        rhs = np.array([-1.0, -1.0, 5.0])
+        ((c, ray),) = simplex.linprog([rows], [rhs], np.zeros((0, 2)), np.zeros(0))
+        y, z = ray()
+        assert c is None and y.tolist() == [0.5, 0.5, 0.0] and len(z) == 0
+        assert np.abs(rows.T @ y).max() == 0.0 and rhs @ y < 0.0
+
+    @pytest.mark.parametrize("equalities", [0, 1])
+    def test_matches_highs_on_small_programs(self, equalities):
+        import scipy.optimize
+
+        # Small integer programs, where coefficients often cross 0 between
+        # pivots: the least L1 norm HiGHS finds, every row met, or a ray
+        # whose weights cancel every coefficient and leave 0 <= -gap.
+        rng = np.random.default_rng(equalities)
+        for _ in range(300):
+            n, m = rng.integers(2, 5), rng.integers(1, 6)
+            rows, rhs = rng.integers(-3, 4, (m, n)) * 1.0, rng.integers(-3, 4, m) * 1.0
+            eq_rows, eq_rhs = rng.integers(-2, 3, (equalities, n)) * 1.0, np.ones(equalities)
+            if equalities and not eq_rows.any():
+                continue
+            ((c, ray),) = simplex.linprog([rows], [rhs], eq_rows, eq_rhs)
+            split = {"A_eq": np.hstack([eq_rows, -eq_rows]), "b_eq": eq_rhs} if equalities else {}
+            reference = scipy.optimize.linprog(
+                np.ones(2 * n), A_ub=np.hstack([rows, -rows]), b_ub=rhs, **split,
+                bounds=[(0.0, None)] * (2 * n), method="highs",
+            )
+            if ray is None:
+                assert reference.status == 0
+                assert np.abs(c).sum() == pytest.approx(reference.fun, abs=1e-9)
+                assert (rows @ c - rhs).max() <= 1e-12
+                assert np.abs(eq_rows @ c - eq_rhs).max(initial=0.0) <= 1e-12
+            else:
+                y, z = ray()
+                assert reference.status == 2
+                assert y.min() >= 0.0 and y.sum() == pytest.approx(1.0)
+                assert np.abs(rows.T @ y + eq_rows.T @ z).max() <= 1e-12
+                assert rhs @ y + eq_rhs @ z < 0.0
