@@ -39,7 +39,6 @@ from .engine import (
     find_extremes,
     implicit_utility,
     implicit_utility_many,
-    local_value,
     one_sided_limits,
     solve_mixing,
     solve_mixing_many,
@@ -140,7 +139,6 @@ __all__ = [
     "implicit_utility_many",
     "jump_oracle",
     "load_model",
-    "local_value",
     "lottery",
     "mix",
     "model_from_spec",

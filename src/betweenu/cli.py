@@ -56,7 +56,7 @@ from .engine import (
 )
 from .errors import BetweenuError, Infeasible
 from .modelspec import load_model
-from .separation import contour_samples, cross_polytope_consistency_many, separate_and_verify
+from .separation import contour_samples, cross_polytope_consistency_many, separate
 from .simplex import Polytope, degenerate, grid, mix
 from .triangle import collinearity_residual, embed_coords, render_svg, trace_level_curves
 
@@ -384,7 +384,7 @@ def cmd_separation(model, args, levels) -> int:
         try:
             base = contour_samples(ctx, t, simplex)
             audit = sorted({x.probs: x for x in [*base, *grid_samples]}.values())
-            functional, check = separate_and_verify(ctx, t, simplex, audit)
+            functional, check = separate(ctx, t, simplex, audit)
             entry["functional"] = functional.to_dict()
             entry["separation"] = check.to_dict()
             level_ok = check.passed

@@ -12,12 +12,12 @@ Everything is driven by pairwise comparisons:
    strictly increasing in preference, so chord levels act as a utility
    yardstick.
 2. ``U(x)`` is the chord level indifferent to ``x``, found by bisection
-   (:func:`solve_utility`).
+   (:func:`solve_utility_many`).
 3. For an interior level ``t``, mix ``x`` toward the extreme on the
    opposite side of the chord point until the mixture is indifferent to
-   it (:func:`solve_mixing`); inverting mixture linearity along that
-   segment yields the local utility ``u(x, t)`` (:func:`local_value`,
-   :func:`implicit_utility`).
+   it (:func:`solve_mixing_many`); inverting mixture linearity along that
+   segment yields the local utility ``u(x, t)`` (:func:`_local_values`,
+   :func:`implicit_utility_many`).
 4. At the endpoint levels, ``u(x, 0)`` and ``u(x, 1)`` are indicators of
    the indifference classes of the worst and best extremes.
 5. The fixed point ``t = u(x, t)`` is located without step 2
@@ -90,12 +90,13 @@ class Branch(Enum):
     USED_BEST = "used_best"
 
 
-def local_value(t: float, mix_weight: float, branch: Branch) -> float:
-    """Invert mixture linearity along the solved segment.
+def _local_values(ts, weights, used_worst):
+    """Invert mixture linearity along the solved segments, over arrays.
 
     A weight ``w`` makes ``w*x + (1-w)*anchor`` indifferent to the chord
     point at level ``t``.  Mixture linearity of the local utility, with
-    the anchor worth 0 (worst) or 1 (best), gives
+    the anchor worth 0 (worst, where ``used_worst`` is True) or 1 (best),
+    gives
 
         worst anchor:  t = w*v           so  v = t / w
         best anchor:   t = w*v + (1-w)   so  v = 1 - (1-t) / w
@@ -105,15 +106,6 @@ def local_value(t: float, mix_weight: float, branch: Branch) -> float:
     w = t (resp. w = 1-t) and the expressions collapse to t/t and
     1 - (1-t)/(1-t).
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {t!r}")
-    if not 0.0 < mix_weight <= 1.0:
-        raise ValueError(f"mixing weight must lie in (0, 1], got {mix_weight!r}")
-    return float(_local_values(t, mix_weight, branch is Branch.USED_WORST))
-
-
-def _local_values(ts, weights, used_worst):
-    """:func:`local_value` over arrays, ``used_worst`` True for ``USED_WORST``."""
     # Both branches are computed, so the best-anchor one divides by 1 where
     # it is unused: the best extreme's weight at a subnormal level overflows it.
     best_weights = np.where(used_worst, 1.0, weights)
@@ -276,17 +268,18 @@ def _bisect(
 
 
 def solve_utility(ctx: RepresentationContext, x: Lottery) -> float:
-    """The unique chord level indifferent to ``x``.
+    """A one-row :func:`solve_utility_many`."""
+    return float(solve_utility_many(ctx, [x])[0])
+
+
+def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
+    """The unique chord level indifferent to each of ``xs``, lottery rows
+    or a Lottery list.
 
     Bisection on the level exploits that the chord is strictly increasing
     in preference.  Endpoint shortcut: within the model's indifference
     band of an extreme, that extreme's level is returned outright.
     """
-    return float(solve_utility_many(ctx, [x])[0])
-
-
-def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
-    """Vectorized :func:`solve_utility` over lottery rows or Lottery lists."""
     rows = _as_rows(ctx, xs)
     model = ctx.model
     kx = model.keys(rows)
@@ -314,27 +307,25 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
 
 
 def solve_mixing(ctx: RepresentationContext, x: Lottery, t: float) -> tuple[float, Branch]:
-    """Weight making a mixture of ``x`` and the opposite extreme sit on the chord.
-
-    At an interior level ``t``, pick the anchor extreme on the far side
-    of the chord point from ``x`` (worst if ``x`` is weakly preferred to
-    the chord point, best otherwise) and bisect the mixture weight until
-    ``w*x + (1-w)*anchor`` is indifferent to the chord point.  Returns
-    ``(w, branch)`` with ``w`` in (0, 1]; ``w = 1`` exactly when ``x``
-    itself is indifferent to the chord point.  The extremes themselves
-    skip the bisection: mixing an extreme with the other extreme lands
-    on the chord, so the weight is ``t`` (for the best lottery) or
-    ``1 - t`` (for the worst) in closed form.
-    """
+    """A one-row :func:`solve_mixing_many`, its branch as a :class:`Branch`."""
     weights, used_worst = solve_mixing_many(ctx, [x], [t])
     return float(weights[0]), (Branch.USED_WORST if used_worst[0] else Branch.USED_BEST)
 
 
 def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`solve_mixing` over paired lotteries and levels.
+    """Weights making mixtures of paired lotteries ``xs`` and the opposite
+    extreme sit on the chord at levels ``ts``.
 
-    Returns ``(weights, used_worst)``; ``used_worst`` is True where the
-    branch is ``USED_WORST``.
+    At an interior level ``t``, pick the anchor extreme on the far side
+    of the chord point from ``x`` (worst if ``x`` is weakly preferred to
+    the chord point, best otherwise) and bisect the mixture weight until
+    ``w*x + (1-w)*anchor`` is indifferent to the chord point.  Returns
+    ``(weights, used_worst)``, each ``w`` in (0, 1] and ``used_worst``
+    True where the worst extreme is the anchor (:attr:`Branch.USED_WORST`);
+    ``w = 1`` exactly when ``x`` itself is indifferent to the chord point.
+    The extremes themselves skip the bisection: mixing an extreme with the
+    other extreme lands on the chord, so the weight is ``t`` (for the best
+    lottery) or ``1 - t`` (for the worst) in closed form.
     """
     rows = _as_rows(ctx, xs)
     ts = _as_levels(rows, ts)
@@ -434,18 +425,19 @@ def _solve_mixing_rows(
 
 
 def implicit_utility(ctx: RepresentationContext, x: Lottery, t: float) -> float:
-    """``u(x, t)``: local utility inside (0, 1), class indicators at the ends.
+    """A one-row :func:`implicit_utility_many`."""
+    return float(implicit_utility_many(ctx, [x], [t])[0])
+
+
+def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
+    """``u(x, t)`` of paired lotteries ``xs`` and levels ``ts``: local
+    utility inside (0, 1), class indicators at the ends.
 
     At ``t = 0`` the value is 0 for lotteries indifferent to the worst
     extreme and 1 otherwise; at ``t = 1`` it is 1 for lotteries
     indifferent to the best extreme and 0 otherwise.  Indifference is
     judged by the model's own band.
     """
-    return float(implicit_utility_many(ctx, [x], [t])[0])
-
-
-def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
-    """Vectorized :func:`implicit_utility` over paired lotteries and levels."""
     rows = _as_rows(ctx, xs)
     ts = _as_levels(rows, ts)
     if not ((ts >= 0.0) & (ts <= 1.0)).all():
@@ -467,15 +459,13 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
 
 
 def utility_fixed_point(ctx: RepresentationContext, x: Lottery) -> float:
-    """The level solving ``t = u(x, t)``, located without :func:`solve_utility`.
-
-    A one-row call of :func:`utility_fixed_point_many`.
-    """
+    """A one-row :func:`utility_fixed_point_many`."""
     return float(utility_fixed_point_many(ctx, [x])[0])
 
 
 def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
-    """Vectorized :func:`utility_fixed_point` over lottery rows or Lottery lists.
+    """The level solving ``t = u(x, t)`` for each of ``xs``, lottery rows or
+    a Lottery list, located without :func:`solve_utility_many`.
 
     Scans 1000 uniform levels (endpoints included) per lottery,
     verifies the residual ``u(x, t) - t`` crosses zero once, then bisects
@@ -487,7 +477,7 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     :class:`MultipleFixedPoints`, whose ``row`` holds the first offending
     lottery in input order.  A zero run that touches an end of the scan
     gives that end's level, as the endpoint shortcut of
-    :func:`solve_utility` does.
+    :func:`solve_utility_many` does.
 
     The search needs only the residual's sign, and at an interior level
     that is the side of the chord point that ``x`` lies on: 0 on the

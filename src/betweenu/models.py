@@ -284,7 +284,8 @@ class ImplicitKernel(ValueModel):
         phi_values = np.asarray(phi_values, dtype=float)
         if t_grid.ndim != 1 or len(t_grid) < 2:
             raise ValueError("t_grid must contain at least two level points")
-        if t_grid[0] != 0.0 or t_grid[-1] != 1.0 or np.any(np.diff(t_grid) <= 0.0):
+        # Every comparison is False on NaN, so a non-finite entry fails here.
+        if t_grid[0] != 0.0 or t_grid[-1] != 1.0 or not np.all(np.diff(t_grid) > 0.0):
             raise ValueError("t_grid must increase strictly from 0 to 1")
         if phi_values.ndim != 2 or phi_values.shape[1] != len(t_grid):
             raise ValueError("phi_values must be shaped (n_outcomes, len(t_grid))")
@@ -292,7 +293,7 @@ class ImplicitKernel(ValueModel):
             raise ValueError("kernel values must lie in [0, 1]")
         slopes = np.abs(np.diff(phi_values, axis=1) / np.diff(t_grid)[None, :])
         lipschitz = float(slopes.max()) if slopes.size else 0.0
-        if lipschitz >= 1.0:
+        if not lipschitz < 1.0:
             raise ValueError(
                 f"tabulated kernel has Lipschitz constant {lipschitz:.6g}; it must be < 1"
             )

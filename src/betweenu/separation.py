@@ -14,7 +14,9 @@ program, on any number of outcomes: with the exact least-L1-norm
 functional, or with a Farkas ray from which an infeasible program's
 :class:`~betweenu.errors.Infeasible` gets its :class:`FarkasCertificate`,
 checked in numpy.  :func:`_separators` hands it all the programs of one
-level at once; :func:`separate` is the one-program case.
+level at once.  :func:`separate` fits the functional of one sample list and
+audits it on the same samples; :func:`verify_separation` audits a given
+functional.
 
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    Branch, RepresentationContext, _chord_keys, chord_point, local_value, solve_mixing_many
+    RepresentationContext, _chord_keys, _local_values, chord_point, solve_mixing_many
 )
 from .errors import Infeasible, MembershipViolation
 from .models import classify
@@ -42,7 +44,7 @@ SEPARATION_BAND = 1e-7
 _CHORD_LEVELS = tuple(k / 10.0 for k in range(1, 10))
 
 #: Largest spread, among the separator values at a lottery and the engine's
-#: value, that :func:`cross_polytope_consistency` passes.
+#: value, that :func:`cross_polytope_consistency_many` passes.
 CROSS_POLYTOPE_TOL = 1e-6
 
 #: The least miss a program must force for :func:`_separators` to raise:
@@ -173,8 +175,9 @@ def separate(
     t: float,
     polytope: Polytope,
     samples,
-) -> AffineFunctional:
-    """A normalized affine functional separating the sampled contour sets.
+) -> tuple[AffineFunctional, SeparationCheck]:
+    """A normalized affine functional separating the sampled contour sets,
+    and its :func:`verify_separation` audit on the same samples.
 
     Samples strictly preferred to the chord point must reach value >= t,
     strictly dispreferred ones <= t, indifferent ones t within
@@ -190,23 +193,11 @@ def separate(
     on the samples; that raises :class:`Infeasible` with a
     :class:`FarkasCertificate`.
 
+    Each distinct sample is classified against the chord point once, for
+    the program and the audit alike: an oracle is asked about it once.
     The caller is responsible for ``samples`` lying in the polytope and
     arriving in a deterministic order.
     """
-    t = _level(t)
-    _require_extremes(ctx, polytope)
-    return _separators(ctx, t, [samples])[0]
-
-
-def separate_and_verify(
-    ctx: RepresentationContext,
-    t: float,
-    polytope: Polytope,
-    samples,
-) -> tuple[AffineFunctional, SeparationCheck]:
-    """:func:`separate` and then :func:`verify_separation` on the same
-    samples, with each distinct sample classified against the chord point
-    once for both: an oracle is asked about each sample once, not twice."""
     t = _level(t)
     _require_extremes(ctx, polytope)
     samples = list(samples)
@@ -217,18 +208,17 @@ def separate_and_verify(
     return functional, _verified(ctx, t, functional, samples, rows[idx], side[idx])
 
 
-def _split(rows: np.ndarray, rhs) -> np.ndarray:
-    """Constraint rows over the coefficients split into positive and negative
-    parts, so the L1 objective is linear and every variable is >= 0, with
-    ``rhs`` as a last column, so negating a row flips its inequality."""
-    return np.column_stack([rows, -rows, np.full(len(rows), rhs)])
+def _with_rhs(rows: np.ndarray, rhs) -> np.ndarray:
+    """Constraint rows over the coefficients with ``rhs`` as a last column,
+    so negating a row flips its inequality."""
+    return np.column_stack([rows, np.full(len(rows), rhs)])
 
 
 def _inequalities(ctx: RepresentationContext, t: float, blocks, classified) -> list[np.ndarray]:
     """The inequality rows of each sample list's separation program at level
     ``t``, right-hand side last, from the :func:`_classified` samples."""
     at, rows, side = classified
-    width = 2 * ctx.model.n_outcomes + 1
+    width = ctx.model.n_outcomes + 1
     # Half the published band: the L1 objective parks the solution on a
     # constraint boundary, and verification at the full band must not
     # flip on the rounding of that boundary value.  Each indifferent
@@ -239,8 +229,9 @@ def _inequalities(ctx: RepresentationContext, t: float, blocks, classified) -> l
         idx = [at[x.probs] for x in samples]
         block, block_side = rows[idx], side[idx]
         upper, lower, level_set = (block[block_side == s] for s in (1, -1, 0))
-        band = np.stack([_split(level_set, t + half_band), -_split(level_set, t - half_band)], 1)
-        ubs.append(np.vstack([-_split(upper, t), _split(lower, t), band.reshape(-1, width)]))
+        edges = (_with_rhs(level_set, t + half_band), -_with_rhs(level_set, t - half_band))
+        band = np.stack(edges, 1).reshape(-1, width)
+        ubs.append(np.vstack([-_with_rhs(upper, t), _with_rhs(lower, t), band]))
     return ubs
 
 
@@ -277,17 +268,17 @@ def _separators(
 
 
 def _solved(ctx: RepresentationContext, ubs, slack: float) -> list:
-    """:func:`~betweenu.simplex.linprog` of the programs ``ubs``, split as
-    :func:`_split` splits, with each row's bound raised by ``slack``."""
-    n, eq = ctx.model.n_outcomes, _normalization(ctx)
-    rows, rhs = [ub[:, :n] for ub in ubs], [ub[:, -1] + slack for ub in ubs]
-    return linprog(rows, rhs, eq[:, :n], eq[:, -1])
+    """:func:`~betweenu.simplex.linprog` of the programs ``ubs``, each row's
+    bound raised by ``slack``."""
+    eq = _normalization(ctx)
+    rows, rhs = [ub[:, :-1] for ub in ubs], [ub[:, -1] + slack for ub in ubs]
+    return linprog(rows, rhs, eq[:, :-1], eq[:, -1])
 
 
 def _normalization(ctx: RepresentationContext) -> np.ndarray:
     """The equality rows of every separation program: value 1 at the best
-    extreme and 0 at the worst, split as :func:`_split` splits."""
-    return _split(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
+    extreme and 0 at the worst, right-hand side last."""
+    return _with_rhs(np.asarray([ctx.best.probs, ctx.worst.probs], dtype=float), [1.0, 0.0])
 
 
 def _certificate(ctx: RepresentationContext, t: float, ub: np.ndarray, y, z) -> FarkasCertificate:
@@ -295,22 +286,24 @@ def _certificate(ctx: RepresentationContext, t: float, ub: np.ndarray, y, z) -> 
     that weights its rows by ``y`` and its normalization equalities by
     ``z``, a ray of :func:`~betweenu.simplex.linprog`.
 
-    With the program's split rows ``A_ub x <= b_ub``, ``A_eq x = b_eq`` over
-    ``x >= 0``, ``residual`` is how far ``A_ub^T y + A_eq^T z`` falls below 0
-    and ``gap`` is ``-(b_ub . y + b_eq . z)``.  The rows are listed ``>=``
-    bounds first, then ``<=`` bounds, each in the program's order.
+    With the program's rows ``A_ub c <= b_ub`` and ``A_eq c = b_eq``,
+    ``residual`` is the largest coefficient of ``A_ub^T y + A_eq^T z`` in
+    absolute value and ``gap`` is ``-(b_ub . y + b_eq . z)``.  The rows are
+    listed ``>=`` bounds first, then ``<=`` bounds, each in the program's
+    order.
     """
-    n, eq = ctx.model.n_outcomes, _normalization(ctx)
-    residual = max(0.0, -float(np.min(ub[:, :-1].T @ y + eq[:, :-1].T @ z)))
-    gap = -float(ub[:, -1] @ y + eq[:, -1] @ z)
+    a, b, eq = ub[:, :-1], ub[:, -1], _normalization(ctx)
+    residual = float(np.max(np.abs(a.T @ y + eq[:, :-1].T @ z)))
+    gap = -float(b @ y + eq[:, -1] @ z)
     # A row of _inequalities is a sample's lottery, negated for a ">="
     # bound, and the bound, negated alike; only a strictly ranked sample's
     # bound is t itself.
     rows = []
-    for k in sorted(np.flatnonzero(y), key=lambda k: ub[k, :n].sum() > 0.0):
-        sign, bound = np.sign(ub[k, :n].sum()), float(np.sign(ub[k, :n].sum()) * ub[k, -1])
+    for k in sorted(np.flatnonzero(y), key=lambda k: a[k].sum() > 0.0):
+        sign = np.sign(a[k].sum())
+        bound = float(sign * b[k])
         kind = ("lower" if sign > 0 else "upper") if bound == t else "indifferent"
-        rows.append({"lottery": np.abs(ub[k, :n]).tolist(), "class": kind, "bound": bound,
+        rows.append({"lottery": np.abs(a[k]).tolist(), "class": kind, "bound": bound,
                      "relation": "<=" if sign > 0 else ">=", "weight": float(y[k])})
     return FarkasCertificate(t, tuple(rows), (float(z[0]), float(z[1])), residual, gap)
 
@@ -406,27 +399,25 @@ def _sample_set(points, crossings: dict, chords) -> list[Lottery]:
 def cross_polytope_consistency(
     ctx: RepresentationContext, x: Lottery, t: float, polytopes
 ) -> CrossPolytopeCheck:
-    """The separator value at ``x`` must not depend on the polytope.
-
-    Solves the separation program inside every polytope (each must
-    contain ``x`` and both extremes) on its :func:`contour_samples` with
-    ``x`` added as a vertex, and passes when all resulting values at
-    ``x`` and the engine's mixing-based value lie within
-    :data:`CROSS_POLYTOPE_TOL` of one another: a one-lottery
-    :func:`cross_polytope_consistency_many`.
-    """
+    """A one-lottery :func:`cross_polytope_consistency_many`."""
     return cross_polytope_consistency_many(ctx, [x], t, [polytopes])[0]
 
 
 def cross_polytope_consistency_many(
     ctx: RepresentationContext, xs, t: float, polytopes
 ) -> list[CrossPolytopeCheck]:
-    """:func:`cross_polytope_consistency` of each lottery in ``xs`` in its
-    own list of polytopes, the matching entry of ``polytopes``, at level ``t``.
+    """The separator value at each lottery of ``xs`` must not depend on the
+    polytope: its own list of polytopes, the matching entry of ``polytopes``.
+
+    Solves the separation program at level ``t`` inside every polytope
+    (each must contain its lottery ``x`` and both extremes) on its
+    :func:`contour_samples` with ``x`` added as a vertex, and passes ``x``
+    when all resulting values at ``x`` and the engine's mixing-based value
+    lie within :data:`CROSS_POLYTOPE_TOL` of one another.
 
     One mixing solve over the lotteries and all their polytopes' distinct
     vertices gives both the engine values, through
-    :func:`~betweenu.engine.local_value` (bitwise
+    :func:`~betweenu.engine._local_values` (bitwise
     :func:`~betweenu.engine.implicit_utility`), and every polytope's
     :func:`contour_samples`; all the separation programs are solved at
     once (see :func:`_separators`), and the first infeasible one raises
@@ -449,10 +440,10 @@ def cross_polytope_consistency_many(
         _sample_set([*q.vertices, x], crossings, chords) for x, polys in queries for q in polys
     ]
     functionals = iter(_separators(ctx, t, blocks) if blocks else ())
+    weights, used_worst = np.array([crossings[x.probs][:2] for x, _ in queries]).reshape(-1, 2).T
+    engine_values = _local_values(t, weights, used_worst > 0.0).tolist()
     checks = []
-    for x, polys in queries:
-        w, to_worst, _ = crossings[x.probs]
-        engine_value = local_value(t, w, Branch.USED_WORST if to_worst else Branch.USED_BEST)
+    for (x, polys), engine_value in zip(queries, engine_values):
         values = tuple(next(functionals).value(x) for _ in polys)
         gap = max(engine_value, *values) - min(engine_value, *values)
         checks.append(CrossPolytopeCheck(x.probs, t, gap <= tol, engine_value, values, gap, tol))

@@ -180,7 +180,7 @@ def test_05_local_value_vs_separator():
         for t in ts:
             base = contour_samples(ctx, t, simplex)
             audit = sorted({x.probs: x for x in [*base, *points]}.values())
-            functional = separate(ctx, t, simplex, audit)
+            functional, _ = separate(ctx, t, simplex, audit)
             values = implicit_utility_many(ctx, points, np.full(len(points), t))
             for x, v in zip(points, values):
                 worst_sep = max(worst_sep, abs(functional.value(x) - float(v)))

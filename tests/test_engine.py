@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from betweenu import (
     implicit_utility,
     implicit_utility_many,
     jump_oracle,
-    local_value,
     lottery,
     mix,
     one_sided_limits,
@@ -46,6 +46,8 @@ from betweenu import engine
 from betweenu.models import DEFAULT_EPS_PREF
 
 from conftest import EU_U, NOT_LOTTERIES, WU_U, WU_W, solver_models
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BISECT_TOL = 5e-11  # half of the default bracket tolerance
 
@@ -427,23 +429,17 @@ class TestSolveMixing:
 
 class TestLocalValueAlgebra:
     def test_frozen_branch_arithmetic(self):
-        assert local_value(0.5, 0.25, Branch.USED_WORST) == 2.0
-        assert local_value(0.3, 1.0, Branch.USED_WORST) == 0.3
-        assert local_value(0.2, 0.8, Branch.USED_BEST) == 0.0
-        assert local_value(0.6, 0.5, Branch.USED_BEST) == pytest.approx(0.2, abs=1e-15)
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            local_value(0.0, 0.5, Branch.USED_WORST)
-        with pytest.raises(ValueError):
-            local_value(0.5, 0.0, Branch.USED_WORST)
-        with pytest.raises(ValueError):
-            local_value(0.5, 1.5, Branch.USED_WORST)
+        assert engine._local_values(0.5, 0.25, True) == 2.0
+        assert engine._local_values(0.3, 1.0, True) == 0.3
+        assert engine._local_values(0.2, 0.8, False) == 0.0
+        assert engine._local_values(0.6, 0.5, False) == pytest.approx(0.2, abs=1e-15)
 
     def test_sample_assembly(self, wu_model):
         ctx = context_for(wu_model)
         x = lottery((0.2, 0.5, 0.3))
-        assert implicit_utility(ctx, x, 0.4) == local_value(0.4, *solve_mixing(ctx, x, 0.4))
+        w, branch = solve_mixing(ctx, x, 0.4)
+        local = engine._local_values(0.4, w, branch is Branch.USED_WORST)
+        assert implicit_utility(ctx, x, 0.4) == local
 
 
 class TestImplicitUtility:
@@ -1046,3 +1042,16 @@ class TestRandomFamilies:
         # Normalization holds exactly at interior levels.
         assert (implicit_utility_many(ctx, [ctx.best] * 3, levels) == 1.0).all()
         assert (implicit_utility_many(ctx, [ctx.worst] * 3, levels) == 0.0).all()
+
+
+class TestReadmeQuickStart:
+    def test_block_gives_its_commented_results(self):
+        # The README's "Library quick start" block, run as written.
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Library quick start", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        names = {}
+        exec(block, names)
+        assert names["U"] == pytest.approx(0.578947, abs=1e-6)
+        assert eval("implicit_utility(ctx, x, U) - U", names) == 0.0
+        assert eval("all(r.passed for r in reports)", names) is True

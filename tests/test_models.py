@@ -174,6 +174,8 @@ class TestImplicitKernel:
             ImplicitKernel((0.0, 0.5), ((0.0, 0.1),))
         with pytest.raises(ValueError):
             ImplicitKernel((0.0, 1.0), ((0.0, 1.5),))
+        with pytest.raises(ValueError, match="t_grid"):
+            ImplicitKernel((0.0, float("nan"), 1.0), ((0.0, 0.5, 1.0),))
 
     def test_slope_near_one_solved_exactly(self):
         # slope 0.9999: iterating from 0.5 would take about 300,000 steps to

@@ -21,6 +21,7 @@ from betweenu import (
     contour_samples,
     cross_polytope_consistency,
     cross_polytope_consistency_many,
+    cyclic_oracle,
     degenerate,
     grid,
     implicit_utility,
@@ -109,12 +110,13 @@ def audit_samples(ctx, t, polytope, resolution=6):
 class TestSeparate:
     def test_two_outcome_expected_utility_exact(self):
         ctx = context_for(ExpectedUtility((0.0, 1.0)))
-        functional = separate(ctx, 0.5, full_simplex(2), sorted(grid(2, 8)))
+        functional, _ = separate(ctx, 0.5, full_simplex(2), sorted(grid(2, 8)))
         assert functional.coeffs == (0.0, 1.0)
 
     def test_normalization_exact_at_extremes(self, wu_model):
         ctx = context_for(wu_model)
-        functional = separate(ctx, 0.3, full_simplex(3), audit_samples(ctx, 0.3, full_simplex(3)))
+        simplex = full_simplex(3)
+        functional, _ = separate(ctx, 0.3, simplex, audit_samples(ctx, 0.3, simplex))
         assert functional.value(ctx.best) == 1.0
         assert functional.value(ctx.worst) == 0.0
 
@@ -122,7 +124,7 @@ class TestSeparate:
         ctx = context_for(da_model)
         chord = Polytope(tuple(sorted((ctx.best, ctx.worst))))
         samples = sorted(chord_point(ctx, s) for s in [k / 10 for k in range(11)])
-        functional = separate(ctx, 0.5, chord, samples)
+        functional, _ = separate(ctx, 0.5, chord, samples)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert functional.value(chord_point(ctx, s)) == pytest.approx(s, abs=1e-12)
 
@@ -140,13 +142,35 @@ class TestSeparate:
     def test_no_samples_leaves_out_the_inequalities(self, monkeypatch):
         ctx = context_for(WU4)
         calls = TestBatchedSeparation.counted_linprog(monkeypatch)
-        functional = separate(ctx, 0.5, full_simplex(4), [])
+        functional, _ = separate(ctx, 0.5, full_simplex(4), [])
         assert len(calls) == 1
         ((rows,), (rhs,), _, _) = calls[0]
         assert rows.shape == (0, 4) and len(rhs) == 0
         # The least-L1-norm functional with value 1 at the best extreme
         # and 0 at the worst.
         assert functional.coeffs == tuple(ctx.best.as_array())
+
+    def test_check_audits_the_functional_asking_each_sample_once(self, monkeypatch):
+        # The check is verify_separation's audit of the functional on the
+        # same samples, and the oracle is asked about each distinct sample
+        # once, against the chord point.
+        model = cyclic_oracle()
+        ctx, t = context_for(model), 0.5
+        samples = audit_samples(ctx, t, full_simplex(3))
+        samples += samples[:5]
+        asked, compare = [], model.compare_fn
+
+        def counted(x, y):
+            asked.append((x.probs, y.probs))
+            return compare(x, y)
+
+        monkeypatch.setattr(model, "compare_fn", counted)
+        functional, check = separate(ctx, t, full_simplex(3), samples)
+        assert sorted(x for x, _ in asked) == sorted({x.probs for x in samples})
+        assert {y for _, y in asked} == {chord_point(ctx, t).probs}
+        monkeypatch.setattr(model, "compare_fn", compare)
+        assert check == verify_separation(ctx, t, functional, samples)
+        assert check.passed
 
     def test_nonconvex_contours_are_infeasible(self):
         ctx = context_for(quadratic_oracle())
@@ -159,7 +183,7 @@ class TestVerifySeparation:
     def test_fitted_functional_passes(self, family_model, t):
         ctx = context_for(family_model)
         samples = audit_samples(ctx, t, full_simplex(3))
-        functional = separate(ctx, t, full_simplex(3), samples)
+        functional, _ = separate(ctx, t, full_simplex(3), samples)
         check = verify_separation(ctx, t, functional, samples)
         assert check.passed, check.violations[:3]
         assert check.n_upper + check.n_lower + check.n_indifferent == len(samples)
@@ -169,7 +193,7 @@ class TestVerifySeparation:
         ctx = context_for(eu_model)
         t = 0.5
         samples = audit_samples(ctx, t, full_simplex(3))
-        functional = separate(ctx, t, full_simplex(3), samples)
+        functional, _ = separate(ctx, t, full_simplex(3), samples)
         skewed = AffineFunctional(
             tuple(c + 0.01 for c in functional.coeffs[:1]) + functional.coeffs[1:]
         )
@@ -183,7 +207,7 @@ class TestVerifySeparation:
         ctx = context_for(wu_model)
         t = 0.5
         samples = audit_samples(ctx, t, full_simplex(3))
-        functional = separate(ctx, t, full_simplex(3), samples)
+        functional, _ = separate(ctx, t, full_simplex(3), samples)
         for x in grid(3, 6):
             engine_value = implicit_utility(ctx, x, t)
             assert functional.value(x) == pytest.approx(engine_value, abs=1e-6)
@@ -342,7 +366,7 @@ class TestBatchedSeparation:
             for p in polys
         ]
         batched = separation._separators(ctx, t, [samples for _, _, samples in blocks])
-        singles = [separate(ctx, t, p, samples) for _, p, samples in blocks]
+        singles = [separate(ctx, t, p, samples)[0] for _, p, samples in blocks]
         assert [[c.hex() for c in f.coeffs] for f in batched] == [
             [c.hex() for c in f.coeffs] for f in singles
         ]
@@ -361,17 +385,22 @@ def functionals_or_error(ctx, t, blocks):
 
 
 def programs(ctx, t, blocks) -> list:
-    """The split programs of ``blocks`` at level ``t``."""
+    """The programs of ``blocks`` at level ``t``, right-hand side last."""
     return separation._inequalities(ctx, t, blocks, separation._classified(ctx, t, blocks))
 
 
 def highs_optimum(ctx, ub):
-    """HiGHS's optimum of the split program ``ub`` at its 1e-10 feasibility
+    """HiGHS's optimum of the program ``ub`` at its 1e-10 feasibility
     tolerance, as coefficients, or None where it reports status 2
-    (infeasible)."""
+    (infeasible).  HiGHS sees the coefficients split into positive and
+    negative parts, so the L1 objective is linear and every variable >= 0."""
     n, eq = ctx.model.n_outcomes, separation._normalization(ctx)
+
+    def split(rows):
+        return np.column_stack([rows[:, :-1], -rows[:, :-1]])
+
     result = highs(
-        c=np.ones(2 * n), A_ub=ub[:, :-1], b_ub=ub[:, -1], A_eq=eq[:, :-1], b_eq=eq[:, -1],
+        c=np.ones(2 * n), A_ub=split(ub), b_ub=ub[:, -1], A_eq=split(eq), b_eq=eq[:, -1],
         bounds=[(0.0, None)] * (2 * n), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
@@ -381,7 +410,7 @@ def highs_optimum(ctx, ub):
 
 def brute_force(ctx, ub):
     """The least-L1-norm, then lexicographically least, coefficients that
-    meet the split program ``ub`` to 1e-12, or None if none do.
+    meet the program ``ub`` to 1e-12, or None if none do.
 
     With d free coefficients the optimum is a vertex of the planes the rows
     and the ``c_i = 0`` bound: this solves every d of them with the
@@ -629,8 +658,8 @@ class TestSolver:
         b, w = ctx.best.probs.index(1.0), ctx.worst.probs.index(1.0)
         (m,) = {0, 1, 2} - {b, w}
         best, free = np.eye(3)[b], np.eye(3)[m]
-        flat = separation._split(best[None], [1.0 - miss])
-        interval = separation._split(np.stack([-free, free]), [-0.5, 0.5 - 2 * miss])
+        flat = separation._with_rhs(best[None], [1.0 - miss])
+        interval = separation._with_rhs(np.stack([-free, free]), [-0.5, 0.5 - 2 * miss])
         for ub, coefficient in ((flat, 0.0), (interval, 0.5 - separation._FEASIBILITY_TOL)):
             monkeypatch.setattr(separation, "_inequalities", lambda *args, ub=ub: [ub])
             if raises:
