@@ -23,9 +23,10 @@ digits.  Every JSON file holds exactly ``json.dumps(payload, indent=2,
 sort_keys=True)`` and one newline: two-space indentation, sorted keys,
 non-ASCII characters as ``\\uXXXX`` escapes, floats as ``repr`` spells
 them (``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones),
-and a trailing newline; :func:`_write_json` streams that text without
-building it whole.  All outputs are byte-deterministic for a fixed model,
-flags, and seed.
+and a trailing newline.  The standard library's :mod:`json` writes every
+byte but those of the witness records in axioms.json, which go to the
+file one at a time through a template of the same text.  All outputs are
+byte-deterministic for a fixed model, flags, and seed.
 
 Exit codes: 0 ok, 1 a property or check failed, 2 input error,
 3 numeric failure inside the construction, also recorded in error.json
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import math
 import os
 import sys
@@ -46,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .axioms import Witness, run_all_checks
+from .axioms import run_all_checks
 from .engine import (
     context_for,
     implicit_utility_many,
@@ -132,12 +134,12 @@ def _write_csv(path: str, header, rows) -> None:
     _write_text(path, "".join(",".join(fields) + "\n" for fields in [header, *rows]))
 
 
-#: One level of JSON indentation.
-_INDENT = "  "
-#: The types json writes as arrays.
-_LIST = (list, tuple)
 #: The types of a witness's probabilities when each is exactly a float.
 _FLOATS = frozenset({float})
+#: Where a report's witness list goes in the text of the axioms.json
+#: envelope.  Only a "witnesses" key set to null spells it, since inside a
+#: string every quote is escaped, and only a report holds that key.
+_SLOT = '"witnesses": null'
 
 
 class _FloatTexts(dict):
@@ -155,38 +157,11 @@ class _FloatTexts(dict):
         return text
 
 
-def _scalar(v) -> str | None:
-    """``v`` as json spells a string, None, bool, int or float (NaN and the
-    infinities by name); None for any other value."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None or v is True or v is False:
-        return "null" if v is None else "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    return None
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a scalar other than a string as the
-    string of its JSON text."""
-    text = key if isinstance(key, str) else _scalar(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(text)
-
-
 @functools.cache
 def _witness_template(nl: str) -> tuple[str, str, str, str]:
     """The format of a witness dict opened at newline-and-indent ``nl``,
     and the separators of its probabilities, its rows and its orderings."""
-    i1 = nl + _INDENT
-    i2 = i1 + _INDENT
-    i3 = i2 + _INDENT
+    i1, i2, i3 = (nl + "  " * k for k in (1, 2, 3))
     text = (
         f'{{{i1}"lam": %s,{i1}"lotteries": [{i2}[{i3}%s{i2}]{i1}],{i1}"note": %s,'
         f'{i1}"observed": [{i2}%s{i1}]{nl}}}'
@@ -194,82 +169,57 @@ def _witness_template(nl: str) -> tuple[str, str, str, str]:
     return text, "," + i3, f"{i2}],{i2}[{i3}", "," + i2
 
 
-def _witness(w: dict, nl: str, texts: _FloatTexts | None = None) -> str | None:
-    """The text of a :class:`~betweenu.axioms.Witness` dict opened at
-    newline-and-indent ``nl``, its probabilities spelt through ``texts``
-    when they are all exact floats; None unless ``lam`` is a finite float
+def _witness(w: dict, nl: str, texts: _FloatTexts) -> str:
+    """The text of a :class:`~betweenu.axioms.Witness` dict as
+    ``json.dumps(w, indent=2, sort_keys=True)`` spells it, opened at
+    newline-and-indent ``nl``.  It comes from the template, its
+    probabilities spelt through ``texts``, when ``lam`` is a finite float
     or None, ``lotteries`` a non-empty list of non-empty lists of finite
-    floats, ``note`` a string and ``observed`` a non-empty list of strings."""
+    exact floats, ``note`` a string and ``observed`` a non-empty list of
+    strings; any other witness goes through json."""
     text, in_row, between_rows, in_observed = _witness_template(nl)
     lam, rows, note, observed = w["lam"], w["lotteries"], w["note"], w["observed"]
-    if not (isinstance(rows, _LIST) and rows and isinstance(observed, _LIST) and observed):
-        return None
-    for row in rows:
-        if not (isinstance(row, _LIST) and row):
-            return None
-    spell = float.__repr__
-    if texts is not None and set(map(type, chain.from_iterable(rows))) == _FLOATS:
-        spell = texts.__getitem__
-    try:  # float.__repr__ and the encoder type-check every value
-        lam_text = "null" if lam is None else float.__repr__(lam)
-        probs = between_rows.join([in_row.join(map(spell, row)) for row in rows])
-        text %= (lam_text, probs, encode_basestring_ascii(note), in_observed.join(
-            map(encode_basestring_ascii, observed)
-        ))
-    except TypeError:
-        return None
-    # float.__repr__ spells NaN and the infinities nan, inf and -inf.
-    if "n" in probs or (lam is not None and "n" in lam_text):
-        return None
-    return text
-
-
-def _dump(value, write, nl: str = "\n", texts: _FloatTexts | None = None) -> None:
-    """Write ``value`` as ``json.dumps(value, indent=2, sort_keys=True)``
-    spells it, opened at newline-and-indent ``nl``, piece by piece.  Its
-    witnesses share the float texts of ``texts``, a new memo when None."""
-    if texts is None:
-        texts = _FloatTexts()
-    text = _scalar(value)
-    if text is not None:
-        write(text)
-    elif isinstance(value, _LIST):
-        inner = nl + _INDENT
-        if not value:
-            write("[]")
+    if rows and all(rows) and observed and set(map(type, chain.from_iterable(rows))) == _FLOATS:
+        try:  # float.__repr__ and the encoder type-check every value
+            lam_text = "null" if lam is None else float.__repr__(lam)
+            probs = between_rows.join([in_row.join(map(texts.__getitem__, row)) for row in rows])
+            orderings = in_observed.join(map(encode_basestring_ascii, observed))
+            text %= (lam_text, probs, encode_basestring_ascii(note), orderings)
+        except TypeError:
+            pass
         else:
-            sep = "[" + inner
-            for item in value:
-                write(sep)
-                _dump(item, write, inner, texts)
-                sep = "," + inner
-            write(nl + "]")
-    elif isinstance(value, dict):
-        inner = nl + _INDENT
-        text = _witness(value, nl, texts) if value.keys() == Witness.KEYS else None
-        if text is not None:
-            write(text)
-        elif not value:
-            write("{}")
-        else:
-            sep = "{" + inner
-            for key, item in sorted(value.items()):
-                write(f"{sep}{_key(key)}: ")
-                _dump(item, write, inner, texts)
-                sep = "," + inner
-            write(nl + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            # float.__repr__ spells NaN and the infinities nan, inf and -inf.
+            if "n" not in probs and (lam is None or "n" not in lam_text):
+                return text
+    return json.dumps(w, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _write_json(path: str, payload, announce: bool = True) -> None:
-    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline
-    to ``path`` without building the whole text."""
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _dump(payload, fh.write)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if announce:
         print(f"wrote {path}")
+
+
+def _write_axioms(path: str, payload: dict) -> None:
+    """Write ``payload`` as :func:`_write_json` does, each report's
+    witness records streamed through the template, one float memo shared
+    by the file."""
+    lists = [report["witnesses"] for report in payload["reports"]]
+    reports = [{**r, "witnesses": None if w else []} for r, w in zip(payload["reports"], lists)]
+    pieces = json.dumps({**payload, "reports": reports}, indent=2, sort_keys=True).split(_SLOT)
+    texts = _FloatTexts()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for piece, records in zip(pieces, filter(None, lists)):
+            inner = piece[piece.rindex("\n") :] + "  "
+            sep = piece + '"witnesses": [' + inner
+            for w in records:
+                fh.write(sep + _witness(w, inner, texts))
+                sep = "," + inner
+            fh.write(inner[:-2] + "]")
+        fh.write(pieces[-1] + "\n")
+    print(f"wrote {path}")
 
 
 def _in_repr(v: float) -> str:
@@ -331,7 +281,7 @@ def cmd_check(model, args) -> int:
         "seed": args.seed,
         "reports": [report.to_dict() for report in reports],
     }
-    _write_json(os.path.join(args.out, "axioms.json"), payload)
+    _write_axioms(os.path.join(args.out, "axioms.json"), payload)
     failed = [report.axiom for report in reports if not report.passed]
     if failed:
         print(f"failed: {', '.join(failed)}")
