@@ -154,6 +154,20 @@ def _sides(ctx: RepresentationContext, kx: np.ndarray, end: int) -> np.ndarray:
     return classify(ctx.model.gaps(kx, ctx._end_keys[[end]]), ctx.model.eps_pref)
 
 
+def _in_range(ctx: RepresentationContext, rows: np.ndarray, kx: np.ndarray):
+    """Each row's sides of the best and of the worst extreme, from its key
+    in ``kx``; raises :class:`NonMonotoneChord` naming the first row that
+    is strictly preferred to the best or dispreferred to the worst."""
+    to_best, to_worst = _sides(ctx, kx, _BEST), _sides(ctx, kx, _WORST)
+    bad = np.flatnonzero((to_best > 0) | (to_worst < 0))
+    if bad.size:
+        raise NonMonotoneChord(
+            f"lottery {tuple(rows[bad[0]].tolist())} falls outside the preference "
+            f"range of the extremes"
+        )
+    return to_best, to_worst
+
+
 def find_extremes(model: PreferenceModel) -> tuple[Lottery, Lottery]:
     """Best and worst degenerate lotteries under the model.
 
@@ -283,13 +297,7 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     rows = _as_rows(ctx, xs)
     model = ctx.model
     kx = model.keys(rows)
-    to_best, to_worst = _sides(ctx, kx, _BEST), _sides(ctx, kx, _WORST)
-    bad = np.flatnonzero((to_best > 0) | (to_worst < 0))
-    if bad.size:
-        raise NonMonotoneChord(
-            f"lottery {tuple(rows[bad[0]].tolist())} falls outside the preference "
-            f"range of the extremes"
-        )
+    to_best, to_worst = _in_range(ctx, rows, kx)
     out = np.where(to_best == 0, 1.0, 0.0)
     inner = np.flatnonzero((to_best != 0) & (to_worst != 0))
 
@@ -467,9 +475,11 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     """The level solving ``t = u(x, t)`` for each of ``xs``, lottery rows or
     a Lottery list, located without :func:`solve_utility_many`.
 
-    Scans 1000 uniform levels (endpoints included) per lottery,
-    verifies the residual ``u(x, t) - t`` crosses zero once, then bisects
-    the bracketing cell down to the context tolerance.  The endpoint
+    A lottery outside the extremes' range raises
+    :class:`NonMonotoneChord`, as in :func:`solve_utility_many`.  Scans
+    1000 uniform levels (endpoints included) per lottery, verifies the
+    residual ``u(x, t) - t`` crosses zero once, then bisects the
+    bracketing cell down to the context tolerance.  The endpoint
     indicators force the residual to start >= 0 and end <= 0, so it
     crosses once exactly when its signs never rise: positive ones, at
     most one run of zeros, then negative ones.  A genuine second fixed
@@ -511,9 +521,10 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, _SCAN_LEVELS)
     k_chord = _chord_keys(eval_ctx, ts[1:-1])
     kx = model.keys(rows)
+    to_best, to_worst = _in_range(ctx, rows, kx)
     # The endpoint signs follow the indicators of implicit_utility.
-    first = np.where(_sides(ctx, kx, _WORST) == 0, 0.0, 1.0)
-    last = np.where(_sides(ctx, kx, _BEST) == 0, 0.0, -1.0)
+    first = np.where(to_worst == 0, 0.0, 1.0)
+    last = np.where(to_best == 0, 0.0, -1.0)
     # The extremes' gaps over the chord points, shared by every lottery.
     across = np.full((2, m), np.nan)
     out = np.empty(len(rows))

@@ -698,6 +698,21 @@ class TestFixedPoint:
         assert utility_fixed_point(ctx, ctx.best) == 1.0
         assert utility_fixed_point(ctx, ctx.worst) == 0.0
 
+    def test_lottery_outside_the_extremes_raises_as_solve_utility_does(self):
+        # The extremes are (1, 0, 0), worth 1, and (0, 1, 0), worth 0;
+        # (0, 0.5, 0.5) is worth 2.  The scan's end signs alone would make
+        # up a crossing in its last cell.
+        ctx = context_for(quadratic_oracle([[1, 0, 0], [0, 0, 4], [0, 4, 0]]))
+        assert (ctx.best.probs, ctx.worst.probs) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        above = lottery((0.0, 0.5, 0.5))
+        batch = [ctx.worst, lottery((0.5, 0.5, 0.0)), above, lottery((0.0, 0.25, 0.75))]
+        message = "lottery (0.0, 0.5, 0.5) falls outside the preference range of the extremes"
+        for solve in (solve_utility_many, utility_fixed_point_many):
+            for xs in ([above], batch):
+                with pytest.raises(NonMonotoneChord) as info:
+                    solve(ctx, xs)
+                assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "residual",
         [
