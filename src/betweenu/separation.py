@@ -25,6 +25,7 @@ the reports say nothing stronger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,18 +289,21 @@ def _certificate(ctx: RepresentationContext, t: float, ub: np.ndarray, y, z) -> 
 
     With the program's rows ``A_ub c <= b_ub`` and ``A_eq c = b_eq``,
     ``residual`` is the largest coefficient of ``A_ub^T y + A_eq^T z`` in
-    absolute value and ``gap`` is ``-(b_ub . y + b_eq . z)``.  The rows are
-    listed ``>=`` bounds first, then ``<=`` bounds, each in the program's
-    order.
+    absolute value and ``gap`` is ``-(b_ub . y + b_eq . z)``, each sum
+    taken with :func:`math.fsum` over the weighted rows, so its bits do
+    not depend on the rows' order.  The rows are listed ``>=`` bounds
+    first, then ``<=`` bounds, each in the program's order.
     """
     a, b, eq = ub[:, :-1], ub[:, -1], _normalization(ctx)
-    residual = float(np.max(np.abs(a.T @ y + eq[:, :-1].T @ z)))
-    gap = -float(b @ y + eq[:, -1] @ z)
+    support = np.flatnonzero(y)
+    terms = np.vstack([y[support, None] * ub[support], np.asarray(z)[:, None] * eq])
+    *coefficients, rhs = map(math.fsum, terms.T)
+    residual, gap = max(map(abs, coefficients)), -rhs
     # A row of _inequalities is a sample's lottery, negated for a ">="
     # bound, and the bound, negated alike; only a strictly ranked sample's
     # bound is t itself.
     rows = []
-    for k in sorted(np.flatnonzero(y), key=lambda k: a[k].sum() > 0.0):
+    for k in sorted(support, key=lambda k: a[k].sum() > 0.0):
         sign = np.sign(a[k].sum())
         bound = float(sign * b[k])
         kind = ("lower" if sign > 0 else "upper") if bound == t else "indifferent"

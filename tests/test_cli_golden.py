@@ -32,6 +32,10 @@ coefficient), so ``separation.json`` moved; on the quadratic oracle the
 level's ``infeasible`` message names the two samples of its new Farkas
 ``certificate`` in place of HiGHS's status.  Exit codes, stdout and
 stderr held.
+``separation.quadratic@0.8`` was re-recorded once more when a Farkas
+certificate's ``residual`` and ``gap`` began to be summed with
+``math.fsum``: its residual went from 5.492075603213178e-18 to 0.0, and
+nothing else moved.
 ``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
 the benchmark writes; it was recorded at commit 4a229aa, while the file
 still went through ``json.dump``.  So any change
@@ -303,7 +307,7 @@ GOLDEN = {
     "separation.quadratic@0.8": {
         "exit": 1,
         "files": {
-            "separation.json": "335be2b3352bb89de22bb897aa037c5c3e14cefa2c9146ff47fb360be9a1d3ce"
+            "separation.json": "b176b3ecf8cb967a09498ab4af218efee3eb39d6b6eb5099eb63013da488d887"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "9de753697dd1a97e1b5e688b347f652858d472e33c21bd0c4ef1ad8ed4c92522"

@@ -1,4 +1,5 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -646,6 +647,34 @@ class TestSolver:
             ([5 / 6, 1 / 6, 0.0], "upper", 0.75), ([0.0, 0.5, 0.5], "indifferent", 0.25),
         ]
         assert_certificate(ctx, 0.5, certificate, bowed)
+
+    def test_certificate_bits_do_not_depend_on_row_order(self):
+        # The 4-outcome quadratic oracle's level-0.2 program, proved
+        # infeasible by two rows, whose sums leave a residual of 2 ** -55.
+        # Its rows reordered, with their weights, in every order of the
+        # weighted rows among orders of the whole program, leave the same
+        # residual and gap bit for bit.
+        ctx, t = context_for(quadratic_oracle(QUADRATIC4)), 0.2
+        (ub,) = programs(ctx, t, [audit_samples(ctx, t, full_simplex(4), resolution=4)])
+        ((_, ray),) = separation._solved(ctx, [ub], 0.0)
+        y, z = ray()
+        certificate = separation._certificate(ctx, t, ub, y, z)
+        support = np.flatnonzero(y)
+        # Each sum is the rounding of the exact sum of the weighted rows.
+        eq = separation._normalization(ctx)
+        terms = np.vstack([y[support, None] * ub[support], z[:, None] * eq])
+        exact = [float(sum(map(Fraction, column.tolist()))) for column in terms.T]
+        assert certificate.residual == max(map(abs, exact[:-1])) == 2.0**-55
+        assert certificate.gap == -exact[-1]
+        rng = np.random.default_rng(0)
+        orders = [np.arange(len(ub)), np.arange(len(ub))[::-1]]
+        orders += [rng.permutation(len(ub)) for _ in range(4)]
+        for order in orders:
+            for weighted in permutations(support):
+                order[np.isin(order, support)] = weighted
+                shuffled = separation._certificate(ctx, t, ub[order], y[order], z)
+                assert shuffled.residual.hex() == certificate.residual.hex()
+                assert shuffled.gap.hex() == certificate.gap.hex()
 
     @pytest.mark.parametrize("miss, raises", [(5e-11, False), (1e-9, True)])
     def test_a_near_miss_gets_the_relaxed_optimum(self, eu_model, monkeypatch, miss, raises):
