@@ -352,59 +352,53 @@ def check_continuity(model: PreferenceModel, samples) -> AxiomReport:
     ``k = 10``), comparing the steps against each reference sample ``y``.
     If the comparisons settle on one strict ordering along the tail of
     the sequence (``k = 7`` to ``10``) but the limit point compares
-    strictly the other way, a discontinuity may have been observed.  The
-    nearest step is compared with every ``y`` first, the rest of the tail
-    only where it reverses the limit robustly.  A reversal is recorded
-    only if a far finer approach toward the same anchor still settles
-    on that side: a continuous preference whose value gap to ``y`` is
-    smaller than the last coarse step is then back on the limit's side.
+    strictly the other way, a discontinuity may have been observed.  Each
+    anchor's nearest step is compared with every ``y`` first, in one batch
+    per sample, the rest of the tail only for the (anchor, ``y``) pairs
+    where it reverses the limit robustly.  A reversal is recorded only if
+    a far finer approach toward the same anchor still settles on that
+    side: a continuous preference whose value gap to ``y`` is smaller
+    than the last coarse step is then back on the limit's side.
     The axiom is topological, so a passing report means only
     "consistent at tested resolution".
     """
     samples, rows, keys = _keyed(model, samples)
     if not samples:
         raise ValueError("continuity needs at least one sample")
-    m = len(samples)
-    anchors = [degenerate(i, model.n_outcomes) for i in range(model.n_outcomes)]
+    m, n = len(samples), model.n_outcomes
+    vertices = [degenerate(i, n) for i in range(n)]
     last = 0.5**_APPROACH_STEPS
     coarse_lams = np.asarray([0.5**k for k in range(_APPROACH_STEPS - 3, _APPROACH_STEPS)])
     fine_lams = np.asarray([0.5**k for k in range(37, 41)])
-
-    def gaps_along(lams, z: Lottery, x_row, ky) -> np.ndarray:
-        """Gaps of each approach point ``mix(lam, z, x)`` over each key in
-        ``ky``, one row per weight."""
-        kp = model.keys(mix_rows(lams, z.as_array(), x_row))
-        gaps = model.gaps(np.repeat(kp, len(ky)), np.tile(ky, len(lams)))
-        return gaps.reshape(len(lams), len(ky))
-
     witnesses = []
     checked = 0
     for xi, x in enumerate(samples):
         at_limit, limit_robust = _signs(model, model.gaps(keys[[xi] * m], keys))
-        for z in anchors:
-            if z.probs == x.probs:
-                continue
-            checked += m
-            settled, near_robust = _signs(model, gaps_along([last], z, rows[xi], keys)[0])
-            suspects = np.flatnonzero(
-                (settled != 0) & (limit_robust == -settled) & (near_robust == settled)
+        anchors = [z for z in vertices if z.probs != x.probs]
+        z_rows = np.asarray([z.probs for z in anchors]).reshape(-1, n)
+        checked += len(anchors) * m
+        # Every anchor's nearest step against every reference, one row each.
+        kp = model.keys(mix_rows(last, z_rows, rows[xi]))
+        gaps = model.gaps(np.repeat(kp, m), np.tile(keys, len(anchors))).reshape(-1, m)
+        settled, near_robust = _signs(model, gaps)
+        zs, ys = np.nonzero((settled != 0) & (limit_robust == -settled) & (near_robust == settled))
+        # The coarser tail steps, then the finer approach, must agree with
+        # the nearest step; only the (anchor, reference) pairs left are compared.
+        for lams in (coarse_lams, fine_lams):
+            if zs.size:
+                kp = model.keys(mix_rows(lams, z_rows[zs, None], rows[xi]).reshape(-1, n))
+                gaps = model.gaps(kp, np.repeat(keys[ys], len(lams))).reshape(-1, len(lams))
+                steady = (classify(gaps, model.eps_pref) == settled[zs, ys, None]).all(axis=1)
+                zs, ys = zs[steady], ys[steady]
+        witnesses += [
+            Witness(
+                (x, anchors[zi], samples[yi], mix(last, anchors[zi], x)),
+                last,
+                _orderings(settled[zi, yi], at_limit[yi]),
+                "strict comparison reverses at the limit of the approach",
             )
-            # The coarser tail steps, then the finer approach, must agree
-            # with the nearest step; only the references left are compared.
-            for lams in (coarse_lams, fine_lams):
-                if suspects.size:
-                    gaps = gaps_along(lams, z, rows[xi], keys[suspects])
-                    steady = (classify(gaps, model.eps_pref) == settled[suspects]).all(axis=0)
-                    suspects = suspects[steady]
-            witnesses += [
-                Witness(
-                    (x, z, samples[yi], mix(last, z, x)),
-                    last,
-                    _orderings(settled[yi], at_limit[yi]),
-                    "strict comparison reverses at the limit of the approach",
-                )
-                for yi in suspects
-            ]
+            for zi, yi in zip(zs, ys)
+        ]
     return _finish(
         "Continuity",
         witnesses,
