@@ -161,7 +161,9 @@ class _FloatTexts(dict):
 def _witness_template(nl: str) -> tuple[str, str, str, str]:
     """The format of a witness dict opened at newline-and-indent ``nl``,
     and the separators of its probabilities, its rows and its orderings."""
-    i1, i2, i3 = (nl + "  " * k for k in (1, 2, 3))
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
     text = (
         f'{{{i1}"lam": %s,{i1}"lotteries": [{i2}[{i3}%s{i2}]{i1}],{i1}"note": %s,'
         f'{i1}"observed": [{i2}%s{i1}]{nl}}}'
@@ -183,8 +185,9 @@ def _witness(w: dict, nl: str, texts: _FloatTexts) -> str:
         try:  # float.__repr__ and the encoder type-check every value
             lam_text = "null" if lam is None else float.__repr__(lam)
             probs = between_rows.join([in_row.join(map(texts.__getitem__, row)) for row in rows])
-            orderings = in_observed.join(map(encode_basestring_ascii, observed))
-            text %= (lam_text, probs, encode_basestring_ascii(note), orderings)
+            text %= (lam_text, probs, encode_basestring_ascii(note), in_observed.join(
+                map(encode_basestring_ascii, observed)
+            ))
         except TypeError:
             pass
         else:
