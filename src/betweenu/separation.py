@@ -296,7 +296,7 @@ def _certificate(ctx: RepresentationContext, t: float, ub: np.ndarray, y, z) -> 
     """
     a, b, eq = ub[:, :-1], ub[:, -1], _normalization(ctx)
     support = np.flatnonzero(y)
-    terms = np.vstack([y[support, None] * ub[support], np.asarray(z)[:, None] * eq])
+    terms = np.vstack([y[support, None] * ub[support], z[:, None] * eq])
     *coefficients, rhs = map(math.fsum, terms.T)
     residual, gap = max(map(abs, coefficients)), -rhs
     # A row of _inequalities is a sample's lottery, negated for a ">="
