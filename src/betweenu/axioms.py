@@ -102,7 +102,7 @@ def _finish(axiom, witnesses, samples_checked, seed=None, note="") -> AxiomRepor
 def _keyed(model: PreferenceModel, samples) -> tuple[list, np.ndarray, np.ndarray]:
     """The samples as a list, their rows, and one comparison key per row."""
     samples = list(samples)
-    rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
+    rows = lottery_rows(samples, model.n_outcomes)
     return samples, rows, model.keys(rows)
 
 
@@ -193,7 +193,7 @@ def check_rationality(model: PreferenceModel, samples, seed: int = 0) -> AxiomRe
     k = len(samples)
     if k < 3:
         raise ValueError(f"rationality needs at least 3 samples, got {k}")
-    rows = lottery_rows([x.probs for x in samples], model.n_outcomes)
+    rows = lottery_rows(samples, model.n_outcomes)
     first, second = np.triu_indices(k, 1)
     fwd, rev, failed = _pair_gaps(model, rows, first, second)
     witnesses = [

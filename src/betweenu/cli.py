@@ -15,6 +15,12 @@ results into an output directory:
                 the message of a level's infeasible program and its
                 Farkas certificate.
 
+One parser serves them all: the subcommand is its positional argument,
+chosen from :data:`COMMANDS`, and each flag is declared once and accepted
+by every subcommand, which ignores the flags it does not read.  ``main``
+parses ``--levels`` into ``args.levels`` and calls the table's function
+with the model and ``args``.
+
 CSV layout: lottery components first, then inputs such as the level,
 then computed quantities.  Input columns are printed with full
 round-trip precision so every row can be recomputed by calling the
@@ -50,6 +56,7 @@ import numpy as np
 
 from .axioms import run_all_checks
 from .engine import (
+    _interior_levels,
     context_for,
     implicit_utility_many,
     one_sided_limits,
@@ -65,43 +72,6 @@ from .triangle import collinearity_residual, embed_coords, render_svg, trace_lev
 LAMBDA_GRID = tuple(k / 10.0 for k in range(1, 10))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="betweenu",
-        description="Build and audit implicit mixture-linear utility representations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("repr", "tabulate U(x) and u(x, t) over a simplex grid"),
-        ("check", "run the axiom checks and report counterexamples"),
-        ("triangle", "trace indifference curves on 3 outcomes"),
-        ("separation", "audit the separating functionals per level"),
-    )
-    for name, blurb in specs:
-        cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--model", required=True, help="path to a JSON model description")
-        cmd.add_argument(
-            "--grid", type=int, default=6, help="simplex grid resolution (default 6)"
-        )
-        cmd.add_argument(
-            "--t-grid",
-            type=int,
-            default=11,
-            dest="t_grid",
-            help="number of uniform levels in [0, 1] for u(x, t) tables (default 11)",
-        )
-        cmd.add_argument(
-            "--levels",
-            default="0.2,0.4,0.6,0.8",
-            help="comma-separated utility levels for triangle/separation (default 0.2,0.4,0.6,0.8)",
-        )
-        cmd.add_argument(
-            "--seed", type=int, default=0, help="seed for subsampled checks, >= 0 (default 0)"
-        )
-        cmd.add_argument("--out", default="out", help="output directory (default ./out)")
-    return parser
-
-
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
@@ -114,13 +84,6 @@ def _parse_levels(raw: str) -> list[float]:
     if not levels:
         raise ValueError("--levels must name at least one level")
     return levels
-
-
-def _interior(levels) -> list[float]:
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"levels must lie strictly inside (0, 1), got {level!r}")
-    return list(levels)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -293,12 +256,12 @@ def cmd_check(model, args) -> int:
     return 0
 
 
-def cmd_triangle(model, args, levels) -> int:
+def cmd_triangle(model, args) -> int:
     if model.n_outcomes != 3:
         _fail(f"triangle needs a 3-outcome model, got {model.n_outcomes} outcomes")
         return 2
     ctx = context_for(model)
-    curves = trace_level_curves(ctx, levels)
+    curves = trace_level_curves(ctx, args.levels)
     lines = (
         [_in_repr(curve.level), *map(_out_fmt, (*point.probs, ex, ey))]
         for curve in curves
@@ -323,7 +286,7 @@ def _query_polytopes(ctx, simplex: Polytope, x) -> list[Polytope]:
     return [hull_of_x, simplex, widened]
 
 
-def cmd_separation(model, args, levels) -> int:
+def cmd_separation(model, args) -> int:
     ctx = context_for(model)
     n = model.n_outcomes
     simplex = Polytope(tuple(sorted(degenerate(i, n) for i in range(n))))
@@ -332,7 +295,7 @@ def cmd_separation(model, args, levels) -> int:
     polytopes = [_query_polytopes(ctx, simplex, x) for x in queries]
     entries = []
     all_ok = True
-    for t in levels:
+    for t in args.levels:
         entry = {"level": t}
         try:
             base = contour_samples(ctx, t, simplex)
@@ -354,7 +317,7 @@ def cmd_separation(model, args, levels) -> int:
         all_ok = all_ok and level_ok
     payload = {
         "grid_resolution": args.grid,
-        "levels": list(levels),
+        "levels": args.levels,
         "entries": entries,
     }
     _write_json(os.path.join(args.out, "separation.json"), payload)
@@ -363,6 +326,45 @@ def cmd_separation(model, args, levels) -> int:
         return 1
     print("separation audit passed")
     return 0
+
+
+#: Each subcommand's function and its one-line description.
+COMMANDS = {
+    "repr": (cmd_repr, "tabulate U(x) and u(x, t) over a simplex grid"),
+    "check": (cmd_check, "run the axiom checks and report counterexamples"),
+    "triangle": (cmd_triangle, "trace indifference curves on 3 outcomes"),
+    "separation": (cmd_separation, "audit the separating functionals per level"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<12}{blurb}" for name, (_, blurb) in COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="betweenu",
+        description="Build and audit implicit mixture-linear utility representations.",
+        epilog="commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=COMMANDS, help="the command to run (see below)")
+    parser.add_argument("--model", required=True, help="path to a JSON model description")
+    parser.add_argument("--grid", type=int, default=6, help="simplex grid resolution (default 6)")
+    parser.add_argument(
+        "--t-grid",
+        type=int,
+        default=11,
+        dest="t_grid",
+        help="number of uniform levels in [0, 1] for u(x, t) tables (default 11)",
+    )
+    parser.add_argument(
+        "--levels",
+        default="0.2,0.4,0.6,0.8",
+        help="comma-separated utility levels for triangle/separation (default 0.2,0.4,0.6,0.8)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed for subsampled checks, >= 0 (default 0)"
+    )
+    parser.add_argument("--out", default="out", help="output directory (default ./out)")
+    return parser
 
 
 def _write_error(out: str, exc: BetweenuError) -> None:
@@ -376,8 +378,7 @@ def _write_error(out: str, exc: BetweenuError) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.grid < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
@@ -385,22 +386,16 @@ def main(argv=None) -> int:
             raise ValueError(f"--t-grid must be >= 2, got {args.t_grid}")
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        levels = _parse_levels(args.levels)
+        args.levels = _parse_levels(args.levels)
         if args.command in ("triangle", "separation"):
-            levels = _interior(levels)
+            _interior_levels(args.levels)
         model = load_model(args.model)
     except (OSError, ValueError) as exc:
         _fail(str(exc))
         return 2
     try:
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "repr":
-            return cmd_repr(model, args)
-        if args.command == "check":
-            return cmd_check(model, args)
-        if args.command == "triangle":
-            return cmd_triangle(model, args, levels)
-        return cmd_separation(model, args, levels)
+        return COMMANDS[args.command][0](model, args)
     except BetweenuError as exc:
         _fail(f"{type(exc).__name__}: {exc}")
         _write_error(args.out, exc)

@@ -211,12 +211,14 @@ def chord_point(ctx: RepresentationContext, t: float) -> Lottery:
     return mix(t, ctx.best, ctx.worst)
 
 
-def _as_rows(ctx: RepresentationContext, xs) -> np.ndarray:
-    """``xs`` (an array, or a list of Lotteries and plain rows) as
-    validated lottery rows."""
-    if not isinstance(xs, np.ndarray):
-        xs = [x.probs if isinstance(x, Lottery) else x for x in xs]
-    return lottery_rows(xs, ctx.model.n_outcomes)
+def _interior_levels(ts) -> np.ndarray:
+    """``ts`` as a float array, every level strictly inside (0, 1); raises
+    ``ValueError`` naming the first that is not (NaN included)."""
+    ts = np.asarray(ts, dtype=float)
+    bad = ~((ts > 0.0) & (ts < 1.0))
+    if bad.any():
+        raise ValueError(f"levels must lie strictly inside (0, 1), got {float(ts[bad][0])!r}")
+    return ts
 
 
 def _as_levels(rows: np.ndarray, ts) -> np.ndarray:
@@ -294,7 +296,7 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     in preference.  Endpoint shortcut: within the model's indifference
     band of an extreme, that extreme's level is returned outright.
     """
-    rows = _as_rows(ctx, xs)
+    rows = lottery_rows(xs, ctx.model.n_outcomes)
     model = ctx.model
     kx = model.keys(rows)
     to_best, to_worst = _in_range(ctx, rows, kx)
@@ -335,10 +337,8 @@ def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, n
     other extreme lands on the chord, so the weight is ``t`` (for the best
     lottery) or ``1 - t`` (for the worst) in closed form.
     """
-    rows = _as_rows(ctx, xs)
-    ts = _as_levels(rows, ts)
-    if not ((ts > 0.0) & (ts < 1.0)).all():
-        raise ValueError("mixing levels must lie strictly inside (0, 1)")
+    rows = lottery_rows(xs, ctx.model.n_outcomes)
+    ts = _interior_levels(_as_levels(rows, ts))
     weights, used_worst, _ = _solve_mixing_rows(
         ctx, rows, ts, ctx.model.keys(rows), _chord_keys(ctx, ts)
     )
@@ -446,7 +446,7 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     indifferent to the best extreme and 0 otherwise.  Indifference is
     judged by the model's own band.
     """
-    rows = _as_rows(ctx, xs)
+    rows = lottery_rows(xs, ctx.model.n_outcomes)
     ts = _as_levels(rows, ts)
     if not ((ts >= 0.0) & (ts <= 1.0)).all():
         raise ValueError("levels must lie in [0, 1]")
@@ -515,7 +515,7 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     wider than ``tol_t`` after ``max_iter`` steps raises
     :class:`IterationLimit`.
     """
-    rows = _as_rows(ctx, xs)
+    rows = lottery_rows(xs, ctx.model.n_outcomes)
     model, m = ctx.model, _SCAN_LEVELS - 2
     eval_ctx = replace(ctx, tol_t=min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12)))
     ts = np.linspace(0.0, 1.0, _SCAN_LEVELS)

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    RepresentationContext, _chord_keys, _local_values, chord_point, solve_mixing_many
+    RepresentationContext, _chord_keys, _interior_levels, _local_values, chord_point,
+    solve_mixing_many,
 )
 from .errors import Infeasible, MembershipViolation
 from .models import classify
@@ -137,13 +138,6 @@ class CrossPolytopeCheck:
     to_dict = _record
 
 
-def _level(t) -> float:
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"separation level must lie in (0, 1), got {t!r}")
-    return t
-
-
 def _require_extremes(ctx: RepresentationContext, polytope: Polytope) -> None:
     probs = {v.probs for v in polytope.vertices}
     if ctx.best.probs not in probs or ctx.worst.probs not in probs:
@@ -199,7 +193,7 @@ def separate(
     The caller is responsible for ``samples`` lying in the polytope and
     arriving in a deterministic order.
     """
-    t = _level(t)
+    t = float(_interior_levels(t))
     _require_extremes(ctx, polytope)
     samples = list(samples)
     classified = _classified(ctx, t, [samples])
@@ -327,9 +321,9 @@ def verify_separation(
     functional's value at the chord point itself must equal ``t``, which
     is forced by affinity plus the normalization.
     """
-    t = _level(t)
+    t = float(_interior_levels(t))
     samples = list(samples)
-    return _verified(ctx, t, functional, samples, *_classify(ctx, t, [x.probs for x in samples]))
+    return _verified(ctx, t, functional, samples, *_classify(ctx, t, samples))
 
 
 def _verified(
@@ -372,7 +366,7 @@ def contour_samples(ctx: RepresentationContext, t: float, polytope: Polytope) ->
     which is what makes the separator's value at a vertex comparable to
     the engine's to high accuracy.  Points are deduplicated and sorted.
     """
-    t = _level(t)
+    t = float(_interior_levels(t))
     _require_extremes(ctx, polytope)
     points = polytope.vertices
     return _sample_set(points, _crossings(ctx, t, points), _chords(ctx, t))
@@ -427,7 +421,7 @@ def cross_polytope_consistency_many(
     once (see :func:`_separators`), and the first infeasible one raises
     :class:`Infeasible`.
     """
-    t, tol = _level(t), CROSS_POLYTOPE_TOL
+    t, tol = float(_interior_levels(t)), CROSS_POLYTOPE_TOL
     queries = [(x, list(polys)) for x, polys in zip(xs, polytopes, strict=True)]
     for x, polys in queries:
         if not polys:

@@ -290,12 +290,15 @@ def mix_rows(lam, xs, ys) -> np.ndarray:
 
 
 def lottery_rows(rows, n: int) -> np.ndarray:
-    """``rows`` as a float ``(k, n)`` array whose rows are all lotteries.
+    """``rows`` (an array, or a list of Lotteries and plain rows) as a float
+    ``(k, n)`` array whose rows are all lotteries.
 
     The array counterpart of :class:`Lottery` validation: every row must be
     finite, nonnegative and sum to one within ``SUM_TOL``.  Raises
     ``ValueError`` naming the first offending row.
     """
+    if not isinstance(rows, np.ndarray):
+        rows = [x.probs if isinstance(x, Lottery) else x for x in rows]
     rows = np.asarray(rows, dtype=float)
     if rows.shape == (0,):  # an empty list
         rows = rows.reshape(0, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RepresentationContext, _bisect, _chord_keys, chord_point
+from .engine import RepresentationContext, _bisect, _chord_keys, _interior_levels, chord_point
 from .simplex import Lottery, degenerate, mix, mix_rows
 
 _SCAN_TOL = 1e-12
@@ -72,10 +72,7 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
     a_rows, b_rows = (np.asarray([seg[i].probs for seg in segments]) for i in (0, 1))
     ka, kb = model.keys(a_rows), model.keys(b_rows)
     curves = []
-    for level in levels:
-        level = float(level)
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"levels must lie in (0, 1), got {level!r}")
+    for level in _interior_levels(levels).tolist():
         kt = _chord_keys(ctx, [level])
         ga, gb = model.gaps(ka, kt), model.gaps(kb, kt)
         # A segment whose ends sit strictly on one side misses the contour;

@@ -61,6 +61,80 @@ def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+DEFAULT_LEVELS = "0.2,0.4,0.6,0.8"
+
+
+class TestParser:
+    """The argument vectors of the README usage lines, the CI steps and the
+    benchmark jobs, each with the (command, model, grid, t_grid, levels,
+    seed, out) it parses to."""
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            # README, "Command line"
+            ("repr --model model.json --grid 6 --t-grid 11 --out out",
+             ("repr", "model.json", 6, 11, DEFAULT_LEVELS, 0, "out")),
+            ("check --model model.json --grid 6 --seed 0",
+             ("check", "model.json", 6, 11, DEFAULT_LEVELS, 0, "out")),
+            ("triangle --model model.json --levels 0.2,0.4,0.6,0.8",
+             ("triangle", "model.json", 6, 11, DEFAULT_LEVELS, 0, "out")),
+            ("separation --model model.json --levels 0.2,0.5,0.8",
+             ("separation", "model.json", 6, 11, "0.2,0.5,0.8", 0, "out")),
+            # CI steps
+            ("repr --model m.json --out o", ("repr", "m.json", 6, 11, DEFAULT_LEVELS, 0, "o")),
+            ("check --model m.json --out o", ("check", "m.json", 6, 11, DEFAULT_LEVELS, 0, "o")),
+            ("triangle --model m.json --out o",
+             ("triangle", "m.json", 6, 11, DEFAULT_LEVELS, 0, "o")),
+            ("separation --model m.json --out o",
+             ("separation", "m.json", 6, 11, DEFAULT_LEVELS, 0, "o")),
+            ("separation --model m.json --out o --levels 0.8",
+             ("separation", "m.json", 6, 11, "0.8", 0, "o")),
+            ("check --model m.json --grid 9 --seed 0 --out o",
+             ("check", "m.json", 9, 11, DEFAULT_LEVELS, 0, "o")),
+            ("check --model m.json --grid 9 --seed -1 --out o",
+             ("check", "m.json", 9, 11, DEFAULT_LEVELS, -1, "o")),
+            ("check --model m.json --grid 9 --out o",
+             ("check", "m.json", 9, 11, DEFAULT_LEVELS, 0, "o")),
+            ("check --model m.json --grid 1 --out o",
+             ("check", "m.json", 1, 11, DEFAULT_LEVELS, 0, "o")),
+            # bench/workloads.py jobs
+            ("repr --model m.json --grid 3 --out o",
+             ("repr", "m.json", 3, 11, DEFAULT_LEVELS, 0, "o")),
+            ("check --model m.json --grid 6 --out o",
+             ("check", "m.json", 6, 11, DEFAULT_LEVELS, 0, "o")),
+            ("check --model m.json --grid 9 --seed 5 --out o",
+             ("check", "m.json", 9, 11, DEFAULT_LEVELS, 5, "o")),
+            ("separation --model m.json --grid 6 --levels 0.5 --out o",
+             ("separation", "m.json", 6, 11, "0.5", 0, "o")),
+            ("triangle --model m.json --grid 6 --levels 0.5 --out o",
+             ("triangle", "m.json", 6, 11, "0.5", 0, "o")),
+            ("separation --model m.json --grid 6 --out o",
+             ("separation", "m.json", 6, 11, DEFAULT_LEVELS, 0, "o")),
+        ],
+    )
+    def test_usage_argv_parses(self, argv, parsed):
+        args = cli.build_parser().parse_args(argv.split())
+        keys = ("command", "model", "grid", "t_grid", "levels", "seed", "out")
+        assert vars(args) == dict(zip(keys, parsed))
+
+    @pytest.mark.parametrize("argv", [["bogus", "--model", "m.json"], ["repr"], []])
+    def test_unknown_command_or_missing_model_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: betweenu")
+
+    def test_help_names_every_command_with_its_description(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (_, blurb) in cli.COMMANDS.items():
+            assert f"  {name:<12}{blurb}" in lines
+        assert list(cli.COMMANDS) == ["repr", "check", "triangle", "separation"]
+
+
 class TestRepr:
     def test_writes_tables_and_summary(self, tmp_path):
         model = write_model(tmp_path, "eu.json", EU_SPEC)
@@ -328,7 +402,7 @@ class TestNumericFailure:
         def fail(*_args):
             raise exc
 
-        monkeypatch.setattr(cli, "cmd_repr", fail)
+        monkeypatch.setitem(cli.COMMANDS, "repr", (fail, cli.COMMANDS["repr"][1]))
         model = write_model(tmp_path, "eu.json", EU_SPEC)
         out = str(tmp_path / "out")
         assert main(["repr", "--model", model, "--out", out]) == 3

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,13 @@ from betweenu import (
     NoCrossing,
     NonMonotoneChord,
     Ordering,
+    Polytope,
     RepresentationContext,
     ValueModel,
     WeightedUtility,
     chord_point,
     context_for,
+    contour_samples,
     cyclic_oracle,
     degenerate,
     find_extremes,
@@ -39,11 +43,13 @@ from betweenu import (
     solve_mixing_many,
     solve_utility,
     solve_utility_many,
+    trace_level_curves,
     utility_fixed_point,
     utility_fixed_point_many,
 )
 from betweenu import engine
 from betweenu.models import DEFAULT_EPS_PREF
+from betweenu.simplex import mix_rows
 
 from conftest import EU_U, NOT_LOTTERIES, WU_U, WU_W, solver_models
 
@@ -376,6 +382,23 @@ class TestSolveMixing:
         ctx = context_for(eu_model)
         with pytest.raises(ValueError):
             solve_mixing(ctx, lottery((0.2, 0.5, 0.3)), 0.0)
+
+    @pytest.mark.parametrize(
+        "levels, first_bad", [([0.5, 0.0, 1.0], 0.0), ([0.2, float("nan")], float("nan")), ([1.0], 1.0)]
+    )
+    def test_one_interior_rule_names_the_first_bad_level(self, eu_model, levels, first_bad):
+        # The mixing solve, the separation layer and the triangle tracer
+        # share one rule and its message.
+        ctx = context_for(eu_model)
+        simplex = Polytope(tuple(sorted(degenerate(i, 3) for i in range(3))))
+        message = re.escape(f"levels must lie strictly inside (0, 1), got {first_bad!r}") + "$"
+        for call in (
+            lambda: solve_mixing_many(ctx, [ctx.best] * len(levels), levels),
+            lambda: trace_level_curves(ctx, levels),
+            lambda: contour_samples(ctx, first_bad, simplex),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_no_crossing_value_path(self):
         ctx = context_for(CappedValue())
@@ -1057,6 +1080,39 @@ class TestRandomFamilies:
         # Normalization holds exactly at interior levels.
         assert (implicit_utility_many(ctx, [ctx.best] * 3, levels) == 1.0).all()
         assert (implicit_utility_many(ctx, [ctx.worst] * 3, levels) == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_families())
+    def test_soundness_against_compare(self, family):
+        # README guarantee 1 on drawn rows: U orders every ordered pair as
+        # compare does, within the bisection's tol_t.
+        model, rows, _ = family
+        ctx = context_for(model)
+        u = solve_utility_many(ctx, rows)
+        xs = list(map(lottery, rows))
+        for i, j in permutations(range(len(xs)), 2):
+            order = model.compare(xs[i], xs[j])
+            if order is Ordering.STRICTLY_PREFERS:
+                assert u[i] >= u[j] - ctx.tol_t
+            if u[i] > u[j] + ctx.tol_t:
+                assert order is not Ordering.STRICTLY_DISPREFERRED
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_families(), st.floats(0.0, 1.0))
+    def test_mixture_linearity(self, family, lam):
+        # README guarantee 2 on drawn rows and weights, at the levels in
+        # [0.1, 0.9] it covers.  Only the default band is held to 1e-6: a
+        # coarse band ties a row with the chord point and gives it weight 1.
+        model, rows, levels = family
+        ctx = context_for(model)
+        first, second = np.triu_indices(len(rows), 1)
+        mixed = mix_rows(lam, rows[first], rows[second])
+        for t in 0.1 + 0.8 * levels:
+            u = implicit_utility_many(ctx, rows, t)
+            u_mixed = implicit_utility_many(ctx, mixed, t)
+            residual = np.abs(u_mixed - (lam * u[first] + (1.0 - lam) * u[second]))
+            if model.eps_pref == DEFAULT_EPS_PREF:
+                assert residual.max() <= 1e-6
 
 
 class TestReadmeQuickStart:
