@@ -36,7 +36,7 @@ byte-deterministic for a fixed model, flags, and seed.
 
 Exit codes: 0 ok, 1 a property or check failed, 2 input error,
 3 numeric failure inside the construction, also recorded in error.json
-(the exception's type and message, and where known the bisection, its
+(the exception's type and message, and where known the solve, its
 step budget, the level and the lottery row that failed).
 """
 

@@ -11,8 +11,8 @@ Everything is driven by pairwise comparisons:
 1. Find best and worst degenerate lotteries.  The chord between them is
    strictly increasing in preference, so chord levels act as a utility
    yardstick.
-2. ``U(x)`` is the chord level indifferent to ``x``, found by bisection
-   (:func:`solve_utility_many`).
+2. ``U(x)`` is the chord level indifferent to ``x``, found by a root
+   search on the level (:func:`solve_utility_many`).
 3. For an interior level ``t``, mix ``x`` toward the extreme on the
    opposite side of the chord point until the mixture is indifferent to
    it (:func:`solve_mixing_many`); inverting mixture linearity along that
@@ -32,14 +32,21 @@ Everything is driven by pairwise comparisons:
 
 Every solver is written once, over arrays of lottery rows and the
 model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
-and ``gaps``), and every bisection, the triangle's scanlines included,
-runs in one loop, :func:`_bisect`: brackets steer on the sign of a gap,
-a zero gap stops a row at its midpoint, and the ``eps_pref`` band grants
-only the endpoint and on-chord shortcuts.  Value models therefore steer
-on raw value signs, while oracles, whose gaps are infinite or zero, stop
-at an indifferent midpoint.  Scalar calls are one-row batches, so scalar
-and batched results are bitwise identical and independent of batch
-composition, for oracles as for value models.
+and ``gaps``), and every root search, the triangle's scanlines included,
+runs in one loop, :func:`_bisect`: the sign of a gap steers the bracket,
+a zero gap stops a row at its probe, and the ``eps_pref`` band grants
+only the endpoint and on-chord shortcuts.  The loop has two step rules.
+A value model's level and mixing solves at full tolerance pass it their
+real gaps at the bracket's ends, and each step probes the Illinois
+false-position point, kept ``tol_t / 4`` inside the bracket, with a
+midpoint step wherever three steps have not halved it: a row takes at
+most four times bisection's steps, and about a quarter of them on smooth
+rows.  Every other search bisects: an oracle's gaps are only infinite or
+zero, the plateau edges see only the residual's banded sign, the
+:data:`MU_FLOOR` scan only needs the verdict, and the scanlines keep the
+traced points of :mod:`~betweenu.triangle`.  Scalar calls are one-row
+batches, so scalar and batched results are bitwise identical and
+independent of batch composition, for oracles as for value models.
 """
 
 from __future__ import annotations
@@ -58,13 +65,13 @@ from .errors import (
     NoCrossing,
     NonMonotoneChord,
 )
-from .models import PreferenceModel, classify
+from .models import PreferenceModel, ValueModel, classify
 from .simplex import Lottery, degenerate, lottery_rows, mix, mix_rows
 
 DEFAULT_TOL_T = 1e-10
 DEFAULT_MAX_ITER = 200
 
-#: Bisected mixing weights at or below this floor are rejected as "no
+#: Solved mixing weights at or below this floor are rejected as "no
 #: crossing": at interior levels the opposite extreme lies strictly across
 #: the chord point, which bounds the true crossing weight away from zero.
 #: The extremes' closed-form weights are exact at every level.
@@ -155,17 +162,20 @@ def _sides(ctx: RepresentationContext, kx: np.ndarray, end: int) -> np.ndarray:
 
 
 def _in_range(ctx: RepresentationContext, rows: np.ndarray, kx: np.ndarray):
-    """Each row's sides of the best and of the worst extreme, from its key
-    in ``kx``; raises :class:`NonMonotoneChord` naming the first row that
-    is strictly preferred to the best or dispreferred to the worst."""
-    to_best, to_worst = _sides(ctx, kx, _BEST), _sides(ctx, kx, _WORST)
-    bad = np.flatnonzero((to_best > 0) | (to_worst < 0))
+    """Each row's gaps over the best and the worst extreme (rows
+    :data:`_BEST` and :data:`_WORST`), from its key in ``kx``, and their
+    :func:`~betweenu.models.classify` signs; raises :class:`NonMonotoneChord`
+    naming the first row that is strictly preferred to the best or
+    dispreferred to the worst."""
+    gaps = np.stack([ctx.model.gaps(kx, ctx._end_keys[[end]]) for end in (_BEST, _WORST)])
+    sides = classify(gaps, ctx.model.eps_pref)
+    bad = np.flatnonzero((sides[_BEST] > 0) | (sides[_WORST] < 0))
     if bad.size:
         raise NonMonotoneChord(
             f"lottery {tuple(rows[bad[0]].tolist())} falls outside the preference "
             f"range of the extremes"
         )
-    return to_best, to_worst
+    return gaps, sides
 
 
 def find_extremes(model: PreferenceModel) -> tuple[Lottery, Lottery]:
@@ -241,8 +251,9 @@ def _bisect(
     floor: float = math.inf,
     levels=None,
     rows=None,
+    ends=None,
 ):
-    """One bisection per row from the bracket ``[lo, hi]`` (a bound or one
+    """One root search per row from the bracket ``[lo, hi]`` (a bound or one
     per row) until it is at most ``tol`` wide; returns the final brackets.
 
     ``per_row`` holds arrays with one entry per row, and ``gap_at(s,
@@ -255,18 +266,48 @@ def _bisect(
     running; a row still running after ``max_iter`` steps raises
     :class:`IterationLimit`, which takes its level and lottery from the
     rows' ``levels`` (a bound or one per row) and ``rows`` where given.
+
+    Without ``ends`` each step probes the bracket's midpoint, so the search
+    steers on gap signs alone, which is all an oracle's gaps (infinite or
+    zero) hold.  ``ends`` gives each row's real gaps at ``lo`` (positive)
+    and ``hi`` (negative), as a value model's are; each step then probes
+    the Illinois false-position point, the secant root of the gaps at the
+    bracket's ends, halving the gap of an end kept two steps running.  Two
+    safeguards keep the contract above and bound the worst case: a probe
+    stays at least ``tol / 4`` inside the bracket (Dekker's step), so the
+    far end closes once the probes converge from one side; and a row whose
+    bracket has not halved within its last three steps probes the
+    midpoint, as does one whose probe is NaN.  A midpoint step thus follows
+    any three steps that leave a bracket above half its width, so a row
+    takes at most four times bisection's steps.
     """
     k = len(per_row[0])
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
     # ``sel`` indexes the running rows and ``[a, b]`` holds their brackets.
     sel, a, b = np.arange(k), lo, hi
-    for _ in range(max_iter):
+    if ends is not None:
+        # The running rows' gaps at ``a`` and ``b``, the end each one's last
+        # step moved (1 lower, -1 upper), and its widths before the last
+        # three steps, step ``i``'s in ``fp[3 + i % 3]``.
+        fp = [*(np.array(g, dtype=float) for g in ends), np.zeros(k), *np.full((3, k), np.inf)]
+    for step in range(max_iter):
         if not sel.size:
             break
-        mid = 0.5 * (a + b)
-        g = gap_at(mid, *per_row)
-        a = np.where(g >= 0.0, mid, a)
-        b = np.where(g > 0.0, b, mid)
+        s = 0.5 * (a + b)
+        if ends is not None:
+            ga, gb, moved = fp[:3]
+            _false_position(s, a, b, ga, gb, fp[3 + step % 3], tol)
+        g = gap_at(s, *per_row)
+        up = g > 0.0
+        if ends is not None:
+            # Illinois: the end kept a second step running has its gap halved.
+            np.multiply(gb, 0.5, out=gb, where=up & (moved > 0.0))
+            np.multiply(ga, 0.5, out=ga, where=~up & (moved < 0.0))
+            np.copyto(ga, g, where=up)
+            np.copyto(gb, g, where=~up)
+            fp[2] = np.where(up, 1.0, -1.0)
+        a = np.where(g >= 0.0, s, a)
+        b = np.where(up, b, s)
         done = (b - a <= tol) | (a > floor)
         if done.any():
             finished = sel[done]
@@ -274,6 +315,8 @@ def _bisect(
             keep = ~done
             sel, a, b = sel[keep], a[keep], b[keep]
             per_row = tuple(p[keep] for p in per_row)
+            if ends is not None:
+                fp = [x[keep] for x in fp]
     if sel.size:
         j = sel[0]
         level = None if levels is None else float(np.broadcast_to(levels, k)[j])
@@ -281,6 +324,22 @@ def _bisect(
         message = f"{what} bisection missed tol {tol} within {max_iter} iterations"
         raise IterationLimit(message, what, max_iter, level, row)
     return lo, hi
+
+
+def _false_position(s, a, b, ga, gb, before, tol: float) -> None:
+    """Move each midpoint ``s`` of a bracket ``[a, b]``, in place, to the
+    false-position probe of the gaps ``ga`` and ``gb`` at its ends, kept
+    ``tol / 4`` inside the bracket.  A midpoint stays where the bracket is
+    wider than half of ``before``, its width three steps back, or where the
+    probe is NaN; ``before`` then takes the bracket's width."""
+    width = b - a
+    probe = np.subtract(ga, gb)
+    np.divide(ga, probe, out=probe)
+    probe *= width
+    probe += a
+    np.clip(probe, a + 0.25 * tol, b - 0.25 * tol, out=probe)
+    np.copyto(s, probe, where=(width <= 0.5 * before) & ~np.isnan(probe))
+    np.copyto(before, width)
 
 
 def solve_utility(ctx: RepresentationContext, x: Lottery) -> float:
@@ -292,25 +351,30 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     """The unique chord level indifferent to each of ``xs``, lottery rows
     or a Lottery list.
 
-    Bisection on the level exploits that the chord is strictly increasing
-    in preference.  Endpoint shortcut: within the model's indifference
-    band of an extreme, that extreme's level is returned outright.
+    The search on the level (:func:`_bisect`) exploits that the chord is
+    strictly increasing in preference; a value model's gaps over the two
+    extremes start its false-position steps.  Endpoint shortcut: within
+    the model's indifference band of an extreme, that extreme's level is
+    returned outright.
     """
     rows = lottery_rows(xs, ctx.model.n_outcomes)
     model = ctx.model
     kx = model.keys(rows)
-    to_best, to_worst = _in_range(ctx, rows, kx)
-    out = np.where(to_best == 0, 1.0, 0.0)
-    inner = np.flatnonzero((to_best != 0) & (to_worst != 0))
+    gaps, sides = _in_range(ctx, rows, kx)
+    out = np.where(sides[_BEST] == 0, 1.0, 0.0)
+    inner = np.flatnonzero((sides != 0).all(axis=0))
 
-    # Gap signs steer the brackets; the indifference band grants only the
-    # endpoint shortcuts above, since banded midpoint exits would cap a
-    # value model's accuracy at eps_pref, well short of tol_t.
+    # Gaps steer the brackets; the indifference band grants only the
+    # endpoint shortcuts above, since banded exits would cap a value
+    # model's accuracy at eps_pref, well short of tol_t.
     def gap_at(s, k_in):
         return model.gaps(k_in, _chord_keys(ctx, s))
 
+    # The chord point is the worst extreme at level 0 and the best at 1.
+    ends = gaps[::-1, inner] if isinstance(model, ValueModel) else None
     lo, hi = _bisect(
-        gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level", rows=rows[inner]
+        gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level", rows=rows[inner],
+        ends=ends,
     )
     out[inner] = 0.5 * (lo + hi)
     return out
@@ -328,12 +392,13 @@ def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, n
 
     At an interior level ``t``, pick the anchor extreme on the far side
     of the chord point from ``x`` (worst if ``x`` is weakly preferred to
-    the chord point, best otherwise) and bisect the mixture weight until
-    ``w*x + (1-w)*anchor`` is indifferent to the chord point.  Returns
-    ``(weights, used_worst)``, each ``w`` in (0, 1] and ``used_worst``
-    True where the worst extreme is the anchor (:attr:`Branch.USED_WORST`);
+    the chord point, best otherwise) and search the mixture weight
+    (:func:`_bisect`) until ``w*x + (1-w)*anchor`` is indifferent to the
+    chord point.  Returns ``(weights, used_worst)``, each ``w`` in (0, 1]
+    and ``used_worst`` True where the worst extreme is the anchor
+    (:attr:`Branch.USED_WORST`);
     ``w = 1`` exactly when ``x`` itself is indifferent to the chord point.
-    The extremes themselves skip the bisection: mixing an extreme with the
+    The extremes themselves skip the search: mixing an extreme with the
     other extreme lands on the chord, so the weight is ``t`` (for the best
     lottery) or ``1 - t`` (for the worst) in closed form.
     """
@@ -380,7 +445,8 @@ def _solve_mixing_rows(
     compared, and is filled in place: calls sharing it compare each once.
     """
     model = ctx.model
-    side = classify(model.gaps(kx, k_chord), model.eps_pref)
+    to_chord = model.gaps(kx, k_chord)
+    side = classify(to_chord, model.eps_pref)
     # The extremes solve in closed form: their mixture with the opposite
     # extreme is the chord point at the mixing weight itself.
     is_best = (rows == ctx._ends[_BEST]).all(axis=1)
@@ -399,7 +465,9 @@ def _solve_mixing_rows(
         across = np.full((2, len(rows)), np.nan)
     fresh = np.isnan(across[anchor, inner])
     across[anchor[fresh], inner[fresh]] = model.gaps(ctx._end_keys[anchor[fresh]], k_target[fresh])
-    blocked = np.flatnonzero(steer * across[anchor, inner] <= 0.0)
+    # The steered gaps at weight 0, the anchor itself.
+    start = steer * across[anchor, inner]
+    blocked = np.flatnonzero(start <= 0.0)
     if blocked.size:
         j = inner[blocked[0]]
         raise NoCrossing(
@@ -409,16 +477,23 @@ def _solve_mixing_rows(
             row=tuple(rows[j].tolist()),
         )
 
-    def gap_at(lam, x_rows, anchor_rows, steer, k_target):
-        return steer * model.gaps(model.keys(mix_rows(lam, x_rows, anchor_rows)), k_target)
+    def gap_at(lam, x_rows, anchor, steer, k_target):
+        mixed = mix_rows(lam, x_rows, ctx._ends[anchor])
+        return steer * model.gaps(model.keys(mixed), k_target)
 
-    per_row = (rows[inner], ctx._ends[anchor], steer, k_target)
+    per_row = (rows[inner], anchor, steer, k_target)
+    # A value model's full solve starts its false-position steps from the
+    # steered gaps at weight 0 and at weight 1, x itself.
+    ends = None
+    if floor == math.inf and isinstance(model, ValueModel):
+        ends = (start, steer * to_chord[inner])
     if floor == MU_FLOOR and ctx.max_iter >= _FLOOR_STEPS:
         cleared = gap_at(0.5**_FLOOR_STEPS, *per_row) >= 0.0
         weights[inner[cleared]] = 0.5**_FLOOR_STEPS
         inner, per_row = inner[~cleared], tuple(p[~cleared] for p in per_row)
     lo, hi = _bisect(
-        gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor, ts[inner], per_row[0]
+        gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor, ts[inner], per_row[0],
+        ends,
     )
     weights[inner] = 0.5 * (lo + hi)
     collapsed = inner[weights[inner] <= MU_FLOOR]
@@ -521,10 +596,10 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, _SCAN_LEVELS)
     k_chord = _chord_keys(eval_ctx, ts[1:-1])
     kx = model.keys(rows)
-    to_best, to_worst = _in_range(ctx, rows, kx)
+    _, sides = _in_range(ctx, rows, kx)
     # The endpoint signs follow the indicators of implicit_utility.
-    first = np.where(to_worst == 0, 0.0, 1.0)
-    last = np.where(to_best == 0, 0.0, -1.0)
+    first = np.where(sides[_WORST] == 0, 0.0, 1.0)
+    last = np.where(sides[_BEST] == 0, 0.0, -1.0)
     # The extremes' gaps over the chord points, shared by every lottery.
     across = np.full((2, m), np.nan)
     out = np.empty(len(rows))

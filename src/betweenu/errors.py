@@ -14,9 +14,9 @@ class NonMonotoneChord(BetweenuError):
 
 
 class IterationLimit(BetweenuError):
-    """A bisection failed to converge within its iteration budget.
+    """A root search failed to converge within its iteration budget.
 
-    ``what`` names the bisection and ``iterations`` its step budget;
+    ``what`` names the solve and ``iterations`` its step budget;
     ``level`` and ``row`` are the chord level and the lottery's
     probabilities of its first row still running, where known, or None.
     """

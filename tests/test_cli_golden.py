@@ -36,6 +36,14 @@ stderr held.
 certificate's ``residual`` and ``gap`` began to be summed with
 ``math.fsum``: its residual went from 5.492075603213178e-18 to 0.0, and
 nothing else moved.
+``repr.{eu,wu,da,kernel}`` and ``separation.{eu,wu,da,kernel,wu4}`` were
+re-recorded once when value models' level and mixing solves began to
+step by safeguarded false position on their gaps (``engine._bisect``):
+every solved level and weight moved by less than ``tol_t``, the largest
+moves being 3.6e-11 in ``U.csv``, 5.5e-10 in ``u.csv`` and 3.7e-11 in
+``separation.json``; ``separation.wu4`` also gained one audit sample, a
+crossing point now 1.25e-11 from the grid lottery it used to equal.  Exit
+codes, stdout and stderr held, and so did every oracle record.
 ``check.quadratic@grid9`` pins the 3,792-witness ``axioms.json``
 the benchmark writes; it was recorded at commit 4a229aa, while the file
 still went through ``json.dump``.  So any change
@@ -201,9 +209,9 @@ GOLDEN = {
     "repr.da": {
         "exit": 0,
         "files": {
-            "U.csv": "2c1569287037c3ea821a6ce26fd837dd78a59cd204e87a1e916ae00ca1ef877c",
-            "summary.json": "b26004371a876b6cc29fc10bf84572bb06c27c8232728159cfc4641af64c3d61",
-            "u.csv": "69171fb018af1e271a46bd68dbb53a2bd1a5e20ca163b79f689f64a5210c96f8"
+            "U.csv": "087cb9e8f9747af4aaa9f9e9f1cab8c60b2aec3ef7d2f7f20b05641ca5f19f8c",
+            "summary.json": "cf77dfd728fd7d6c5db12857818179e02d98aa1de09d6f128855e427ff23b8fa",
+            "u.csv": "50d60b90f61595c9b60356a8abce21953986c22be0ac8de80d291a82d66af31a"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
@@ -211,9 +219,9 @@ GOLDEN = {
     "repr.eu": {
         "exit": 0,
         "files": {
-            "U.csv": "03722c4771d3e24faa245b4730924d80e7cb950d63fa2ee206874b3edee49f07",
-            "summary.json": "fe440c36ce323d9ede138ba7677e11700e5d0dad539ab527cacdfb19b4d5c697",
-            "u.csv": "5d13426a63d2303cd6e164f621bc6429f994a30161edb316c9695fb28bc0c7e8"
+            "U.csv": "965f5013aebd76a0d68414e5619b5f6bd2c7e8dedf61f80e8a7eb00a19c6e06c",
+            "summary.json": "604aa917d9ac45d767bd65f59c72caa3bc8042a63f9be9eaafc4c8377a1f6962",
+            "u.csv": "9965159a04514622f9b81ae84d4ed5e2fc1c8b7761e3c73a0f1d107ad26acd19"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
@@ -231,9 +239,9 @@ GOLDEN = {
     "repr.kernel": {
         "exit": 0,
         "files": {
-            "U.csv": "94d7331b5d47f9ac79d6e46c88c0a25dae463c994ae5d0da2f35ad60335f6ca5",
-            "summary.json": "028a85094f6d2f8a2cf13eee223d77ea84fb25afb3c94f1e160848beeedb638e",
-            "u.csv": "185c1e18da26b9beda832300e104423b286ef60fb7513c117c56794063f34448"
+            "U.csv": "6b3dab653945ea05016ca42a97fcfb71a488c538ad2adaa4b7037ed6095c5309",
+            "summary.json": "5904ebce50ecfecc717c742116605f3ba0793e0b0ae859b449c0fa8020ca9c5e",
+            "u.csv": "34ce5474eed8f886a9ceb34e5b481b897c8eb5284594547ada7b4207cab780f4"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
@@ -241,9 +249,9 @@ GOLDEN = {
     "repr.wu": {
         "exit": 0,
         "files": {
-            "U.csv": "5c3d2c886d77074ba60633fedccd10be4b3d06139edea6e6bf971ef79ebd4eb3",
-            "summary.json": "efc9c017a5553e2b73e7d42381b8136ff223dcc0f26986bc4147a6b885204a4a",
-            "u.csv": "eb0476d8f4292b6f23b9cb1e7bdc8ae2207e1e22df74d4c5fe4fb13de2ddfb3a"
+            "U.csv": "a234f7267cfa347bd91f66a04725289281c069af8e92ae6ff866c0f1be1c8589",
+            "summary.json": "601d1c9b975c1104f46ec8cb82b0fecbdd1584b89fa3457c91f5e4a0da5bb29b",
+            "u.csv": "2f4173c60636936e1be43df505654f89b0713a9161b44acd27914b20421cc480"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "c94a67b07f4895554a9fb6054e83f24f8fcd64b2f1194225a293a2d4edf55d5b"
@@ -259,7 +267,7 @@ GOLDEN = {
     "separation.da": {
         "exit": 0,
         "files": {
-            "separation.json": "6dbd342165ee0dcff243ae24efc02110c74469cbf67520f4a4d7261f899b8ec1"
+            "separation.json": "7dd4279f1d2e3a1582db7ef15663c71f295287ff419ea70ed1922c1b829a3898"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
@@ -267,7 +275,7 @@ GOLDEN = {
     "separation.eu": {
         "exit": 0,
         "files": {
-            "separation.json": "0560b3ce6abe1d91d0f06be6ba3083a748fa089df6b071fa85d78f071e82c17f"
+            "separation.json": "bedb5e7cd3985f6b87ecc3ab0ad2edf4f9b3363d790c6877207ba96aa6521a46"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
@@ -283,7 +291,7 @@ GOLDEN = {
     "separation.kernel": {
         "exit": 0,
         "files": {
-            "separation.json": "980a236177d71426decc2756c8d1df45e4c1964efa33acbc561172a0aeddab82"
+            "separation.json": "af94764eb071a6abb41c6f71ec0d38c7ef4b15c41712b32993235f04e47237cb"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
@@ -315,7 +323,7 @@ GOLDEN = {
     "separation.wu": {
         "exit": 0,
         "files": {
-            "separation.json": "fff59262088cbbbef47f7c9741b6e5ee11d729bbdfa5688089e6d13d172c79c9"
+            "separation.json": "ae4f70ee2951e6c1d50dcc8e596f237714eea6e83bd4f45488ec45fa98356de9"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"
@@ -323,7 +331,7 @@ GOLDEN = {
     "separation.wu4": {
         "exit": 0,
         "files": {
-            "separation.json": "e277c4aa0ae17378791652e63e17ee716bfe9491553f5c44f480575aa32a322a"
+            "separation.json": "814e1b6d286e2ab886241ee3cdd23628e76a7d7d1ff915befc0c67fa214f24ce"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "a5b09a89401c0852b966652246dce81fe66e070f7ba15016171e5b7cc6adb76f"

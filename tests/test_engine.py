@@ -48,6 +48,7 @@ from betweenu import (
     utility_fixed_point_many,
 )
 from betweenu import engine
+from betweenu.engine import DEFAULT_TOL_T
 from betweenu.models import DEFAULT_EPS_PREF
 from betweenu.simplex import mix_rows
 
@@ -336,8 +337,10 @@ class TestSolveUtility:
         with pytest.raises(NonMonotoneChord):
             solve_utility(ctx, lottery((0.5, 0.5, 0.0)))
 
-    def test_iteration_limit(self, eu_model):
-        ctx = context_for(eu_model, max_iter=2)
+    def test_iteration_limit(self, wu_model):
+        # Weighted utility: expected utility's gaps are linear in the level,
+        # so its first false-position step lands on the root.
+        ctx = context_for(wu_model, max_iter=2)
         with pytest.raises(IterationLimit) as info:
             solve_utility(ctx, lottery((0.4, 0.25, 0.35)))
         assert str(info.value) == "level bisection missed tol 1e-10 within 2 iterations"
@@ -428,10 +431,12 @@ class TestSolveMixing:
         assert info.value.level == 0.5
         assert info.value.row == (0.5, 0.5, 0.0)
 
-    def test_iteration_limit_names_the_first_row_still_running(self, eu_model):
-        # The best extreme solves in closed form, so the first bisected row
-        # is the second one.
-        ctx = context_for(eu_model, max_iter=3)
+    def test_iteration_limit_names_the_first_row_still_running(self, wu_model):
+        # The best extreme solves in closed form, so the first solved row is
+        # the second one.  Weighted utility: expected utility's gaps are
+        # linear in the weight, so its first false-position step lands on
+        # the root.
+        ctx = context_for(wu_model, max_iter=3)
         x, y = lottery((0.2, 0.5, 0.3)), lottery((0.6, 0.1, 0.3))
         with pytest.raises(IterationLimit) as info:
             solve_mixing_many(ctx, [ctx.best, x, y], [0.3, 0.4, 0.6])
@@ -962,16 +967,18 @@ class TestScanSigns:
     def test_short_max_iter_errors_match_full_residual(self):
         # Mixing (0.5, 0.5, 0) toward the worst vertex crosses the chord
         # points at weights from 2e-11 to 2e-8: above the floor probe, but
-        # deeper than 20 halvings reach, so the scan raises as the full
-        # solves do rather than trusting the probe.
+        # deeper than 5 halvings reach, so the scan raises as the full
+        # solves do rather than trusting the probe.  Within 5 steps no row
+        # of either search finishes, so both name the first level.
         model = SpikeValue(1e8)
-        eval_ctx = replace(context_for(model), tol_t=1e-12, max_iter=20)
+        eval_ctx = replace(context_for(model), tol_t=1e-12, max_iter=5)
         rows = np.repeat(np.asarray([[0.5, 0.5, 0.0]]), len(INNER), axis=0)
         full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, INNER) - INNER))
         k_chord = engine._chord_keys(eval_ctx, INNER)
         kx = model.keys(rows)
         assert outcome(lambda: engine._residual_signs(eval_ctx, rows, INNER, kx, k_chord)) == full
         assert full[0] is IterationLimit
+        assert full[2]["level"] == INNER[0]
 
 
 class TestOneSidedLimits:
@@ -1113,6 +1120,172 @@ class TestRandomFamilies:
             residual = np.abs(u_mixed - (lam * u[first] + (1.0 - lam) * u[second]))
             if model.eps_pref == DEFAULT_EPS_PREF:
                 assert residual.max() <= 1e-6
+
+
+@st.composite
+def linear_families(draw):
+    """An EU or WU family on 2 to 5 outcomes at the default band, six
+    Dirichlet lottery rows and three levels in [0.01, 0.99].
+
+    Both have closed forms for ``U`` and the mixing weight.  The levels
+    stay off the ends because a weight at level ``t`` is about ``t`` or
+    ``1 - t``, which collapses to :data:`~betweenu.engine.MU_FLOOR` near them.
+    """
+    n = draw(st.integers(2, 5))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))
+    u = draw(st.permutations([0.0, 1.0, *inner]))
+    if draw(st.booleans()):
+        model = ExpectedUtility(u)
+    else:
+        model = WeightedUtility(u, draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3))
+    return model, rng.dirichlet(np.ones(n), size=6), np.asarray(levels)
+
+
+def linear_closed_forms(ctx, rows, ts):
+    """``U`` of ``rows`` and their mixing weights at levels ``ts``, in closed
+    form for EU (all outcome weights 1) and WU.
+
+    With outcome weights ``w`` the value of a mixture is a ratio of linear
+    forms: with ``b`` and ``o`` the best and worst vertices, the chord value
+    ``c(t) = (t w_b u_b + (1 - t) w_o u_o) / (t w_b + (1 - t) w_o)`` inverts
+    at ``V(x)`` to ``U``, and the weight putting ``x`` mixed with the anchor
+    ``a`` on the chord value is ``w_a (c - u_a) / (N(x) - c D(x) + w_a (c -
+    u_a))``, with ``N(x) = sum x_i w_i u_i`` and ``D(x) = sum x_i w_i``.  The
+    worst vertex is the first the band ties with the least utility, so
+    ``u_o`` need not be 0.
+    """
+    model = ctx.model
+    u = np.asarray(model.u)
+    w = np.asarray(getattr(model, "w", np.ones(len(u))))
+    b, o = int(np.argmax(ctx.best.probs)), int(np.argmax(ctx.worst.probs))
+    v = model.values(rows)
+    q = w[o] * (v - u[o]) / (w[b] * (u[b] - v))
+    # Within the band of an extreme, U is that extreme's level outright.
+    near_best, near_worst = (np.abs(v - u[e]) <= model.eps_pref for e in (b, o))
+    big_u = np.where(near_best, 1.0, np.where(near_worst, 0.0, q / (1.0 + q)))
+    c = (ts * w[b] * u[b] + (1.0 - ts) * w[o] * u[o]) / (ts * w[b] + (1.0 - ts) * w[o])
+    anchor = np.where(v > c, o, b)
+    lift = w[anchor] * (c - u[anchor])
+    return big_u, lift / (rows @ (w * u) - c * (rows @ w) + lift)
+
+
+def counting_bisect(counts: list):
+    """``engine._bisect`` counting each row's ``gap_at`` calls: every call
+    appends one array of per-row step counts to ``counts``."""
+    bisect = engine._bisect
+
+    def counted_bisect(gap_at, per_row, *args, **kwargs):
+        steps = np.zeros(len(per_row[0]), dtype=int)
+
+        def counted(s, *arrays):
+            *rest, ids = arrays
+            steps[ids] += 1
+            return gap_at(s, *rest)
+
+        try:
+            return bisect(counted, (*per_row, np.arange(len(steps))), *args, **kwargs)
+        finally:
+            counts.append(steps)
+
+    return counted_bisect
+
+
+def bisection_steps(tol: float) -> int:
+    """Halvings of [0, 1] to a bracket at most ``tol`` wide."""
+    return int(np.ceil(np.log2(1.0 / tol)))
+
+
+class TestFalsePosition:
+    """A value model's level and mixing solves step by safeguarded false
+    position on their real gaps (:func:`~betweenu.engine._bisect`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(linear_families())
+    def test_closed_forms_and_one_row_identity(self, family):
+        model, rows, levels = family
+        ctx = context_for(model)
+        solved = solve_utility_many(ctx, rows)
+        for t in levels:
+            ts = np.full(len(rows), t)
+            weights, used_worst = solve_mixing_many(ctx, rows, ts)
+            big_u, closed = linear_closed_forms(ctx, rows, ts)
+            assert np.abs(solved - big_u).max() <= ctx.tol_t
+            # A row the band ties with its chord point takes weight 1.
+            chord = mix_rows(ts, np.asarray(ctx.best.probs), np.asarray(ctx.worst.probs))
+            tie = np.abs(model.values(rows) - model.values(chord)) <= model.eps_pref
+            assert (weights[tie] == 1.0).all()
+            assert np.abs(weights - closed)[~tie].max(initial=0.0) <= ctx.tol_t
+            for i, x in enumerate(map(lottery, rows)):
+                branch = Branch.USED_WORST if used_worst[i] else Branch.USED_BEST
+                assert solve_mixing(ctx, x, t) == (weights[i], branch)
+        for x, u_x in zip(map(lottery, rows), solved):
+            assert solve_utility(ctx, x) == u_x
+
+    def test_steps_stay_within_three_bisections(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(engine, "_bisect", counting_bisect(counts))
+
+        def steps(ctx, rows, levels=np.linspace(0.1, 0.9, 9)):
+            """Each row's steps in its level solve and its mixing solves."""
+            counts.clear()
+            solve_utility_many(ctx, rows)
+            for t in levels:
+                solve_mixing_many(ctx, rows, np.full(len(rows), t))
+            return np.concatenate(counts)
+
+        bound = 3 * bisection_steps(DEFAULT_TOL_T)
+        # Every solver model on grid rows; on these smooth rows a value
+        # model's solve averages a third of bisection's steps or fewer.
+        rows = np.asarray([x.probs for x in sorted(grid(3, 6))])
+        for model in solver_models().values():
+            found = steps(context_for(model), rows)
+            assert found.max() <= bound
+            if isinstance(model, ValueModel):
+                assert found.mean() <= bisection_steps(DEFAULT_TOL_T) / 3
+        # A chord steep near the worst extreme: V(t) = 100 t / (99 t + 1).
+        ps = np.linspace(1e-5, 0.02, 400)
+        steep = context_for(WeightedUtility((1.0, 0.0), (10.0, 0.1)))
+        assert steps(steep, np.stack([ps, 1.0 - ps], axis=1)).max() <= bound
+        # Mixing (0.5, 0.5, 0) toward the worst vertex jumps across each
+        # scan level's chord point at a weight from 2e-11 to 2e-8, at the
+        # evaluation tolerance of the fixed-point search.
+        spike = replace(context_for(SpikeValue(1e8)), tol_t=1e-12)
+        counts.clear()
+        solve_mixing_many(spike, np.repeat([[0.5, 0.5, 0.0]], len(INNER), axis=0), INNER)
+        assert np.concatenate(counts).max() <= 3 * bisection_steps(1e-12)
+
+    @staticmethod
+    def search(gap, tol=DEFAULT_TOL_T):
+        """One row's false-position search for the zero of ``gap`` on
+        [0, 1]: its final bracket and its number of steps."""
+        steps = []
+
+        def gap_at(s, _):
+            steps.append(s)
+            return gap(s)
+
+        ends = (gap(np.zeros(1)), gap(np.ones(1)))
+        lo, hi = engine._bisect(gap_at, (np.zeros(1),), 0.0, 1.0, tol, 200, "level", ends=ends)
+        return lo[0], hi[0], len(steps)
+
+    def test_dekker_step_closes_the_far_end(self):
+        # A linear gap whose zero lies 1e-20 past the float where it reads
+        # 0: false position lands on that float, left of the zero, and only
+        # a probe tol / 4 inside the bracket closes the far end.
+        lo, hi, steps = self.search(lambda s: (0.3 - s) + 1e-20)
+        assert lo <= 0.3 < hi and hi - lo <= DEFAULT_TOL_T
+        assert steps <= 3
+
+    def test_midpoint_safeguard_bounds_a_flat_far_end(self):
+        # A gap of 1 left of 0.3 and -1e-300 right of it: false position
+        # alone would creep from the upper end by tol / 4 a step, while a
+        # midpoint step after three that did not halve the bracket halves
+        # it at least every four steps.
+        lo, hi, steps = self.search(lambda s: np.where(s < 0.3, 1.0, -1e-300))
+        assert lo < 0.3 <= hi and hi - lo <= DEFAULT_TOL_T
+        assert steps <= 4 * bisection_steps(DEFAULT_TOL_T)
 
 
 class TestReadmeQuickStart:
