@@ -64,7 +64,7 @@ class Witness:
 
     def sort_key(self):
         return (
-            tuple(x.probs for x in self.lotteries),
+            tuple([x.probs for x in self.lotteries]),
             -1.0 if self.lam is None else self.lam,
             self.note,
         )
@@ -273,10 +273,19 @@ def _weights(lambdas) -> list[float]:
     return lambdas
 
 
-def _mixture_witness(samples, xi, yi, lam: float, row, signs, note: str) -> Witness:
-    """The witness of the pair ``xi``, ``yi`` and its keyed mixture ``row``."""
-    mixture = Lottery._trusted(tuple(row.tolist()))
-    return Witness((samples[xi], samples[yi], mixture), lam, _orderings(*signs), note)
+#: The :class:`Ordering` of each :func:`~betweenu.models.classify` sign, indexed by it.
+_BY_SIGN = tuple(map(Ordering.of_sign, (0, 1, -1)))
+
+
+def _mixture_witnesses(samples, hits, xs, ys, lam: float, mixed, signs, note: str) -> list:
+    """The witnesses of the pairs ``xs[hits]``, ``ys[hits]`` and their keyed
+    mixture rows, each with its two observed signs from ``signs``."""
+    trusted, of = Lottery._trusted, _BY_SIGN
+    columns = (xs[hits].tolist(), ys[hits].tolist(), mixed[hits].tolist(), *signs[:, hits].tolist())
+    return [
+        Witness((samples[x], samples[y], trusted(tuple(z))), lam, (of[a], of[b]), note)
+        for x, y, z, a, b in zip(*columns)
+    ]
 
 
 def check_betweenness(model: PreferenceModel, samples, lambdas) -> AxiomReport:
@@ -299,13 +308,11 @@ def check_betweenness(model: PreferenceModel, samples, lambdas) -> AxiomReport:
     for lam in lambdas:
         mixed = mix_rows(lam, rows[xs], rows[ys])
         kz = model.keys(mixed)
-        above, above_robust = _signs(model, model.gaps(keys[xs], kz))
-        below, below_robust = _signs(model, model.gaps(kz, keys[ys]))
+        gaps = np.stack([model.gaps(keys[xs], kz), model.gaps(kz, keys[ys])])
+        observed, robust = _signs(model, gaps)
+        hits = np.flatnonzero((robust < 0).any(axis=0))
         why = "mixture escapes the preference interval of its parents"
-        witnesses += [
-            _mixture_witness(samples, xs[p], ys[p], lam, mixed[p], (above[p], below[p]), why)
-            for p in np.flatnonzero((above_robust < 0) | (below_robust < 0))
-        ]
+        witnesses += _mixture_witnesses(samples, hits, xs, ys, lam, mixed, observed, why)
     return _finish("Betweenness", witnesses, samples_checked=len(xs) * len(lambdas))
 
 
@@ -331,13 +338,11 @@ def check_mixing_neutrality(model: PreferenceModel, samples, lambdas) -> AxiomRe
     for lam in lambdas:
         mixed = mix_rows(lam, rows[xs], rows[ys])
         kz = model.keys(mixed)
-        to_x, to_x_robust = _signs(model, model.gaps(kz, keys[xs]))
-        to_y, to_y_robust = _signs(model, model.gaps(kz, keys[ys]))
+        gaps = np.stack([model.gaps(kz, keys[xs]), model.gaps(kz, keys[ys])])
+        observed, robust = _signs(model, gaps)
+        hits = np.flatnonzero((robust != 0).any(axis=0))
         why = "mixture of an indifferent pair is not indifferent to a parent"
-        witnesses += [
-            _mixture_witness(samples, xs[p], ys[p], lam, mixed[p], (to_x[p], to_y[p]), why)
-            for p in np.flatnonzero((to_x_robust != 0) | (to_y_robust != 0))
-        ]
+        witnesses += _mixture_witnesses(samples, hits, xs, ys, lam, mixed, observed, why)
     note = "" if len(xs) else "no indifferent pairs among samples"
     return _finish(
         "MixingNeutrality", witnesses, samples_checked=len(xs) * len(lambdas), note=note

@@ -30,8 +30,9 @@ sort_keys=True)`` and one newline: two-space indentation, sorted keys,
 non-ASCII characters as ``\\uXXXX`` escapes, floats as ``repr`` spells
 them (``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones),
 and a trailing newline.  The standard library's :mod:`json` writes every
-byte but those of the witness records in axioms.json, which go to the
-file one at a time through a template of the same text.  All outputs are
+byte but those of the witness records in axioms.json, which go from the
+:class:`~betweenu.axioms.Witness` objects to the file one at a time
+through a template of the same text.  All outputs are
 byte-deterministic for a fixed model, flags, and seed.
 
 Exit codes: 0 ok, 1 a property or check failed, 2 input error,
@@ -49,12 +50,11 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .axioms import run_all_checks
+from .axioms import Witness, run_all_checks
 from .engine import (
     _interior_levels,
     context_for,
@@ -122,7 +122,7 @@ class _FloatTexts(dict):
 
 @functools.cache
 def _witness_template(nl: str) -> tuple[str, str, str, str]:
-    """The format of a witness dict opened at newline-and-indent ``nl``,
+    """The format of a witness record opened at newline-and-indent ``nl``,
     and the separators of its probabilities, its rows and its orderings."""
     i1 = nl + "  "
     i2 = i1 + "  "
@@ -134,30 +134,52 @@ def _witness_template(nl: str) -> tuple[str, str, str, str]:
     return text, "," + i3, f"{i2}],{i2}[{i3}", "," + i2
 
 
-def _witness(w: dict, nl: str, texts: _FloatTexts) -> str:
-    """The text of a :class:`~betweenu.axioms.Witness` dict as
-    ``json.dumps(w, indent=2, sort_keys=True)`` spells it, opened at
-    newline-and-indent ``nl``.  It comes from the template, its
-    probabilities spelt through ``texts``, when ``lam`` is a finite float
-    or None, ``lotteries`` a non-empty list of non-empty lists of finite
-    exact floats, ``note`` a string and ``observed`` a non-empty list of
-    strings; any other witness goes through json."""
+def _row_text(probs: tuple, sep: str, texts: _FloatTexts):
+    """A lottery row's probabilities spelt through ``texts`` and joined by
+    ``sep``, or None unless the row holds finite exact floats only."""
+    if set(map(type, probs)) != _FLOATS:
+        return None
+    text = sep.join(map(texts.__getitem__, probs))
+    # float.__repr__ spells NaN and the infinities nan, inf and -inf.
+    return None if "n" in text else text
+
+
+def _witness(w: Witness, nl: str, rows: dict, texts: _FloatTexts) -> str:
+    """The text of ``w.to_dict()`` as ``json.dumps(..., indent=2,
+    sort_keys=True)`` spells it, opened at newline-and-indent ``nl``.
+
+    It comes from the template when ``lam`` is a finite float or None,
+    every lottery row a non-empty row of finite exact floats, ``note`` a
+    string and ``observed`` a non-empty tuple of orderings; any other
+    witness goes through json.  ``rows`` memoizes each row's text by the
+    identity of its probs tuple, which the reports keep alive for the
+    whole file: rows equal only as tuples (0.0 and -0.0; 1, True and 1.0)
+    keep their own texts.
+    """
     text, in_row, between_rows, in_observed = _witness_template(nl)
-    lam, rows, note, observed = w["lam"], w["lotteries"], w["note"], w["observed"]
-    if rows and all(rows) and observed and set(map(type, chain.from_iterable(rows))) == _FLOATS:
-        try:  # float.__repr__ and the encoder type-check every value
-            lam_text = "null" if lam is None else float.__repr__(lam)
-            probs = between_rows.join([in_row.join(map(texts.__getitem__, row)) for row in rows])
-            text %= (lam_text, probs, encode_basestring_ascii(note), in_observed.join(
-                map(encode_basestring_ascii, observed)
-            ))
-        except TypeError:
-            pass
-        else:
-            # float.__repr__ spells NaN and the infinities nan, inf and -inf.
-            if "n" not in probs and (lam is None or "n" not in lam_text):
-                return text
-    return json.dumps(w, indent=2, sort_keys=True).replace("\n", nl)
+    probs = []
+    for x in w.lotteries:
+        key = id(x.probs)
+        if key not in rows:
+            rows[key] = _row_text(x.probs, in_row, texts)
+        if rows[key] is None:
+            break
+        probs.append(rows[key])
+    else:
+        lam = w.lam
+        if probs and w.observed:
+            try:  # float.__repr__, the encoder and _value_ type-check every value
+                lam_text = "null" if lam is None else float.__repr__(lam)
+                # An ordering's _value_ is its value without the enum property's call.
+                observed = [encode_basestring_ascii(o._value_) for o in w.observed]
+                note = encode_basestring_ascii(w.note)
+            except (AttributeError, TypeError):
+                pass
+            else:
+                if lam is None or "n" not in lam_text:
+                    probs = between_rows.join(probs)
+                    return text % (lam_text, probs, note, in_observed.join(observed))
+    return json.dumps(w.to_dict(), indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _write_json(path: str, payload, announce: bool = True) -> None:
@@ -169,19 +191,22 @@ def _write_json(path: str, payload, announce: bool = True) -> None:
 
 
 def _write_axioms(path: str, payload: dict) -> None:
-    """Write ``payload`` as :func:`_write_json` does, each report's
-    witness records streamed through the template, one float memo shared
-    by the file."""
-    lists = [report["witnesses"] for report in payload["reports"]]
-    reports = [{**r, "witnesses": None if w else []} for r, w in zip(payload["reports"], lists)]
-    pieces = json.dumps({**payload, "reports": reports}, indent=2, sort_keys=True).split(_SLOT)
-    texts = _FloatTexts()
+    """Write ``payload``, whose ``"reports"`` are
+    :class:`~betweenu.axioms.AxiomReport` objects, as :func:`_write_json`
+    writes it with each report as its ``to_dict()``: the envelope through
+    json, then each witness record through :func:`_witness`, one at a
+    time, with one float memo and one row memo for the file (every
+    witness list sits at the same depth, so its rows at the same indent)."""
+    reports = payload["reports"]
+    envelope = [{**vars(r), "witnesses": None if r.witnesses else []} for r in reports]
+    pieces = json.dumps({**payload, "reports": envelope}, indent=2, sort_keys=True).split(_SLOT)
+    texts, rows = _FloatTexts(), {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for piece, records in zip(pieces, filter(None, lists)):
+        for piece, report in zip(pieces, [r for r in reports if r.witnesses]):
             inner = piece[piece.rindex("\n") :] + "  "
             sep = piece + '"witnesses": [' + inner
-            for w in records:
-                fh.write(sep + _witness(w, inner, texts))
+            for w in report.witnesses:
+                fh.write(sep + _witness(w, inner, rows, texts))
                 sep = "," + inner
             fh.write(inner[:-2] + "]")
         fh.write(pieces[-1] + "\n")
@@ -245,7 +270,7 @@ def cmd_check(model, args) -> int:
         "grid_resolution": args.grid,
         "lambdas": list(LAMBDA_GRID),
         "seed": args.seed,
-        "reports": [report.to_dict() for report in reports],
+        "reports": reports,
     }
     _write_axioms(os.path.join(args.out, "axioms.json"), payload)
     failed = [report.axiom for report in reports if not report.passed]

@@ -171,9 +171,9 @@ def _in_range(ctx: RepresentationContext, rows: np.ndarray, kx: np.ndarray):
     sides = classify(gaps, ctx.model.eps_pref)
     bad = np.flatnonzero((sides[_BEST] > 0) | (sides[_WORST] < 0))
     if bad.size:
+        row = tuple(rows[bad[0]].tolist())
         raise NonMonotoneChord(
-            f"lottery {tuple(rows[bad[0]].tolist())} falls outside the preference "
-            f"range of the extremes"
+            f"lottery {row} falls outside the preference range of the extremes", row=row
         )
     return gaps, sides
 

@@ -10,7 +10,15 @@ class DegeneratePreference(BetweenuError):
 
 
 class NonMonotoneChord(BetweenuError):
-    """Bracketing comparisons along the reference chord are inconsistent."""
+    """Bracketing comparisons along the reference chord are inconsistent.
+
+    ``row`` holds the probabilities of the first lottery outside the
+    extremes' preference range, or None.
+    """
+
+    def __init__(self, message: str, row: tuple[float, ...] | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class IterationLimit(BetweenuError):

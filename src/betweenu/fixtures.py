@@ -12,9 +12,13 @@ brackets:
 * :func:`quadratic_oracle`  betweenness, with bowed indifference sets
   (Betweenness, MixingNeutrality)
 
-The last two come from :func:`oracle_from_value` and are keyed by value; no
-per-lottery key can hold the cyclic fixture's planted pair, so it is asked
-about each pair through its ``compare_fn``.
+The last two are keyed by value through a numpy form of it, which gives
+each row of a batch the value it gives that row alone; a lottery's scalar
+value, and so each ``compare_fn`` verdict, is its one-row case.
+:func:`oracle_from_value` keys a scalar value function the same way, one
+call per distinct lottery of a batch.  No per-lottery key can hold the
+cyclic fixture's planted pair, so it is asked about each pair through its
+``compare_fn``.
 """
 
 from __future__ import annotations
@@ -29,21 +33,32 @@ _ORACLE_GAPS = np.asarray([0.0, np.inf, -np.inf])
 
 
 class _ValueOracle(BlackBoxOracle):
-    """A comparison oracle keyed by value: ``value_fn`` runs once per
-    distinct row of a batch, in order of first appearance, so the first
-    row whose call raises is the first such row of the batch.  Rows equal
-    as tuples, as their lotteries are, share the one call."""
+    """A comparison oracle keyed by value: ``values`` maps a ``(k, n)``
+    array of lottery rows to their float64 values, and ``compare_fn``
+    compares two lotteries' scalar ``value`` under the band ``eps_pref``,
+    by default the one-row case of ``values``."""
 
-    def __init__(self, value_fn, compare_fn, n_outcomes: int, eps_pref: float):
+    def __init__(self, values, n_outcomes: int, eps_pref: float, value=None):
+        if value is None:
+
+            def value(x: Lottery) -> float:
+                return float(values(np.asarray([x.probs], dtype=float))[0])
+
+        band = float(eps_pref)
+
+        def compare_fn(x: Lottery, y: Lottery) -> Ordering:
+            d = value(x) - value(y)
+            # classify's band in scalar Python, cheaper than a numpy call here.
+            if abs(d) <= band:
+                return Ordering.INDIFFERENT
+            return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
+
         super().__init__(compare_fn, n_outcomes, eps_pref)
-        self.value_fn = value_fn
+        self._values = values
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        at = {}  # each distinct row's probs -> its place among them
-        index = [at.setdefault(probs, len(at)) for probs in self._probs(rows)]
-        trusted, value_fn = Lottery._trusted, self.value_fn
-        values = np.fromiter((value_fn(trusted(p)) for p in at), dtype=float, count=len(at))
-        return values[index]
+        self._check_width(rows)
+        return self._values(rows)
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         # compare_fn's verdicts as gaps: a NaN difference is dispreferred.
@@ -58,22 +73,23 @@ def oracle_from_value(
     """Wrap a scalar lottery-value function as a comparison oracle.
 
     ``compare_fn`` compares two values under the band ``eps_pref``.  The
-    solvers' keys are the float64 values, one ``value_fn`` call per distinct
-    lottery of a batch, so ``value_fn`` must return a real number and give
-    equal lotteries equal values; the gaps stay infinite or zero, so the
-    checkers learn no more than ``compare`` tells them.
+    solvers' keys are the float64 values: ``value_fn`` runs once per
+    distinct row of a batch, in order of first appearance, so the first
+    row whose call raises is the first such row of the batch, and rows
+    equal as tuples, as their lotteries are, share the one call.  So
+    ``value_fn`` must return a real number and give equal lotteries equal
+    values; the gaps stay infinite or zero, so the checkers learn no more
+    than ``compare`` tells them.
     """
-    band = float(eps_pref)
 
-    def compare_fn(x: Lottery, y: Lottery) -> Ordering:
-        d = value_fn(x) - value_fn(y)
-        # classify's band in scalar Python: the cyclic fixture asks once per
-        # pair, where a numpy call would cost more than the comparison.
-        if abs(d) <= band:
-            return Ordering.INDIFFERENT
-        return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
+    def values(rows: np.ndarray) -> np.ndarray:
+        at = {}  # each distinct row's probs -> its place among them
+        index = [at.setdefault(probs, len(at)) for probs in map(tuple, rows.tolist())]
+        trusted = Lottery._trusted
+        out = np.fromiter((value_fn(trusted(p)) for p in at), dtype=float, count=len(at))
+        return out[index]
 
-    return _ValueOracle(value_fn, compare_fn, n_outcomes, eps_pref)
+    return _ValueOracle(values, n_outcomes, eps_pref, value_fn)
 
 
 #: The planted intransitive triple used by :func:`cyclic_oracle`.  All
@@ -86,41 +102,39 @@ CYCLE: tuple[Lottery, Lottery, Lottery] = (
 )
 
 
-def _cyclic_value(x: Lottery) -> float:
-    """Expected utility of ``x`` under u = (0, 1/2, 1), in plain floats.
-
-    It equals ``float(np.dot(x.as_array(), (0.0, 0.5, 1.0)))`` bit for bit
-    without building an array.  ``ddot`` starts from +0 and adds in index
-    order.  p0 * 0 is +0 and p2 * 1 is p2, both exact; p1 * 1/2 is exact
-    unless it is subnormal, and then rounds the same way on both paths (a
-    fused multiply-add onto +0 rounds it once too).  Adding it to +0 is
-    exact, so the last addition is the one other rounding, done alike on
-    both paths.  The leading ``0.0 +`` keeps -0.0 components from giving
-    -0.0.
-    """
-    _, p1, p2 = x.probs
-    return 0.0 + 0.5 * p1 + p2
-
-
 def cyclic_oracle(eps_pref: float = DEFAULT_EPS_PREF) -> BlackBoxOracle:
     """Expected-utility comparisons with one planted preference cycle.
 
     The base ordering is expected utility with u = (0, 1/2, 1), valued in
-    plain floats by :func:`_cyclic_value`.  That value is the ``np.dot`` one
-    bit for bit: with these utilities the only roundings are p1 / 2 and the
-    last addition, and both paths do them alike.  On the planted triple
-    a > b > c the base order is overridden for the single pair (c, a) to
-    c > a, closing a cycle while leaving every other comparison intact.
+    plain floats as ``0.0 + 0.5 * p1 + p2``.  That is
+    ``float(np.dot(x.as_array(), (0.0, 0.5, 1.0)))`` bit for bit without
+    building an array: ``ddot`` starts from +0 and adds in index order;
+    p0 * 0 is +0 and p2 * 1 is p2, both exact; p1 * 1/2 is exact unless
+    it is subnormal, and then rounds the same way on both paths (a fused
+    multiply-add onto +0 rounds it once too).  Adding it to +0 is exact, so
+    the last addition is the one other rounding, done alike on both paths.
+    On the planted triple a > b > c the base order is overridden for the
+    single pair (c, a) to c > a, closing a cycle while leaving every other
+    comparison intact.  ``compare_fn`` answers in one frame: the oracle
+    pass asks it tens of thousands of times.
     """
-    a, b, c = CYCLE
-    base = oracle_from_value(_cyclic_value, 3, eps_pref).compare_fn
+    a, _, c = (x.probs for x in CYCLE)
+    band = float(eps_pref)
+    prefers, indifferent, dispreferred = Ordering
 
     def compare_fn(x: Lottery, y: Lottery) -> Ordering:
-        if x.probs == c.probs and y.probs == a.probs:
-            return Ordering.STRICTLY_PREFERS
-        if x.probs == a.probs and y.probs == c.probs:
-            return Ordering.STRICTLY_DISPREFERRED
-        return base(x, y)
+        px, py = x.probs, y.probs
+        if px == c and py == a:
+            return prefers
+        if px == a and py == c:
+            return dispreferred
+        _, x1, x2 = px
+        _, y1, y2 = py
+        # The two values' difference under classify's band.
+        d = (0.0 + 0.5 * x1 + x2) - (0.0 + 0.5 * y1 + y2)
+        if abs(d) <= band:
+            return indifferent
+        return prefers if d > 0.0 else dispreferred
 
     return BlackBoxOracle(compare_fn, 3, eps_pref)
 
@@ -143,11 +157,11 @@ def jump_oracle(
     if not 0.0 < drop < threshold:
         raise ValueError(f"drop must lie in (0, threshold), got {drop!r}")
 
-    def value_fn(x: Lottery) -> float:
-        p1 = x.probs[1]
-        return p1 if p1 < threshold else p1 - drop
+    def values(rows: np.ndarray) -> np.ndarray:
+        p1 = rows[:, 1]
+        return np.where(p1 < threshold, p1, p1 - drop)
 
-    return oracle_from_value(value_fn, 2, eps_pref)
+    return _ValueOracle(values, 2, eps_pref)
 
 
 def quadratic_oracle(matrix=None, eps_pref: float = DEFAULT_EPS_PREF) -> BlackBoxOracle:
@@ -156,7 +170,10 @@ def quadratic_oracle(matrix=None, eps_pref: float = DEFAULT_EPS_PREF) -> BlackBo
     Quadratic values bow the indifference sets, so mixtures of
     indifferent lotteries are strictly ranked against their components
     and betweenness fails.  The default matrix rewards hedging between
-    the first two outcomes.
+    the first two outcomes.  The value is summed in one fixed order,
+    ``(x' B)_j = sum_i x_i B_ij`` over i and then ``x' B x`` over j, by
+    elementwise array operations, so a row's value does not depend on the
+    batch it comes in (a matrix product's rounding can).
     """
     if matrix is None:
         matrix = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
@@ -165,9 +182,12 @@ def quadratic_oracle(matrix=None, eps_pref: float = DEFAULT_EPS_PREF) -> BlackBo
         raise ValueError(f"matrix must be square, got shape {B.shape}")
     if not np.all(np.isfinite(B)):
         raise ValueError("matrix entries must be finite")
+    n = len(B)
 
-    def value_fn(x: Lottery) -> float:
-        p = x.as_array()
-        return float(p @ B @ p)
+    def values(rows: np.ndarray) -> np.ndarray:
+        # sum() adds left to right, from the first term.
+        xb = sum((rows[:, i, None] * B[i] for i in range(1, n)), rows[:, 0, None] * B[0])
+        terms = xb * rows
+        return sum((terms[:, j] for j in range(1, n)), terms[:, 0])
 
-    return oracle_from_value(value_fn, B.shape[0], eps_pref)
+    return _ValueOracle(values, n, eps_pref)

@@ -90,8 +90,8 @@ class PreferenceModel:
     negative when it is strictly dispreferred, and zero on a tie.
     :class:`ValueModel` keys are values and its gaps are raw value
     differences; :class:`BlackBoxOracle` gaps are infinite or zero, and its
-    keys are lotteries, or float64 values for an oracle built by
-    :func:`~betweenu.fixtures.oracle_from_value`.
+    keys are lotteries, or float64 values for the quadratic and jump
+    fixtures and an oracle built by :func:`~betweenu.fixtures.oracle_from_value`.
 
     Validation happens once, where data enters: :meth:`compare` and the
     public value methods check what they are given, and the solvers check
@@ -343,17 +343,15 @@ class BlackBoxOracle(PreferenceModel):
         return out
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            map(Lottery._trusted, self._probs(rows)), dtype=object, count=len(rows)
-        )
+        self._check_width(rows)
+        probs = map(tuple, rows.tolist())
+        return np.fromiter(map(Lottery._trusted, probs), dtype=object, count=len(rows))
 
-    def _probs(self, rows: np.ndarray):
-        """Each row's probs as a tuple, once the rows' width is checked."""
+    def _check_width(self, rows: np.ndarray) -> None:
         if rows.shape[1] != self.n_outcomes:
             raise ValueError(
                 f"rows have {rows.shape[1]} outcomes, model expects {self.n_outcomes}"
             )
-        return map(tuple, rows.tolist())
 
     def gaps(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
         compare_fn = self.compare_fn

@@ -8,6 +8,7 @@ slopes bounded by 0.4, and per-outcome curves solving t = phi(i, t) at
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from betweenu import (
     DisappointmentAversion,
@@ -93,3 +94,14 @@ def family_model(request):
 @pytest.fixture(params=sorted(solver_models()))
 def solver_model(request):
     return solver_models()[request.param]
+
+
+@st.composite
+def symmetric_matrices(draw, min_n: int = 3, max_n: int = 4):
+    """A symmetric matrix on ``min_n`` to ``max_n`` outcomes with entries
+    in [-1, 1], as nested lists."""
+    n = draw(st.integers(min_n, max_n))
+    size = n * (n + 1) // 2
+    matrix = np.zeros((n, n))
+    matrix[np.triu_indices(n)] = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    return (matrix + np.triu(matrix, 1).T).tolist()

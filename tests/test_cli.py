@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import betweenu
 from betweenu import cli, context_for, implicit_utility, load_model, lottery, solve_utility
-from betweenu.axioms import Witness
+from betweenu.axioms import AxiomReport, Witness
 from betweenu.cli import main
 from betweenu.errors import IterationLimit, NoCrossing
 from betweenu.models import Ordering
+from betweenu.simplex import Lottery
 
 EU_SPEC = {"kind": "expected_utility", "u": [0.0, 0.4, 1.0]}
 WU_SPEC = {"kind": "weighted_utility", "u": [0.0, 0.4, 1.0], "w": [1.0, 2.0, 0.5]}
@@ -388,6 +389,21 @@ class TestNumericFailure:
         }
         assert capsys.readouterr().err == f"error: MultipleFixedPoints: {record['message']}\n"
 
+    def test_lottery_outside_the_extremes_is_located(self, tmp_path, capsys):
+        # The extremes are (1, 0, 0), worth 1, and (0, 1, 0), worth 0;
+        # (0, 0.5, 0.5), the first such grid lottery in order, is worth 2.
+        spec = {"kind": "quadratic", "matrix": [[1, 0, 0], [0, 0, 4], [0, 4, 0]]}
+        model = write_model(tmp_path, "ridge.json", spec)
+        out = str(tmp_path / "out")
+        assert main(["repr", "--model", model, "--grid", "2", "--out", out]) == 3
+        assert read_error(out) == {
+            "type": "NonMonotoneChord",
+            "message": "lottery (0.0, 0.5, 0.5) falls outside the preference range of the extremes",
+            "row": [0.0, 0.5, 0.5],
+        }
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonMonotoneChord: lottery (0.0, 0.5, 0.5) falls outside")
+
     @pytest.mark.parametrize(
         "exc, fields",
         [
@@ -522,54 +538,77 @@ def dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def dumps_reports(payload) -> str:
+    """``payload`` as ``json.dumps`` writes it with each report as its ``to_dict()``."""
+    return dumps({**payload, "reports": [r.to_dict() for r in payload["reports"]]})
+
+
 #: Floats json spells in its own way or that round-trip awkwardly.
 ODD_FLOATS = (-0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf, 1e16, 0.1, 1 / 3)
 
 FLOATS = st.one_of(st.floats(), st.sampled_from(ODD_FLOATS), st.floats().map(np.float64))
 #: Non-ASCII text and characters that need escaping, and plain text.
 TEXTS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00", "é", "\u2028", "\U0001f600"]))
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXTS)
-#: Dicts shaped as ``Witness.to_dict`` makes them, with any floats.
-WITNESSES = st.fixed_dictionaries(
+ORDERINGS = st.lists(st.sampled_from(Ordering), min_size=1, max_size=3).map(tuple)
+
+
+def lotteries(rows):
+    """Rows of lottery rows as unvalidated lotteries, each over its own tuple."""
+    return tuple(Lottery._trusted(tuple(row)) for row in rows)
+
+
+#: The fields of a ``Witness`` as the checks fill them, with any floats.
+WITNESS_FIELDS = st.fixed_dictionaries(
     {
         "lam": st.one_of(st.none(), FLOATS),
-        "lotteries": st.lists(st.lists(FLOATS, min_size=1, max_size=4), min_size=1, max_size=3),
+        "lotteries": st.lists(
+            st.lists(FLOATS, min_size=1, max_size=4), min_size=1, max_size=3
+        ).map(lotteries),
         "note": TEXTS,
-        "observed": st.lists(TEXTS, min_size=1, max_size=3),
+        "observed": ORDERINGS,
     }
 )
-#: Values of each witness key that the template does not spell, or spells
-#: from another type: an int or bool ``lam``, an empty list or row, a row
-#: that is a tuple or holds ints, a ``note`` or an ordering that is no
-#: string.
+#: Values of each witness field that the template does not spell, or spells
+#: from another type: an int or bool ``lam``, no lotteries or an empty row,
+#: a row that holds ints or bools, a ``note`` that is no string, and no
+#: orderings.
 ODD_VALUES = {
     "lam": st.one_of(st.integers(), st.booleans()),
     "lotteries": st.one_of(
-        st.just([]),
-        st.lists(st.lists(FLOATS, max_size=2), min_size=1, max_size=3),
-        st.lists(st.lists(st.one_of(FLOATS, st.integers()), max_size=4).map(tuple), max_size=3),
+        st.just(()),
+        st.lists(st.lists(FLOATS, max_size=2), min_size=1, max_size=3).map(lotteries),
+        st.lists(
+            st.lists(st.one_of(FLOATS, st.integers(), st.booleans()), max_size=4), max_size=3
+        ).map(lotteries),
     ),
     "note": st.one_of(st.none(), st.integers()),
-    "observed": st.one_of(st.just([]), st.lists(SCALARS, max_size=2)),
+    "observed": st.just(()),
 }
-#: Witness dicts with one value replaced by an odd one.
-ODD_WITNESSES = st.one_of(
+#: Witnesses, some with one field replaced by an odd value.
+WITNESSES = st.one_of(
+    WITNESS_FIELDS.map(lambda fields: Witness(**fields)),
     *(
-        st.tuples(WITNESSES, odd).map(lambda pair, key=key: {**pair[0], key: pair[1]})
+        st.tuples(WITNESS_FIELDS, odd).map(
+            lambda pair, key=key: Witness(**{**pair[0], key: pair[1]})
+        )
         for key, odd in ODD_VALUES.items()
-    )
+    ),
 )
-#: Reports shaped as ``AxiomReport.to_dict`` makes them, with witnesses
-#: of every shape.
-REPORTS = st.fixed_dictionaries(
-    {
-        "axiom": TEXTS,
-        "note": TEXTS,
-        "passed": st.booleans(),
-        "samples_checked": st.integers(),
-        "seed": st.one_of(st.none(), st.integers()),
-        "witnesses": st.lists(st.one_of(WITNESSES, ODD_WITNESSES), max_size=3),
-    }
+#: Reports with witnesses of every shape; a report with witnesses fails.
+REPORTS = st.builds(
+    lambda fields: AxiomReport(
+        **{**fields, "passed": fields["passed"] and not fields["witnesses"]}
+    ),
+    st.fixed_dictionaries(
+        {
+            "axiom": TEXTS,
+            "note": TEXTS,
+            "passed": st.booleans(),
+            "samples_checked": st.integers(),
+            "seed": st.one_of(st.none(), st.integers()),
+            "witnesses": st.lists(WITNESSES, max_size=3).map(tuple),
+        }
+    ),
 )
 #: Payloads shaped as the one ``cmd_check`` writes.
 AXIOMS_PAYLOADS = st.fixed_dictionaries(
@@ -583,16 +622,15 @@ AXIOMS_PAYLOADS = st.fixed_dictionaries(
 
 
 def axioms_payload(*witnesses) -> dict:
-    report = {"axiom": "Betweenness", "note": "", "passed": not witnesses, "samples_checked": 1,
-              "seed": None, "witnesses": list(witnesses)}
+    report = AxiomReport("Betweenness", not witnesses, witnesses, 1)
     return {"grid_resolution": 6, "lambdas": [0.5], "reports": [report], "seed": 0}
 
 
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(AXIOMS_PAYLOADS)
-    def test_writes_witness_dicts_as_json_dumps_does(self, payload):
-        assert axioms_text(payload) == dumps(payload)
+    def test_writes_witnesses_as_json_dumps_does(self, payload):
+        assert axioms_text(payload) == dumps_reports(payload)
 
     @pytest.mark.parametrize("lam", [None, 0.5])
     def test_witness_records_take_the_template(self, lam):
@@ -601,14 +639,15 @@ class TestJsonWriter:
             lam=lam,
             observed=(Ordering.STRICTLY_PREFERS, Ordering.INDIFFERENT),
             note="mixture escapes the preference interval of its parents",
-        ).to_dict()
+        )
         # Only the template spells probabilities through the memo.
         texts = cli._FloatTexts()
-        text = cli._witness(witness, "\n    ", texts)
+        text = cli._witness(witness, "\n    ", {}, texts)
         assert dict(texts) == {0.25: "0.25", 0.75: "0.75", 1.0: "1.0"}
-        assert text == json.dumps(witness, indent=2, sort_keys=True).replace("\n", "\n    ")
+        spelt = json.dumps(witness.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    ")
+        assert text == spelt
         payload = axioms_payload(witness, witness)
-        assert axioms_text(payload) == dumps(payload)
+        assert axioms_text(payload) == dumps_reports(payload)
 
     def test_file_ends_in_a_newline_and_holds_ascii(self, tmp_path):
         payload = {"b": ["\u00e9", math.nan], "a": {"lam": None}}
@@ -619,14 +658,15 @@ class TestJsonWriter:
         assert blob == dumps(payload).encode("ascii")
 
 
-def witness_of(*rows) -> dict:
-    return {"lam": None, "lotteries": [list(row) for row in rows], "note": "", "observed": ["~"]}
+def witness_of(*rows) -> Witness:
+    return Witness(lotteries(rows), None, (Ordering.INDIFFERENT,), "")
 
 
 class TestWitnessFloatMemo:
-    """One file's witnesses share the texts of their floats.  Values that
-    are equal keys but spelt apart (1, True and 1.0; 0.0 and -0.0) keep
-    their own spelling whichever comes first."""
+    """One file's witnesses share the texts of their floats and of their
+    rows.  Values that are equal keys but spelt apart (1, True and 1.0; 0.0
+    and -0.0) keep their own spelling whichever comes first, and so do rows
+    equal only as tuples."""
 
     def test_memo_keeps_finite_nonzero_floats_only(self):
         texts = cli._FloatTexts()
@@ -646,4 +686,19 @@ class TestWitnessFloatMemo:
             witness_of([0.0, -0.0, 0.0, 1.0, 1, 1.0]),
         ][::order]
         payload = axioms_payload(*witnesses)
-        assert axioms_text(payload) == dumps(payload)
+        assert axioms_text(payload) == dumps_reports(payload)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_rows_share_a_text_only_when_they_are_one_tuple(self, order):
+        x = Lottery._trusted((1.0, 0.0, 0.5))
+        twins = lotteries([[1.0, -0.0, 0.5], [1, 0.0, 0.5], [True, 0.0, 0.5], [1.0, 0.0, 0.5]])
+        witnesses = [Witness((x, y), None, (Ordering.INDIFFERENT,), "") for y in (x, *twins)]
+        rows = {}
+        for w in witnesses[::order]:
+            cli._witness(w, "\n", rows, cli._FloatTexts())
+        # x, and each twin over its own tuple; the two with ints or bools
+        # are left to json.
+        assert len(rows) == 5
+        assert sum(text is None for text in rows.values()) == 2
+        payload = axioms_payload(*witnesses[::order])
+        assert axioms_text(payload) == dumps_reports(payload)

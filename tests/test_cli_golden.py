@@ -89,6 +89,19 @@ MODELS4 = {
     },
 }
 
+#: A four-outcome quadratic oracle audited by ``check`` alone.  Its matrix
+#: is not dyadic, so its values round: under OpenBLAS, ``p @ B @ p`` gives
+#: 12 of the 84 grid values up to two ulps off the oracle's fixed-order
+#: elementwise sum.  The record was made from ``p @ B @ p`` values, so it
+#: shows that rounding moves no verdict and no witness byte.
+CHECK_MODELS4 = {
+    "quadratic4-decimal": {
+        "kind": "quadratic",
+        "matrix": [[0.0, 0.7, 0.1, 0.0], [0.7, 0.0, 0.0, 0.3], [0.1, 0.0, 0.9, 0.0],
+                   [0.0, 0.3, 0.0, 0.45]],
+    },
+}
+
 #: Grid resolution per subcommand: grid 6 holds the cyclic oracle's
 #: planted triple; the separation audit's cost barely depends on it.
 GRIDS = {"check": 6, "triangle": 6, "separation": 4}
@@ -106,6 +119,7 @@ JOBS = {
     **{f"repr.{model}": ("repr", model, res, "0.5") for model, res in REPR_GRIDS.items()},
     "separation.quadratic@0.8": ("separation", "quadratic", GRIDS["separation"], "0.8"),
     "check.quadratic@grid9": ("check", "quadratic", 9, "0.5"),
+    "check.quadratic4-decimal": ("check", "quadratic4-decimal", GRIDS["check"], "0.5"),
     **{f"separation.{model}": ("separation", model, GRIDS["separation"], "0.5") for model in MODELS4},
 }
 
@@ -113,7 +127,7 @@ JOBS = {
 def run_job(root: str, cmd: str, model: str, res: int, levels: str) -> dict:
     spec = os.path.join(root, f"{model}.json")
     with open(spec, "w", encoding="utf-8") as fh:
-        json.dump({**MODELS, **MODELS4}[model], fh)
+        json.dump({**MODELS, **MODELS4, **CHECK_MODELS4}[model], fh)
     out = os.path.join(root, f"{cmd}.{model}@{levels}")
     argv = [cmd, "--model", spec, "--grid", str(res), "--levels", levels, "--out", out]
     printed, errors = StringIO(), StringIO()
@@ -184,6 +198,14 @@ GOLDEN = {
         "exit": 1,
         "files": {
             "axioms.json": "d9af26def2ad3ca4342c8393d3645f679539197a0a24ddeff5be4aa84dca72bb"
+        },
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "46ed170628f5dc8baa1f62cd6c4df807d11cfa759df57d7a18cb3a002e12b2cb"
+    },
+    "check.quadratic4-decimal": {
+        "exit": 1,
+        "files": {
+            "axioms.json": "01b19b347eb4657c2e0ee13911a58374a513e3a503355e438b7dc1a9757dfc85"
         },
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "46ed170628f5dc8baa1f62cd6c4df807d11cfa759df57d7a18cb3a002e12b2cb"

@@ -740,6 +740,7 @@ class TestFixedPoint:
                 with pytest.raises(NonMonotoneChord) as info:
                     solve(ctx, xs)
                 assert str(info.value) == message
+                assert info.value.row == (0.0, 0.5, 0.5)
 
     @pytest.mark.parametrize(
         "residual",

@@ -31,12 +31,13 @@ from betweenu import (
     utility_fixed_point_many,
 )
 from betweenu.cli import LAMBDA_GRID
-from betweenu.fixtures import CYCLE, _cyclic_value
-from betweenu.models import classify
+from betweenu.fixtures import CYCLE
+from betweenu.models import DEFAULT_EPS_PREF, classify
 from betweenu.simplex import SUM_TOL, lottery_rows, mix_rows
 
 from conftest import (
-    KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, make_kernel, solver_models
+    KERNEL_PHI, KERNEL_T_GRID, NOT_LOTTERIES, family_models, make_kernel, solver_models,
+    symmetric_matrices,
 )
 
 
@@ -430,7 +431,8 @@ class TestBlackBoxOracle:
 
 
 def value_oracles() -> dict:
-    """The fixtures built with oracle_from_value, keyed by value."""
+    """The oracles keyed by value: a WU value through oracle_from_value,
+    and the quadratic and jump fixtures through their array forms."""
     return {
         "weighted_utility_oracle": solver_models()["weighted_utility_oracle"],
         "quadratic": quadratic_oracle(),
@@ -561,6 +563,62 @@ class TestValueKeyedOracle:
         assert notes == {"comparison failed: ZeroDivisionError: planted"}
 
 
+@st.composite
+def array_oracles(draw):
+    """A quadratic oracle on a drawn symmetric matrix on 3 to 5 outcomes, or
+    a jump oracle at a drawn threshold and drop, at the default band or a
+    log-uniform one in [1e-12, 1e-3]; and lottery rows in a drawn order:
+    grid rows, Dirichlet rows, mixtures of them and repeats, and for the
+    jump the threshold's row and the rows an ulp either side of it."""
+    log_eps = draw(st.one_of(st.none(), st.floats(-12.0, -3.0)))
+    eps = DEFAULT_EPS_PREF if log_eps is None else 10.0**log_eps
+    if draw(st.booleans()):
+        oracle, edges = quadratic_oracle(draw(symmetric_matrices(3, 5)), eps), []
+    else:
+        threshold = draw(st.floats(0.01, 0.99))
+        drop = draw(st.floats(0.0, threshold, exclude_min=True, exclude_max=True))
+        oracle = jump_oracle(threshold, drop, eps)
+        edges = [
+            [1.0 - p, p]
+            for p in (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0))
+        ]
+    n = oracle.n_outcomes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = lottery_rows(sorted(grid(n, draw(st.integers(1, 4)))), n)
+    rows = np.concatenate([points, rng.dirichlet(np.ones(n), 8), np.reshape(edges, (-1, n))])
+    pairs = rng.integers(0, len(rows), size=(6, 2))
+    mixed = mix_rows(rng.uniform(0.0, 1.0, 6), rows[pairs[:, 0]], rows[pairs[:, 1]])
+    rows = np.concatenate([rows, mixed, rows[:3]])
+    return oracle, rows[draw(st.permutations(range(len(rows))))]
+
+
+class TestArrayValuedFixtures:
+    """The quadratic and jump fixtures key a batch through a numpy form that
+    gives each row the value it gives that row alone, and compare two
+    lotteries through its one-row case."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(array_oracles())
+    def test_batch_keys_are_one_row_keys(self, drawn):
+        oracle, rows = drawn
+        one_row = [oracle.keys(rows[i : i + 1]) for i in range(len(rows))]
+        assert oracle.keys(rows).tobytes() == np.concatenate(one_row).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(array_oracles())
+    def test_compare_classifies_the_key_gaps(self, drawn):
+        oracle, rows = drawn
+        keys = oracle.keys(rows)
+        # Each row against the next, itself and the first row.
+        k = len(rows)
+        first = np.repeat(np.arange(k), 3)
+        second = np.stack([(np.arange(k) + 1) % k, np.arange(k), np.zeros(k, int)], 1).ravel()
+        signs = classify(oracle.gaps(keys[first], keys[second]), oracle.eps_pref)
+        xs = [lottery(row) for row in rows.tolist()]
+        verdicts = [oracle.compare(xs[i], xs[j]) for i, j in zip(first.tolist(), second.tolist())]
+        assert verdicts == [Ordering.of_sign(s) for s in signs]
+
+
 #: The cyclic fixture's outcome utilities, as its old ``np.dot`` value used them.
 CYCLIC_U = np.asarray([0.0, 0.5, 1.0])
 
@@ -588,8 +646,23 @@ class TestCyclicFixture:
 
     @staticmethod
     def assert_values_bitwise(lotteries):
+        """``compare_fn`` at the least band ties each lottery with a probe
+        worth exactly its ``np.dot`` value, and ranks it strictly against
+        the probes an ulp either side.  A probe (0, 0, v) is worth v
+        exactly; it is no lottery, which ``compare_fn`` does not check.
+        Where an ulp is the band itself, below 2 ** -1021, the probes an
+        ulp away tie too: there the values agree to within that ulp."""
+        band = 5e-324
+        compare = cyclic_oracle(band).compare_fn
         for x in lotteries:
-            assert _cyclic_value(x).hex() == np_dot_value(x).hex(), x.probs
+            v = np_dot_value(x)
+            for w, order in (
+                (np.nextafter(v, -1.0), Ordering.STRICTLY_PREFERS),
+                (v, Ordering.INDIFFERENT),
+                (np.nextafter(v, 2.0), Ordering.STRICTLY_DISPREFERRED),
+            ):
+                expected = order if abs(w - v) > band else Ordering.INDIFFERENT
+                assert compare(x, Lottery._trusted((0.0, 0.0, float(w)))) is expected, x.probs
 
     @pytest.mark.parametrize("resolution", range(1, 13))
     def test_value_equals_np_dot_on_grids(self, resolution):
