@@ -32,7 +32,6 @@ from .axioms import (
     run_all_checks,
 )
 from .engine import (
-    Branch,
     RepresentationContext,
     chord_point,
     context_for,
@@ -96,7 +95,6 @@ __all__ = [
     "AxiomReport",
     "BetweenuError",
     "BlackBoxOracle",
-    "Branch",
     "CrossPolytopeCheck",
     "DegeneratePreference",
     "DisappointmentAversion",

@@ -29,16 +29,13 @@ digits.  Every JSON file holds exactly ``json.dumps(payload, indent=2,
 sort_keys=True)`` and one newline: two-space indentation, sorted keys,
 non-ASCII characters as ``\\uXXXX`` escapes, floats as ``repr`` spells
 them (``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite ones),
-and a trailing newline.  The standard library's :mod:`json` writes every
-byte but those of the witness records in axioms.json, which go from the
-:class:`~betweenu.axioms.Witness` objects to the file one at a time
-through a template of the same text.  All outputs are
-byte-deterministic for a fixed model, flags, and seed.
+and a trailing newline; axioms.json's witness records are written
+through a template of the same text (:func:`_write_axioms`).  All
+outputs are byte-deterministic for a fixed model, flags, and seed.
 
 Exit codes: 0 ok, 1 a property or check failed, 2 input error,
 3 numeric failure inside the construction, also recorded in error.json
-(the exception's type and message, and where known the solve, its
-step budget, the level and the lottery row that failed).
+(:func:`_write_error`).
 """
 
 from __future__ import annotations

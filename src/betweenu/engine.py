@@ -20,33 +20,17 @@ Everything is driven by pairwise comparisons:
    :func:`implicit_utility_many`).
 4. At the endpoint levels, ``u(x, 0)`` and ``u(x, 1)`` are indicators of
    the indifference classes of the worst and best extremes.
-5. The fixed point ``t = u(x, t)`` is located without step 2
-   (:func:`utility_fixed_point_many`): a scan of uniform levels per
-   lottery checks that the residual ``u(x, t) - t`` crosses zero once,
-   then one batched bisection narrows the two plateau edges of every
-   lottery.  The residual has the sign of the comparison between ``x``
-   and the chord point (``u = t / w`` above it and ``1 - (1-t) / w``
-   below it, with ``w < 1``, and ``u = t`` on it), so each scan level
-   and each plateau-edge step costs one comparison plus the step 3
-   checks that can fail, not a full mixing solve.
+5. The fixed point ``t = u(x, t)`` is located without step 2, from the
+   sign of the residual ``u(x, t) - t`` alone
+   (:func:`utility_fixed_point_many`).
 
 Every solver is written once, over arrays of lottery rows and the
 model's comparison primitive (:meth:`~betweenu.models.PreferenceModel.keys`
 and ``gaps``), and every root search, the triangle's scanlines included,
-runs in one loop, :func:`_bisect`: the sign of a gap steers the bracket,
-a zero gap stops a row at its probe, and the ``eps_pref`` band grants
-only the endpoint and on-chord shortcuts.  The loop has two step rules.
-A value model's level and mixing solves at full tolerance pass it their
-real gaps at the bracket's ends, and each step probes the Illinois
-false-position point, kept ``tol_t / 4`` inside the bracket, with a
-midpoint step wherever three steps have not halved it: a row takes at
-most four times bisection's steps, and about a quarter of them on smooth
-rows.  Every other search bisects: an oracle's gaps are only infinite or
-zero, the plateau edges see only the residual's banded sign, the
-:data:`MU_FLOOR` scan only needs the verdict, and the scanlines keep the
-traced points of :mod:`~betweenu.triangle`.  Scalar calls are one-row
-batches, so scalar and batched results are bitwise identical and
-independent of batch composition, for oracles as for value models.
+runs in one loop, :func:`_bisect`, which states its two step rules and
+which searches take each.  Scalar calls are one-row batches, so scalar
+and batched results are bitwise identical and independent of batch
+composition, for oracles as for value models.
 """
 
 from __future__ import annotations
@@ -54,7 +38,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -88,13 +71,6 @@ _SCAN_LEVELS = 1000
 
 #: Rows of a context's ``_ends`` (and ``_end_keys``): the best extreme, then the worst.
 _BEST, _WORST = 0, 1
-
-
-class Branch(Enum):
-    """Which extreme anchored the mixing solve at a given level."""
-
-    USED_WORST = "used_worst"
-    USED_BEST = "used_best"
 
 
 def _local_values(ts, weights, used_worst):
@@ -267,19 +243,25 @@ def _bisect(
     :class:`IterationLimit`, which takes its level and lottery from the
     rows' ``levels`` (a bound or one per row) and ``rows`` where given.
 
-    Without ``ends`` each step probes the bracket's midpoint, so the search
-    steers on gap signs alone, which is all an oracle's gaps (infinite or
-    zero) hold.  ``ends`` gives each row's real gaps at ``lo`` (positive)
-    and ``hi`` (negative), as a value model's are; each step then probes
-    the Illinois false-position point, the secant root of the gaps at the
-    bracket's ends, halving the gap of an end kept two steps running.  Two
-    safeguards keep the contract above and bound the worst case: a probe
-    stays at least ``tol / 4`` inside the bracket (Dekker's step), so the
-    far end closes once the probes converge from one side; and a row whose
-    bracket has not halved within its last three steps probes the
-    midpoint, as does one whose probe is NaN.  A midpoint step thus follows
-    any three steps that leave a bracket above half its width, so a row
-    takes at most four times bisection's steps.
+    Gaps steer, not the model's ``eps_pref`` band: the solvers grant the
+    band only their endpoint and on-chord shortcuts.  Without ``ends``
+    each step probes the bracket's midpoint, so the search steers on gap
+    signs alone.  That is all an oracle's gaps (infinite or zero) hold,
+    the plateau edges see only the residual's banded sign, the
+    :data:`MU_FLOOR` scan only needs the verdict, and the triangle's
+    scanlines keep their traced points, so all of them bisect.  A value
+    model's level and mixing solves at full tolerance pass ``ends``, each
+    row's real gaps at ``lo`` (positive) and ``hi`` (negative); each step
+    then probes the Illinois false-position point, the secant root of the
+    gaps at the bracket's ends, halving the gap of an end kept two steps
+    running.  Two safeguards keep the contract above and bound the worst
+    case: a probe stays at least ``tol / 4`` inside the bracket (Dekker's
+    step), so the far end closes once the probes converge from one side;
+    and a row whose bracket has not halved within its last three steps
+    probes the midpoint, as does one whose probe is NaN.  A midpoint step
+    thus follows any three steps that leave a bracket above half its
+    width, so a row takes at most four times bisection's steps, and about
+    a quarter of them on smooth rows.
     """
     k = len(per_row[0])
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
@@ -322,7 +304,7 @@ def _bisect(
         level = None if levels is None else float(np.broadcast_to(levels, k)[j])
         row = None if rows is None else tuple(rows[j].tolist())
         message = f"{what} bisection missed tol {tol} within {max_iter} iterations"
-        raise IterationLimit(message, what, max_iter, level, row)
+        raise IterationLimit(message, what=what, iterations=max_iter, level=level, row=row)
     return lo, hi
 
 
@@ -380,10 +362,10 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     return out
 
 
-def solve_mixing(ctx: RepresentationContext, x: Lottery, t: float) -> tuple[float, Branch]:
-    """A one-row :func:`solve_mixing_many`, its branch as a :class:`Branch`."""
+def solve_mixing(ctx: RepresentationContext, x: Lottery, t: float) -> tuple[float, bool]:
+    """A one-row :func:`solve_mixing_many`."""
     weights, used_worst = solve_mixing_many(ctx, [x], [t])
-    return float(weights[0]), (Branch.USED_WORST if used_worst[0] else Branch.USED_BEST)
+    return float(weights[0]), bool(used_worst[0])
 
 
 def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -395,8 +377,7 @@ def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, n
     the chord point, best otherwise) and search the mixture weight
     (:func:`_bisect`) until ``w*x + (1-w)*anchor`` is indifferent to the
     chord point.  Returns ``(weights, used_worst)``, each ``w`` in (0, 1]
-    and ``used_worst`` True where the worst extreme is the anchor
-    (:attr:`Branch.USED_WORST`);
+    and ``used_worst`` True where the worst extreme is the anchor;
     ``w = 1`` exactly when ``x`` itself is indifferent to the chord point.
     The extremes themselves skip the search: mixing an extreme with the
     other extreme lands on the chord, so the weight is ``t`` (for the best
@@ -442,7 +423,8 @@ def _solve_mixing_rows(
     then, so only rows failing that probe bisect (all rows, if ``max_iter``
     is too short to get there).  ``across``, if given, holds the best
     (row 0) and worst (row 1) extremes' gaps over ``k_chord``, NaN until
-    compared, and is filled in place: calls sharing it compare each once.
+    a row needs them, and is filled in place: they depend only on the
+    level, so calls sharing it compare each once.
     """
     model = ctx.model
     to_chord = model.gaps(kx, k_chord)
@@ -565,30 +547,27 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     :func:`solve_utility_many` does.
 
     The search needs only the residual's sign, and at an interior level
-    that is the side of the chord point that ``x`` lies on: 0 on the
-    chord, where the mixing weight is 1 and ``u = t``; +1 above it, where
-    ``u = t / w > t``; -1 below it, where ``u = 1 - (1-t) / w < t``; the
-    weight ``w`` of a bisected mixture lies strictly inside (0, 1).  So
-    every level, on the scan and at the plateau edges alike, costs one
-    comparison in place of a full mixing solve (:func:`_residual_signs`).
+    that is the side of the chord point that ``x`` lies on (the ``signs``
+    of :func:`_solve_mixing_rows`).  So every level, on the scan and at
+    the plateau edges alike, costs one comparison in place of a full
+    mixing solve (:func:`_residual_signs`).
     The checks those solves made stay: a level whose opposite extreme does
     not sit strictly across the chord point raises :class:`NoCrossing`,
     and so does one whose weight collapses to :data:`MU_FLOOR` at the
     evaluation tolerance, two digits tighter than ``tol_t`` (at least
     1e-12), which decides when a weight counts as collapsed; a
     ``max_iter`` too small to clear the floor raises
-    :class:`IterationLimit`.  The extreme's side depends only on the
-    level, so a per-call table keeps both extremes' gaps over the scan's
-    chord points, filled where a lottery needs them, and one probe at the
-    deepest weight that clears the floor spares most rows its bisection.
+    :class:`IterationLimit`.  One table of the extremes' gaps serves the
+    whole call, and a probe at the floor spares most rows its bisection
+    (:func:`_solve_mixing_rows`).
 
     Value ties within ``eps_pref`` count as on-chord, which makes the
     residual exactly zero on a short plateau around the fixed point (a
     run of scan levels, where the band is coarse against the scan).  A
     single bisection would stop anywhere on that plateau, so the search
-    brackets both plateau edges and returns their midpoint; an edge still
-    wider than ``tol_t`` after ``max_iter`` steps raises
-    :class:`IterationLimit`.
+    brackets both plateau edges of every lottery, in one batched
+    bisection, and returns their midpoint; an edge still wider than
+    ``tol_t`` after ``max_iter`` steps raises :class:`IterationLimit`.
     """
     rows = lottery_rows(xs, ctx.model.n_outcomes)
     model, m = ctx.model, _SCAN_LEVELS - 2

@@ -2,7 +2,18 @@
 
 
 class BetweenuError(Exception):
-    """Base class for domain errors raised by this package."""
+    """Base class for domain errors raised by this package: the message,
+    then by keyword each name in ``fields``, None where not given, so
+    ``vars(exc)`` holds exactly ``fields`` and every error pickles."""
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, message: str, **where):
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, where.pop(name, None))
+        if where:
+            raise TypeError(f"{type(self).__name__} takes no context {', '.join(sorted(where))}")
 
 
 class DegeneratePreference(BetweenuError):
@@ -10,72 +21,46 @@ class DegeneratePreference(BetweenuError):
 
 
 class NonMonotoneChord(BetweenuError):
-    """Bracketing comparisons along the reference chord are inconsistent.
+    """Bracketing comparisons along the reference chord are inconsistent;
+    ``row`` holds the first lottery outside the extremes' preference range."""
 
-    ``row`` holds the probabilities of the first lottery outside the
-    extremes' preference range, or None.
-    """
-
-    def __init__(self, message: str, row: tuple[float, ...] | None = None):
-        super().__init__(message)
-        self.row = row
+    fields = ("row",)
 
 
 class IterationLimit(BetweenuError):
     """A root search failed to converge within its iteration budget.
 
     ``what`` names the solve and ``iterations`` its step budget;
-    ``level`` and ``row`` are the chord level and the lottery's
-    probabilities of its first row still running, where known, or None.
+    ``level`` and ``row`` are the chord level and the lottery of its
+    first row still running.
     """
 
-    def __init__(self, message: str, what: str, iterations: int, level=None, row=None):
-        super().__init__(message)
-        self.what, self.iterations, self.level, self.row = what, iterations, level, row
+    fields = ("what", "iterations", "level", "row")
 
 
 class NoCrossing(BetweenuError):
-    """A segment expected to straddle an indifference level does not.
+    """A segment expected to straddle an indifference level does not;
+    ``level`` and ``row`` locate the first failing mixing solve."""
 
-    ``level`` holds the chord level and ``row`` the lottery's
-    probabilities of the first failing mixing solve, or None.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        level: float | None = None,
-        row: tuple[float, ...] | None = None,
-    ):
-        super().__init__(message)
-        self.level = level
-        self.row = row
+    fields = ("level", "row")
 
 
 class MultipleFixedPoints(BetweenuError):
-    """The scanned utility profile crosses the diagonal more than once.
+    """The scanned utility profile crosses the diagonal more than once;
+    ``row`` holds the offending lottery."""
 
-    ``row`` holds the offending lottery's probabilities, or None.
-    """
-
-    def __init__(self, message: str, row: tuple[float, ...] | None = None):
-        super().__init__(message)
-        self.row = row
+    fields = ("row",)
 
 
 class Infeasible(BetweenuError):
     """The separation program has no solution on the sampled data.
 
-    ``level`` is the chord level of the program, or None.  ``certificate``
-    is the :class:`~betweenu.separation.FarkasCertificate` that proves the
-    program infeasible, which every infeasible program raised by
-    :mod:`betweenu.separation` carries, or None.
+    ``level`` is the program's chord level and ``certificate`` the
+    :class:`~betweenu.separation.FarkasCertificate` proving it
+    infeasible; each one raised by :mod:`betweenu.separation` has both.
     """
 
-    def __init__(self, message: str, level: float | None = None, certificate=None):
-        super().__init__(message)
-        self.level = level
-        self.certificate = certificate
+    fields = ("level", "certificate")
 
 
 class MembershipViolation(BetweenuError):

@@ -12,12 +12,9 @@ brackets:
 * :func:`quadratic_oracle`  betweenness, with bowed indifference sets
   (Betweenness, MixingNeutrality)
 
-The last two are keyed by value through a numpy form of it, which gives
-each row of a batch the value it gives that row alone; a lottery's scalar
-value, and so each ``compare_fn`` verdict, is its one-row case.
-:func:`oracle_from_value` keys a scalar value function the same way, one
-call per distinct lottery of a batch.  No per-lottery key can hold the
-cyclic fixture's planted pair, so it is asked about each pair through its
+The last two, and :func:`oracle_from_value`, are keyed by value
+(:class:`_ValueOracle`).  No per-lottery key can hold the cyclic
+fixture's planted pair, so it is asked about each pair through its
 ``compare_fn``.
 """
 
@@ -34,9 +31,10 @@ _ORACLE_GAPS = np.asarray([0.0, np.inf, -np.inf])
 
 class _ValueOracle(BlackBoxOracle):
     """A comparison oracle keyed by value: ``values`` maps a ``(k, n)``
-    array of lottery rows to their float64 values, and ``compare_fn``
-    compares two lotteries' scalar ``value`` under the band ``eps_pref``,
-    by default the one-row case of ``values``."""
+    array of lottery rows to their float64 values, giving each row of a
+    batch the value it gives that row alone, and ``compare_fn`` compares
+    two lotteries' scalar ``value`` under the band ``eps_pref``, by
+    default the one-row case of ``values``."""
 
     def __init__(self, values, n_outcomes: int, eps_pref: float, value=None):
         if value is None:
@@ -44,14 +42,8 @@ class _ValueOracle(BlackBoxOracle):
             def value(x: Lottery) -> float:
                 return float(values(np.asarray([x.probs], dtype=float))[0])
 
-        band = float(eps_pref)
-
         def compare_fn(x: Lottery, y: Lottery) -> Ordering:
-            d = value(x) - value(y)
-            # classify's band in scalar Python, cheaper than a numpy call here.
-            if abs(d) <= band:
-                return Ordering.INDIFFERENT
-            return Ordering.STRICTLY_PREFERS if d > 0.0 else Ordering.STRICTLY_DISPREFERRED
+            return Ordering.of_sign(classify(value(x) - value(y), eps_pref))
 
         super().__init__(compare_fn, n_outcomes, eps_pref)
         self._values = values

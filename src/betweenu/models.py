@@ -17,9 +17,6 @@ Built-in families, with ``x`` a lottery and ``u`` outcome utilities:
   ``t = sum_i x_i phi(i, t)`` for a kernel ``phi`` tabulated on a level
   grid and a contraction in ``t``.
 
-The last two residuals are piecewise linear in the value, so both values
-are solved exactly, one linear root on the right cell, with no iteration.
-
 Outcome utilities must lie in [0, 1] and attain both ends, so the value
 scale of the first three families lines up with the unit normalization
 used by the representation engine and none of them is constant; a
@@ -90,8 +87,8 @@ class PreferenceModel:
     negative when it is strictly dispreferred, and zero on a tie.
     :class:`ValueModel` keys are values and its gaps are raw value
     differences; :class:`BlackBoxOracle` gaps are infinite or zero, and its
-    keys are lotteries, or float64 values for the quadratic and jump
-    fixtures and an oracle built by :func:`~betweenu.fixtures.oracle_from_value`.
+    keys are lotteries, or values for an oracle keyed by value
+    (:class:`~betweenu.fixtures._ValueOracle`).
 
     Validation happens once, where data enters: :meth:`compare` and the
     public value methods check what they are given, and the solvers check

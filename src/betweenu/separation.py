@@ -4,19 +4,12 @@ The construction identifies the local utility at a level ``t`` with an
 affine functional separating the lotteries weakly preferred to the chord
 point from those weakly dispreferred, normalized to 1 at the best
 extreme and 0 at the worst.  This module finds such a functional on
-sampled contour data by linear programming, checks the separation
-property sample-by-sample, and confirms that the value assigned to a
+sampled contour data by linear programming (:func:`separate`, every
+program solved or proved infeasible as :func:`_separators` states),
+checks the separation property sample-by-sample
+(:func:`verify_separation`), and confirms that the value assigned to a
 lottery does not depend on which polytope the separation is carried out
 in, matching the engine's mixing-based value.
-
-One solver, :func:`~betweenu.simplex.linprog`, answers every separation
-program, on any number of outcomes: with the exact least-L1-norm
-functional, or with a Farkas ray from which an infeasible program's
-:class:`~betweenu.errors.Infeasible` gets its :class:`FarkasCertificate`,
-checked in numpy.  :func:`_separators` hands it all the programs of one
-level at once.  :func:`separate` fits the functional of one sample list and
-audits it on the same samples; :func:`verify_separation` audits a given
-functional.
 
 Everything is sampled: contour sets are infinite, so feasibility and
 separation are certified only on the lotteries actually provided, and
@@ -177,12 +170,10 @@ def separate(
     Samples strictly preferred to the chord point must reach value >= t,
     strictly dispreferred ones <= t, indifferent ones t within
     ``SEPARATION_BAND``; the functional is 1 at the best extreme and 0 at
-    the worst.  Among feasible functionals the one with the smallest
-    coefficient L1 norm is returned, ties going to the lexicographically
-    least coefficients, which fixes the gauge left free by a
-    lower-dimensional polytope and makes the output unique.  It is the
-    exact optimum on any number of outcomes: it meets every row to the
-    rounding of evaluating it (see :func:`~betweenu.simplex.linprog`).
+    the worst.  The functional returned is the unique one of
+    :func:`~betweenu.simplex.linprog`, on any number of outcomes: least
+    in coefficient L1 norm, then lexicographically, which fixes the gauge
+    left free by a lower-dimensional polytope.
     Existence can only fail if the sampled data admits no separating
     functional, which means the model violates betweenness or continuity
     on the samples; that raises :class:`Infeasible` with a
@@ -238,10 +229,11 @@ def _separators(
 
     One :func:`~betweenu.simplex.linprog` call solves every program.  The
     first program in order that has none raises :class:`Infeasible` with
-    its :class:`FarkasCertificate`, once the certificate's gap exceeds
-    ``_FEASIBILITY_TOL``.  A program whose rows no functional meets, but
-    one misses by no more (a near miss), gets the optimum of its rows
-    relaxed by ``_FEASIBILITY_TOL`` instead.
+    the :class:`FarkasCertificate` (:func:`_certificate`) of its Farkas
+    ray, once the certificate's gap exceeds ``_FEASIBILITY_TOL``.  A
+    program whose rows no functional meets, but one misses by no more (a
+    near miss), gets the optimum of its rows relaxed by
+    ``_FEASIBILITY_TOL`` instead.
     """
     ubs = _inequalities(ctx, t, blocks, classified or _classified(ctx, t, blocks))
     out = []

@@ -200,7 +200,7 @@ def linprog(rows, rhs, eq_rows: np.ndarray, eq_rhs: np.ndarray) -> list:
         if len(go):
             c[go] = _solve(normal[go[:, None], basis[go]], h[go[:, None], basis[go]])
     else:
-        raise IterationLimit("the simplex did not terminate", "simplex", limit)
+        raise IterationLimit("the simplex did not terminate", what="simplex", iterations=limit)
     return [(None, rays[j]) if j in rays else (c[j], None) for j in range(k)]
 
 
@@ -306,7 +306,11 @@ def lottery_rows(rows, n: int) -> np.ndarray:
         raise ValueError(f"expected (k, {n}) lottery rows, got shape {rows.shape}")
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(rows).all(axis=1) | (rows < 0.0).any(axis=1)
-        bad |= ~(np.abs(rows.sum(axis=1) - 1.0) <= SUM_TOL)
+        miss = np.abs(rows.sum(axis=1) - 1.0)
+        # A sum within numpy's rounding of the edge is decided by fsum, as Lottery decides it.
+        for i in np.flatnonzero(np.abs(miss - SUM_TOL) <= n * np.finfo(float).eps):
+            miss[i] = abs(math.fsum(rows[i].tolist()) - 1.0)
+        bad |= ~(miss <= SUM_TOL)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ValueError(

@@ -18,7 +18,6 @@ from conftest import DA_U, EU_U, WU_U, WU_W, family_models
 import numpy as np
 
 from betweenu import (
-    Branch,
     DisappointmentAversion,
     ExpectedUtility,
     Ordering,
@@ -264,13 +263,13 @@ def test_07_chord_and_extreme_identities():
         ctx = context_for(model)
         for t in ts:
             worst_chord = max(worst_chord, abs(solve_utility(ctx, chord_point(ctx, t)) - t))
-            w_best, branch_best = solve_mixing(ctx, ctx.best, t)
-            w_worst, branch_worst = solve_mixing(ctx, ctx.worst, t)
+            w_best, best_used_worst = solve_mixing(ctx, ctx.best, t)
+            w_worst, worst_used_worst = solve_mixing(ctx, ctx.worst, t)
             worst_mu = max(worst_mu, abs(w_best - t), abs(w_worst - (1.0 - t)))
             locals_exact = (
                 locals_exact
-                and branch_best is Branch.USED_WORST
-                and branch_worst is Branch.USED_BEST
+                and best_used_worst is True
+                and worst_used_worst is False
                 and implicit_utility(ctx, ctx.best, t) == 1.0
                 and implicit_utility(ctx, ctx.worst, t) == 0.0
             )

@@ -407,9 +407,9 @@ class TestNumericFailure:
     @pytest.mark.parametrize(
         "exc, fields",
         [
-            (IterationLimit("m", "mixing", 200, 0.5, (0.5, 0.5)),
+            (IterationLimit("m", what="mixing", iterations=200, level=0.5, row=(0.5, 0.5)),
              {"what": "mixing", "iterations": 200, "level": 0.5, "row": [0.5, 0.5]}),
-            (IterationLimit("m", "level", 200),
+            (IterationLimit("m", what="level", iterations=200),
              {"what": "level", "iterations": 200, "level": None, "row": None}),
             (NoCrossing("m", level=0.25), {"level": 0.25, "row": None}),
         ],

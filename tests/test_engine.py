@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from betweenu import (
     BetweenuError,
-    Branch,
     DegeneratePreference,
     DisappointmentAversion,
     ExpectedUtility,
@@ -354,32 +353,32 @@ class TestSolveMixing:
     def test_expected_utility_closed_form(self, eu_model):
         ctx = context_for(eu_model)
         x = lottery((0.1, 0.5, 0.4))  # value 0.6
-        w, branch = solve_mixing(ctx, x, 0.3)
-        assert branch is Branch.USED_WORST
+        w, used_worst = solve_mixing(ctx, x, 0.3)
+        assert used_worst is True
         assert w == pytest.approx(0.3 / 0.6, abs=BISECT_TOL)
-        w, branch = solve_mixing(ctx, x, 0.9)
-        assert branch is Branch.USED_BEST
+        w, used_worst = solve_mixing(ctx, x, 0.9)
+        assert used_worst is False
         assert w == pytest.approx((1.0 - 0.9) / (1.0 - 0.6), abs=BISECT_TOL)
 
     def test_weighted_utility_closed_form(self, wu_model):
         ctx = context_for(wu_model)
         x = lottery((0.0, 1.0, 0.0))
         for t in (0.1, 0.3):
-            w, branch = solve_mixing(ctx, x, t)
-            assert branch is Branch.USED_WORST
+            w, used_worst = solve_mixing(ctx, x, t)
+            assert used_worst is True
             assert w == pytest.approx(wu_mixing_oracle(wu_model, x, t), abs=BISECT_TOL)
 
     def test_on_chord_weight_is_one(self, eu_model):
         ctx = context_for(eu_model)
         x = lottery((0.5, 0.0, 0.5))  # exactly the chord point at 0.5
-        w, branch = solve_mixing(ctx, x, 0.5)
-        assert (w, branch) == (1.0, Branch.USED_WORST)
+        w, used_worst = solve_mixing(ctx, x, 0.5)
+        assert (w, used_worst) == (1.0, True)
 
     def test_extremes_closed_form(self, family_model):
         ctx = context_for(family_model)
         for t in (0.05, 0.3, 0.8):
-            assert solve_mixing(ctx, ctx.best, t) == (t, Branch.USED_WORST)
-            assert solve_mixing(ctx, ctx.worst, t) == (1.0 - t, Branch.USED_BEST)
+            assert solve_mixing(ctx, ctx.best, t) == (t, True)
+            assert solve_mixing(ctx, ctx.worst, t) == (1.0 - t, False)
 
     def test_level_must_be_interior(self, eu_model):
         ctx = context_for(eu_model)
@@ -451,8 +450,7 @@ class TestSolveMixing:
         ts = np.linspace(0.05, 0.95, len(points))
         weights, used_worst = solve_mixing_many(ctx, points, ts)
         for x, t, w, worst in zip(points, ts, weights, used_worst):
-            branch = Branch.USED_WORST if worst else Branch.USED_BEST
-            assert solve_mixing(ctx, x, float(t)) == (w, branch)
+            assert solve_mixing(ctx, x, float(t)) == (w, bool(worst))
 
 
 class TestLocalValueAlgebra:
@@ -465,8 +463,8 @@ class TestLocalValueAlgebra:
     def test_sample_assembly(self, wu_model):
         ctx = context_for(wu_model)
         x = lottery((0.2, 0.5, 0.3))
-        w, branch = solve_mixing(ctx, x, 0.4)
-        local = engine._local_values(0.4, w, branch is Branch.USED_WORST)
+        w, used_worst = solve_mixing(ctx, x, 0.4)
+        local = engine._local_values(0.4, w, used_worst)
         assert implicit_utility(ctx, x, 0.4) == local
 
 
@@ -1219,8 +1217,7 @@ class TestFalsePosition:
             assert (weights[tie] == 1.0).all()
             assert np.abs(weights - closed)[~tie].max(initial=0.0) <= ctx.tol_t
             for i, x in enumerate(map(lottery, rows)):
-                branch = Branch.USED_WORST if used_worst[i] else Branch.USED_BEST
-                assert solve_mixing(ctx, x, t) == (weights[i], branch)
+                assert solve_mixing(ctx, x, t) == (weights[i], bool(used_worst[i]))
         for x, u_x in zip(map(lottery, rows), solved):
             assert solve_utility(ctx, x) == u_x
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from betweenu import Lottery, Polytope, degenerate, grid, lottery, mix
+from betweenu import ExpectedUtility, Lottery, Polytope, context_for, degenerate, grid, lottery
+from betweenu import mix, solve_utility
 from betweenu import simplex
-from betweenu.simplex import mix_rows
+from betweenu.simplex import SUM_TOL, lottery_rows, mix_rows
 
 
 def simplex_points(n_outcomes: int):
@@ -98,6 +99,41 @@ class TestMix:
         weights = np.asarray([lam, 1.0 - lam])
         rows = mix_rows(weights, x.as_array(), y.as_array())
         assert [tuple(r) for r in rows.tolist()] == [mix(w, x, y).probs for w in weights]
+
+
+def accepts(build, row) -> bool:
+    try:
+        build(row)
+    except ValueError:
+        return False
+    return True
+
+
+class TestLotteryRows:
+    def test_accepts_a_lottery_summing_to_the_edge(self):
+        # numpy's pairwise sum misses 1 by just over SUM_TOL; fsum does not.
+        x = Lottery((0.6652300066862088, 0.02125413107856177, 0.3135158622362294))
+        model = ExpectedUtility([0.0, 0.4, 1.0])
+        assert lottery_rows([x.probs], 3).tolist() == [list(x.probs)]
+        assert model.values([x.probs])[0] == model.value(x)
+        assert solve_utility(context_for(model), x) == pytest.approx(model.value(x), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(0.01, 100.0), min_size=1, max_size=8),
+        st.sampled_from([-SUM_TOL, SUM_TOL]),
+        st.integers(-2, 2),
+    )
+    def test_agrees_with_lottery_at_the_sum_edge(self, weights, edge, steps):
+        # A row whose exact sum lies a few floats from 1 +- SUM_TOL, where
+        # numpy's sum and fsum can round to either side.
+        head = [w / math.fsum(weights) for w in weights]
+        total = 1.0 + edge
+        for _ in range(abs(steps)):
+            total = math.nextafter(total, math.copysign(math.inf, steps))
+        row = (*head, total - math.fsum(head))
+        assume(row[-1] >= 0.0)
+        assert accepts(Lottery, row) == accepts(lambda r: lottery_rows([r], len(r)), row)
 
 
 class TestGrid:
@@ -234,7 +270,7 @@ class TestLinprog:
         assert c is None and y.tolist() == [0.5, 0.5, 0.0] and len(z) == 0
         assert np.abs(rows.T @ y).max() == 0.0 and rhs @ y < 0.0
 
-    @pytest.mark.parametrize("equalities", [0, 1])
+    @pytest.mark.parametrize("equalities", [0, 1, 2])
     def test_matches_highs_on_small_programs(self, equalities):
         import scipy.optimize
 
@@ -246,7 +282,9 @@ class TestLinprog:
             n, m = rng.integers(2, 5), rng.integers(1, 6)
             rows, rhs = rng.integers(-3, 4, (m, n)) * 1.0, rng.integers(-3, 4, m) * 1.0
             eq_rows, eq_rhs = rng.integers(-2, 3, (equalities, n)) * 1.0, np.ones(equalities)
-            if equalities and not eq_rows.any():
+            # Separation programs' normalization rows, at two distinct
+            # lotteries, are never rank-deficient.
+            if np.linalg.matrix_rank(eq_rows) < equalities:
                 continue
             ((c, ray),) = simplex.linprog([rows], [rhs], eq_rows, eq_rhs)
             split = {"A_eq": np.hstack([eq_rows, -eq_rows]), "b_eq": eq_rhs} if equalities else {}
