@@ -54,9 +54,9 @@ import numpy as np
 from .axioms import Witness, run_all_checks
 from .engine import (
     _interior_levels,
+    _one_sided_limits_many,
     context_for,
     implicit_utility_many,
-    one_sided_limits,
     solve_utility_many,
     utility_fixed_point_many,
 )
@@ -250,7 +250,8 @@ def cmd_repr(model, args) -> int:
         "eps_pref": model.eps_pref,
         "max_fixed_point_gap": float(gaps.max()),
         "one_sided_limits": {
-            f"vertex_{i}": one_sided_limits(ctx, degenerate(i, n)) for i in range(n)
+            f"vertex_{i}": limits
+            for i, limits in enumerate(_one_sided_limits_many(ctx, np.eye(n)))
         },
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)

@@ -69,6 +69,11 @@ _LIMIT_DELTA = 1e-4
 #: scans per lottery.
 _SCAN_LEVELS = 1000
 
+#: Rows, one per lottery and interior scan level, that
+#: :func:`utility_fixed_point_many` scans per batch of whole lotteries
+#: (at least one).
+_SCAN_ROWS = 4000
+
 #: Rows of a context's ``_ends`` (and ``_end_keys``): the best extreme, then the worst.
 _BEST, _WORST = 0, 1
 
@@ -225,9 +230,8 @@ def _bisect(
     max_iter: int,
     what: str,
     floor: float = math.inf,
-    levels=None,
-    rows=None,
     ends=None,
+    where=None,
 ):
     """One root search per row from the bracket ``[lo, hi]`` (a bound or one
     per row) until it is at most ``tol`` wide; returns the final brackets.
@@ -239,9 +243,12 @@ def _bisect(
     A row also finishes once its lower end exceeds ``floor``: lower ends
     only rise, so every later bracket would stay above it.  Finished rows
     leave every array, so each step evaluates only the rows still
-    running; a row still running after ``max_iter`` steps raises
-    :class:`IterationLimit`, which takes its level and lottery from the
-    rows' ``levels`` (a bound or one per row) and ``rows`` where given.
+    running.  The filtered arrays replace the old ones one at a time, so
+    a caller that keeps no reference to the arrays it passes never holds
+    a second copy of them.  A row still running after ``max_iter`` steps
+    raises :class:`IterationLimit`, located by the keywords (``level``,
+    ``row``) that ``where``, if given, returns for the first such row's
+    index.
 
     Gaps steer, not the model's ``eps_pref`` band: the solvers grant the
     band only their endpoint and on-chord shortcuts.  Without ``ends``
@@ -264,6 +271,7 @@ def _bisect(
     a quarter of them on smooth rows.
     """
     k = len(per_row[0])
+    per_row = list(per_row)
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
     # ``sel`` indexes the running rows and ``[a, b]`` holds their brackets.
     sel, a, b = np.arange(k), lo, hi
@@ -296,15 +304,15 @@ def _bisect(
             lo[finished], hi[finished] = a[done], b[done]
             keep = ~done
             sel, a, b = sel[keep], a[keep], b[keep]
-            per_row = tuple(p[keep] for p in per_row)
-            if ends is not None:
-                fp = [x[keep] for x in fp]
+            # Array by array, so each one's old copy goes before the next
+            # is filtered.
+            for arrays in (per_row, fp) if ends is not None else (per_row,):
+                for i, x in enumerate(arrays):
+                    arrays[i] = x[keep]
     if sel.size:
-        j = sel[0]
-        level = None if levels is None else float(np.broadcast_to(levels, k)[j])
-        row = None if rows is None else tuple(rows[j].tolist())
         message = f"{what} bisection missed tol {tol} within {max_iter} iterations"
-        raise IterationLimit(message, what=what, iterations=max_iter, level=level, row=row)
+        located = {} if where is None else where(sel[0])
+        raise IterationLimit(message, what=what, iterations=max_iter, **located)
     return lo, hi
 
 
@@ -355,8 +363,8 @@ def solve_utility_many(ctx: RepresentationContext, xs) -> np.ndarray:
     # The chord point is the worst extreme at level 0 and the best at 1.
     ends = gaps[::-1, inner] if isinstance(model, ValueModel) else None
     lo, hi = _bisect(
-        gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level", rows=rows[inner],
-        ends=ends,
+        gap_at, (kx[inner],), 0.0, 1.0, ctx.tol_t, ctx.max_iter, "level", ends=ends,
+        where=lambda j: {"row": tuple(rows[inner[j]].tolist())},
     )
     out[inner] = 0.5 * (lo + hi)
     return out
@@ -385,10 +393,8 @@ def solve_mixing_many(ctx: RepresentationContext, xs, ts) -> tuple[np.ndarray, n
     """
     rows = lottery_rows(xs, ctx.model.n_outcomes)
     ts = _interior_levels(_as_levels(rows, ts))
-    weights, used_worst, _ = _solve_mixing_rows(
-        ctx, rows, ts, ctx.model.keys(rows), _chord_keys(ctx, ts)
-    )
-    return weights, used_worst
+    weights, signs = _solve_mixing_rows(ctx, rows, ts, ctx.model.keys(rows), _chord_keys(ctx, ts))
+    return weights, signs >= 0.0
 
 
 def _chord_keys(ctx: RepresentationContext, ts) -> np.ndarray:
@@ -402,29 +408,38 @@ def _solve_mixing_rows(
     ts: np.ndarray,
     kx: np.ndarray,
     k_chord: np.ndarray,
-    floor: float = math.inf,
-    across: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k_floor: np.ndarray | None = None,
+    across: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Mixing solves of paired rows and interior levels, given the rows'
     keys ``kx`` and the keys ``k_chord`` of their chord points.
 
-    Returns ``(weights, used_worst, signs)``.  ``signs`` holds the sign
-    of the residual ``u(x, t) - t``, read off the comparison of ``x``
-    with its chord point alone: 0 on the chord, where ``w = 1`` and
-    ``u = t``; +1 above it, where ``u = t / w > t``; -1 below it, where
-    ``u = 1 - (1-t) / w < t``.  A bisected weight is a bracket midpoint,
-    so it lies strictly inside (0, 1).  The best extreme counts as above
-    the chord and the worst as below, as their closed forms give.
+    Returns ``(weights, signs)``.  ``signs`` holds the sign of the
+    residual ``u(x, t) - t``, read off the comparison of ``x`` with its
+    chord point alone: 0 on the chord, where ``w = 1`` and ``u = t``; +1
+    above it, where ``u = t / w > t``; -1 below it, where
+    ``u = 1 - (1-t) / w < t``.  The worst extreme is the anchor exactly
+    where ``signs >= 0``.  A bisected weight is a bracket midpoint, so it
+    lies strictly inside (0, 1).  The best extreme counts as above the
+    chord and the worst as below, as their closed forms give.
 
-    ``floor = MU_FLOOR`` settles only the :data:`MU_FLOOR` verdict: the
-    weights are then only bounds, while ``signs`` and the verdict stay
-    exact.  A row whose gap is >= 0 at ``0.5 ** _FLOOR_STEPS``, a weight
-    its bisection passes while its gaps are negative, clears the floor by
-    then, so only rows failing that probe bisect (all rows, if ``max_iter``
-    is too short to get there).  ``across``, if given, holds the best
-    (row 0) and worst (row 1) extremes' gaps over ``k_chord``, NaN until
-    a row needs them, and is filled in place: they depend only on the
-    level, so calls sharing it compare each once.
+    Given ``k_floor``, the call settles only the :data:`MU_FLOOR` verdict
+    and returns ``None`` for the weights, while ``signs`` and the verdict
+    stay exact.  ``k_floor`` holds each row's keys of its floor probes
+    ``0.5 ** _FLOOR_STEPS * x + (1 - 0.5 ** _FLOOR_STEPS) * anchor``
+    toward the best (column 0) and the worst extreme (column 1), from
+    :func:`_floor_keys`: the probe depends on the lottery and the anchor
+    alone, so a caller solving one lottery at many levels keys it once.
+    A row whose gap is >= 0 at the probe weight, which its bisection
+    passes while its gaps are negative, clears the floor by then, so only
+    rows failing the probe bisect (all rows, if ``max_iter`` is too short
+    to get there), and a call whose rows all clear it returns at once.
+
+    ``across``, if given, is ``(table, col)``: ``table`` holds the best
+    (row 0) and worst (row 1) extremes' gaps over chord points, NaN until
+    a row needs them, and ``col[i]`` is the column of row ``i``'s chord
+    point.  The gaps depend only on the level, so calls and rows sharing
+    the table compare each pair of an extreme and a level once.
     """
     model = ctx.model
     to_chord = model.gaps(kx, k_chord)
@@ -433,9 +448,7 @@ def _solve_mixing_rows(
     # extreme is the chord point at the mixing weight itself.
     is_best = (rows == ctx._ends[_BEST]).all(axis=1)
     is_worst = (rows == ctx._ends[_WORST]).all(axis=1)
-    weights = np.where(is_best, ts, np.where(is_worst, 1.0 - ts, 1.0))
     signs = np.where(is_best, 1.0, np.where(is_worst, -1.0, side))
-    used_worst = signs >= 0.0
     inner = np.flatnonzero(~((side == 0) | is_best | is_worst))
     up = side[inner] > 0
     anchor = np.where(up, _WORST, _BEST)
@@ -443,12 +456,19 @@ def _solve_mixing_rows(
     # chord point, where the crossing lies at a larger weight.
     steer = np.where(up, -1.0, 1.0)
     k_target = k_chord[inner]
-    if across is None:
-        across = np.full((2, len(rows)), np.nan)
-    fresh = np.isnan(across[anchor, inner])
-    across[anchor[fresh], inner[fresh]] = model.gaps(ctx._end_keys[anchor[fresh]], k_target[fresh])
     # The steered gaps at weight 0, the anchor itself.
-    start = steer * across[anchor, inner]
+    if across is None:
+        start = steer * model.gaps(ctx._end_keys[anchor], k_target)
+    else:
+        table, col = across
+        cell = (anchor, col[inner])
+        # One row per (extreme, level) pair still missing; rows sharing a
+        # level share its chord key, so any of them will do.
+        need = np.full(table.shape, -1)
+        need[cell] = np.arange(len(inner))
+        fresh = np.nonzero((need >= 0) & np.isnan(table))
+        table[fresh] = model.gaps(ctx._end_keys[fresh[0]], k_target[need[fresh]])
+        start = steer * table[cell]
     blocked = np.flatnonzero(start <= 0.0)
     if blocked.size:
         j = inner[blocked[0]]
@@ -459,26 +479,30 @@ def _solve_mixing_rows(
             row=tuple(rows[j].tolist()),
         )
 
-    def gap_at(lam, x_rows, anchor, steer, k_target):
-        mixed = mix_rows(lam, x_rows, ctx._ends[anchor])
-        return steer * model.gaps(model.keys(mixed), k_target)
+    def gap_at(lam, x_rows, anchor_rows, steer, k_target):
+        return steer * model.gaps(model.keys(mix_rows(lam, x_rows, anchor_rows)), k_target)
 
-    per_row = (rows[inner], anchor, steer, k_target)
-    # A value model's full solve starts its false-position steps from the
-    # steered gaps at weight 0 and at weight 1, x itself.
-    ends = None
-    if floor == math.inf and isinstance(model, ValueModel):
+    floor, ends = math.inf, None
+    if k_floor is not None:
+        floor = MU_FLOOR
+        if ctx.max_iter >= _FLOOR_STEPS:
+            failed = np.flatnonzero(steer * model.gaps(k_floor[inner, anchor], k_target) < 0.0)
+            if not failed.size:
+                return None, signs
+            inner, anchor, steer = inner[failed], anchor[failed], steer[failed]
+            k_target = k_target[failed]
+    elif isinstance(model, ValueModel):
+        # A value model's full solve starts its false-position steps from
+        # the steered gaps at weight 0 and at weight 1, x itself.
         ends = (start, steer * to_chord[inner])
-    if floor == MU_FLOOR and ctx.max_iter >= _FLOOR_STEPS:
-        cleared = gap_at(0.5**_FLOOR_STEPS, *per_row) >= 0.0
-        weights[inner[cleared]] = 0.5**_FLOOR_STEPS
-        inner, per_row = inner[~cleared], tuple(p[~cleared] for p in per_row)
+    # The lottery and anchor rows live only in the bisection's own arrays.
     lo, hi = _bisect(
-        gap_at, per_row, 0.0, 1.0, ctx.tol_t, ctx.max_iter, "mixing", floor, ts[inner], per_row[0],
-        ends,
+        gap_at, (rows[inner], ctx._ends[anchor], steer, k_target), 0.0, 1.0, ctx.tol_t,
+        ctx.max_iter, "mixing", floor, ends,
+        lambda j: {"level": float(ts[inner[j]]), "row": tuple(rows[inner[j]].tolist())},
     )
-    weights[inner] = 0.5 * (lo + hi)
-    collapsed = inner[weights[inner] <= MU_FLOOR]
+    solved = 0.5 * (lo + hi)
+    collapsed = inner[solved <= MU_FLOOR]
     if collapsed.size:
         j = collapsed[0]
         raise NoCrossing(
@@ -486,7 +510,19 @@ def _solve_mixing_rows(
             level=float(ts[j]),
             row=tuple(rows[j].tolist()),
         )
-    return weights, used_worst, signs
+    if k_floor is not None:
+        return None, signs
+    weights = np.where(is_best, ts, np.where(is_worst, 1.0 - ts, 1.0))
+    weights[inner] = solved
+    return weights, signs
+
+
+def _floor_keys(ctx: RepresentationContext, rows: np.ndarray) -> np.ndarray:
+    """Keys of each row's :data:`MU_FLOOR` probes, its mixtures at weight
+    ``0.5 ** _FLOOR_STEPS`` with the best (column 0) and the worst extreme
+    (column 1), in one batch: see :func:`_solve_mixing_rows`."""
+    probes = mix_rows(0.5**_FLOOR_STEPS, rows[:, None, :], ctx._ends[None, :, :])
+    return ctx.model.keys(probes.reshape(-1, ctx.model.n_outcomes)).reshape(len(rows), 2)
 
 
 def implicit_utility(ctx: RepresentationContext, x: Lottery, t: float) -> float:
@@ -516,10 +552,10 @@ def implicit_utility_many(ctx: RepresentationContext, xs, ts) -> np.ndarray:
     inner = ~(at0 | at1)
     if inner.any():
         t_in = ts[inner]
-        weights, used_worst, _ = _solve_mixing_rows(
+        weights, signs = _solve_mixing_rows(
             ctx, rows[inner], t_in, kx[inner], _chord_keys(ctx, t_in)
         )
-        out[inner] = _local_values(t_in, weights, used_worst)
+        out[inner] = _local_values(t_in, weights, signs >= 0.0)
     return out
 
 
@@ -557,9 +593,18 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     evaluation tolerance, two digits tighter than ``tol_t`` (at least
     1e-12), which decides when a weight counts as collapsed; a
     ``max_iter`` too small to clear the floor raises
-    :class:`IterationLimit`.  One table of the extremes' gaps serves the
-    whole call, and a probe at the floor spares most rows its bisection
-    (:func:`_solve_mixing_rows`).
+    :class:`IterationLimit`.  Each lottery's two floor probes, its
+    mixtures toward the best and the worst extreme, are keyed once per
+    call and serve every level, on the scan and at the plateau edges; a
+    level whose row clears its probe needs no bisection.  One table of the
+    extremes' gaps over the scan levels serves the whole call, each pair
+    of an extreme and a level compared once (:func:`_solve_mixing_rows`).
+
+    The scan takes whole lotteries in batches of about :data:`_SCAN_ROWS`
+    rows, one per lottery and level, which bounds its working set.  A
+    batch that raises is scanned again one lottery at a time, so the
+    error, whichever of the checks above raised it, names the first
+    failing lottery in input order.
 
     Value ties within ``eps_pref`` count as on-chord, which makes the
     residual exactly zero on a short plateau around the fixed point (a
@@ -573,65 +618,86 @@ def utility_fixed_point_many(ctx: RepresentationContext, xs) -> np.ndarray:
     model, m = ctx.model, _SCAN_LEVELS - 2
     eval_ctx = replace(ctx, tol_t=min(ctx.tol_t, max(0.01 * ctx.tol_t, 1e-12)))
     ts = np.linspace(0.0, 1.0, _SCAN_LEVELS)
-    k_chord = _chord_keys(eval_ctx, ts[1:-1])
     kx = model.keys(rows)
     _, sides = _in_range(ctx, rows, kx)
+    k_floor = _floor_keys(eval_ctx, rows)
     # The endpoint signs follow the indicators of implicit_utility.
     first = np.where(sides[_WORST] == 0, 0.0, 1.0)
     last = np.where(sides[_BEST] == 0, 0.0, -1.0)
-    # The extremes' gaps over the chord points, shared by every lottery.
-    across = np.full((2, m), np.nan)
-    out = np.empty(len(rows))
-    # Lotteries whose fixed point lies strictly inside a scan cell, with
-    # the cell's ends.
-    inside, cell_lo, cell_hi = [], [], []
-    # One scan per lottery keeps the working set at one row per scan level.
-    for i, row in enumerate(rows):
-        scan_rows, k_scan = np.repeat(row[None, :], m, axis=0), np.repeat(kx[i : i + 1], m)
-        inner = _residual_signs(eval_ctx, scan_rows, ts[1:-1], k_scan, k_chord, across)
-        sign = np.concatenate((first[i : i + 1], inner, last[i : i + 1]))
-        if (np.diff(sign) > 0.0).any():
-            probs = tuple(row.tolist())
+    # A full batch's levels, chord keys and columns of the extremes' gap
+    # table, lottery by lottery; a shorter batch takes their head.
+    per_batch = max(1, _SCAN_ROWS // m)
+    levels = np.tile(ts[1:-1], per_batch)
+    k_chord = np.tile(_chord_keys(eval_ctx, ts[1:-1]), per_batch)
+    cols = np.tile(np.arange(m), per_batch)
+    table = np.full((2, m), np.nan)
+
+    def scan(lots):
+        """The residual signs of lotteries ``lots`` at every scan level,
+        one row per lottery; raises :class:`MultipleFixedPoints` naming the
+        first whose signs rise."""
+        r = len(lots) * m
+        inner = _residual_signs(
+            eval_ctx, np.repeat(rows[lots], m, axis=0), levels[:r], np.repeat(kx[lots], m),
+            k_chord[:r], np.repeat(k_floor[lots], m, axis=0), (table, cols[:r]),
+        )
+        sign = np.concatenate((first[lots, None], inner.reshape(-1, m), last[lots, None]), axis=1)
+        rising = np.flatnonzero((np.diff(sign, axis=1) > 0.0).any(axis=1))
+        if rising.size:
+            probs = tuple(rows[lots[rising[0]]].tolist())
             raise MultipleFixedPoints(
                 f"the residual u(x, t) - t crosses zero more than once for "
                 f"Lottery(probs={probs!r})",
                 row=probs,
             )
-        k, zeros = int(np.count_nonzero(sign > 0.0)), int(np.count_nonzero(sign == 0.0))
-        if zeros and (k == 0 or k + zeros == _SCAN_LEVELS):
-            # Best first, as solve_utility's shortcut, should a run span the scan.
-            out[i] = 1.0 if k + zeros == _SCAN_LEVELS else 0.0
-            continue
-        # The cell from the last positive residual to the first negative one.
-        inside.append(i)
-        cell_lo.append(ts[k - 1])
-        cell_hi.append(ts[k + zeros])
+        return sign
+
+    positive, zeros = np.empty(len(rows), dtype=int), np.empty(len(rows), dtype=int)
+    for start in range(0, len(rows), per_batch):
+        lots = np.arange(start, min(start + per_batch, len(rows)))
+        try:
+            sign = scan(lots)
+        except Exception:
+            for j in range(len(lots)):
+                scan(lots[j : j + 1])
+            raise
+        positive[lots] = np.count_nonzero(sign > 0.0, axis=1)
+        zeros[lots] = np.count_nonzero(sign == 0.0, axis=1)
+    spans = positive + zeros == _SCAN_LEVELS
+    # Best first, as solve_utility's shortcut, should a run span the scan.
+    out = np.where(spans, 1.0, 0.0)
+    # Lotteries whose fixed point lies strictly inside a scan cell, from
+    # the last positive residual to the first negative one.
+    inside = np.flatnonzero((zeros == 0) | ((positive > 0) & ~spans))
+    cell_lo, cell_hi = ts[positive[inside] - 1], ts[(positive + zeros)[inside]]
 
     # Each lottery contributes two rows: the lower plateau edge (even
     # rows, which move up on a positive residual) and the upper one (odd
     # rows, which also move up on a zero residual, through ``tie``).
-    def gap_at(mid, edge_rows, k_edge, tie):
-        g = _residual_signs(eval_ctx, edge_rows, mid, k_edge, _chord_keys(eval_ctx, mid))
+    def gap_at(mid, edge_rows, k_edge, k_edge_floor, tie):
+        g = _residual_signs(
+            eval_ctx, edge_rows, mid, k_edge, _chord_keys(eval_ctx, mid), k_edge_floor
+        )
         return np.where(g == 0.0, tie, g)
 
-    edge_lo, edge_hi = np.repeat(cell_lo, 2), np.repeat(cell_hi, 2)
-    per_row = (
-        np.repeat(rows[inside], 2, axis=0),
-        np.repeat(kx[inside], 2),
-        np.tile([-1.0, 1.0], len(inside)),
-    )
+    edges = np.repeat(inside, 2)
     lo, hi = _bisect(
-        gap_at, per_row, edge_lo, edge_hi, ctx.tol_t, ctx.max_iter, "plateau edge", rows=per_row[0]
+        gap_at, (rows[edges], kx[edges], k_floor[edges], np.tile([-1.0, 1.0], len(inside))),
+        np.repeat(cell_lo, 2), np.repeat(cell_hi, 2), ctx.tol_t, ctx.max_iter, "plateau edge",
+        where=lambda j: {"row": tuple(rows[edges[j]].tolist())},
     )
     out[inside] = 0.25 * (lo[0::2] + hi[0::2] + lo[1::2] + hi[1::2])
     return out
 
 
-def _residual_signs(ctx: RepresentationContext, rows, ts, kx, k_chord, across=None) -> np.ndarray:
+def _residual_signs(
+    ctx: RepresentationContext, rows, ts, kx, k_chord, k_floor, across=None
+) -> np.ndarray:
     """Signs of ``u(x, t) - t`` for paired rows and interior levels: the
     ``signs`` of :func:`_solve_mixing_rows` with only its :data:`MU_FLOOR`
-    verdict settled, so its checks still raise."""
-    return _solve_mixing_rows(ctx, rows, ts, kx, k_chord, MU_FLOOR, across)[2]
+    verdict settled, from the rows' floor-probe keys ``k_floor``, so its
+    checks still raise."""
+    return _solve_mixing_rows(ctx, rows, ts, kx, k_chord, k_floor, across)[1]
 
 
 def one_sided_limits(ctx: RepresentationContext, x: Lottery) -> dict:
@@ -642,7 +708,14 @@ def one_sided_limits(ctx: RepresentationContext, x: Lottery) -> dict:
     classes; nothing in the construction forces the interior values to
     approach them, so both sides are reported without asserting equality.
     """
-    at_zero, near_zero, near_one, at_one = implicit_utility_many(
-        ctx, [x] * 4, [0.0, _LIMIT_DELTA, 1.0 - _LIMIT_DELTA, 1.0]
-    ).tolist()
-    return {"at_zero": at_zero, "near_zero": near_zero, "near_one": near_one, "at_one": at_one}
+    return _one_sided_limits_many(ctx, [x])[0]
+
+
+def _one_sided_limits_many(ctx: RepresentationContext, xs) -> list[dict]:
+    """:func:`one_sided_limits` of each of ``xs`` from one
+    :func:`implicit_utility_many` call, bit for bit as one call each."""
+    rows = lottery_rows(xs, ctx.model.n_outcomes)
+    levels = np.tile([0.0, _LIMIT_DELTA, 1.0 - _LIMIT_DELTA, 1.0], len(rows))
+    values = implicit_utility_many(ctx, np.repeat(rows, 4, axis=0), levels)
+    names = ("at_zero", "near_zero", "near_one", "at_one")
+    return [dict(zip(names, four)) for four in values.reshape(-1, 4).tolist()]

@@ -132,7 +132,10 @@ class ValueModel(PreferenceModel):
 
     Subclasses implement ``_values`` on a ``(k, n)`` array of lottery rows.
     Scalar evaluation routes through the same code path (as a one-row
-    batch), so scalar and batched results are bitwise identical.
+    batch), so scalar and batched results are bitwise identical.  The
+    built-in families sum over the outcomes through :func:`_outcome_sums`,
+    in outcome order, so their values do not depend on numpy's summation
+    order.
     """
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
@@ -162,6 +165,26 @@ class ValueModel(PreferenceModel):
         return Ordering.of_sign(classify(self.value(x) - self.value(y), self.eps_pref))
 
 
+def _outcome_sums(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``sum_i coef[i] * rows[:, i]``, one sum per entry of ``coef[0]`` and
+    row, shaped ``coef.shape[1:] + (k,)``.
+
+    Every value model sums its products over the outcomes here, all its
+    sums in one call.  The products are added column by column in outcome
+    order, ``((p_0 + p_1) + p_2) + ...``, so a row's sums never depend on
+    the batch it comes in.  Below 8 outcomes numpy's ``sum`` over the
+    outcome axis adds in the same order and gives the same bits, though a
+    few times slower on long batches; from 8 outcomes on it unrolls its
+    sum eight ways and can differ in the last bits, and this order is the
+    one kept.
+    """
+    terms, cols = coef[..., None], rows.T
+    total = terms[0] * cols[0]
+    for i in range(1, len(cols)):
+        total += terms[i] * cols[i]
+    return total
+
+
 def _check_outcome_utilities(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or len(u) < 1:
@@ -187,7 +210,7 @@ class ExpectedUtility(ValueModel):
         self.u = u
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
-        return (rows * self.u).sum(axis=1)
+        return _outcome_sums(rows, self.u)
 
 
 class WeightedUtility(ValueModel):
@@ -203,9 +226,11 @@ class WeightedUtility(ValueModel):
         super().__init__(len(u), eps_pref)
         self.u = u
         self.w = w
+        self._terms = np.stack([w * u, w], axis=1)
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
-        return (rows * (self.w * self.u)).sum(axis=1) / (rows * self.w).sum(axis=1)
+        numerator, denominator = _outcome_sums(rows, self._terms)
+        return numerator / denominator
 
 
 class DisappointmentAversion(ValueModel):
@@ -238,27 +263,35 @@ class DisappointmentAversion(ValueModel):
         self.u = u
         self.beta = beta
         cuts = np.unique(u)
-        at_or_below = u[None, :] <= cuts[:, None]
+        at_or_below = u[:, None] <= cuts[None, :]
         self._cuts = cuts
-        self._gains = np.maximum(u[None, :] - cuts[:, None], 0.0)
-        self._losses = np.maximum(cuts[:, None] - u[None, :], 0.0)
-        self._mass = at_or_below.astype(float)
-        self._mass_u = np.where(at_or_below, u, 0.0)
+        # One row per outcome; per cut, a column each of the gains, the
+        # losses, and the utility and probability mass at or below it, then
+        # a column of the utilities.
+        self._terms = np.concatenate(
+            [
+                np.maximum(u[:, None] - cuts[None, :], 0.0),
+                np.maximum(cuts[None, :] - u[:, None], 0.0),
+                np.where(at_or_below, u[:, None], 0.0),
+                at_or_below.astype(float),
+                u[:, None],
+            ],
+            axis=1,
+        )
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
-        cuts = self._cuts
-        gain = (rows[:, None, :] * self._gains).sum(axis=2) / (1.0 + self.beta)
-        loss = (rows[:, None, :] * self._losses).sum(axis=2)
+        cuts, c = self._cuts, len(self._cuts)
+        sums = _outcome_sums(rows, self._terms)
+        gain, loss = sums[:c] / (1.0 + self.beta), sums[c : 2 * c]
         # g is decreasing with g(min u) >= 0, so the value lies in the cell
         # starting at the last cut where g is still nonnegative.
-        j = len(cuts) - 1 - np.argmax((gain >= loss)[:, ::-1], axis=1)
-        s = (rows * self._mass_u[j]).sum(axis=1)
-        p = (rows * self._mass[j]).sum(axis=1)
-        v = ((rows * self.u).sum(axis=1) + self.beta * s) / (1.0 + self.beta * p)
-        # Rounding can put the root an ulp outside the cell where g changes sign.
-        v = np.clip(v, cuts[j], cuts[np.minimum(j + 1, len(cuts) - 1)])
+        j = c - 1 - np.argmax((gain >= loss)[::-1], axis=0)
         r = np.arange(len(rows))
-        return np.where(gain[r, j] == loss[r, j], cuts[j], v)
+        s, p = sums[2 * c + j, r], sums[3 * c + j, r]
+        v = (sums[-1] + self.beta * s) / (1.0 + self.beta * p)
+        # Rounding can put the root an ulp outside the cell where g changes sign.
+        v = np.clip(v, cuts[j], cuts[np.minimum(j + 1, c - 1)])
+        return np.where(gain[j, r] == loss[j, r], cuts[j], v)
 
 
 class ImplicitKernel(ValueModel):
@@ -298,17 +331,16 @@ class ImplicitKernel(ValueModel):
         self.t_grid = t_grid
         self.phi_values = phi_values
         self.lipschitz = lipschitz
-        self._phi_by_level = np.ascontiguousarray(phi_values.T)
 
     def _values(self, rows: np.ndarray) -> np.ndarray:
         t = self.t_grid
-        h = (rows[:, None, :] * self._phi_by_level).sum(axis=2) - t
-        last = len(t) - 1 - np.argmax(h[:, ::-1] >= 0.0, axis=1)
+        h = _outcome_sums(rows, self.phi_values) - t[:, None]
+        last = len(t) - 1 - np.argmax(h[::-1] >= 0.0, axis=0)
         j = np.minimum(last, len(t) - 2)
         r = np.arange(len(rows))
-        h_lo, h_hi = h[r, j], h[r, j + 1]
+        h_lo, h_hi = h[j, r], h[j + 1, r]
         root = t[j] + (t[j + 1] - t[j]) * h_lo / (h_lo - h_hi)
-        return np.where(h[r, last] == 0.0, t[last], root)
+        return np.where(h[last, r] == 0.0, t[last], root)
 
 
 class BlackBoxOracle(PreferenceModel):

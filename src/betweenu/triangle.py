@@ -87,7 +87,8 @@ def trace_level_curves(ctx: RepresentationContext, levels) -> list[LevelCurve]:
 
         per_row = (a_rows[inner], b_rows[inner], np.where(ga[inner] > 0.0, 1.0, -1.0))
         lo, hi = _bisect(
-            gap_at, per_row, 0.0, 1.0, _SCAN_TOL, ctx.max_iter, "scanline", levels=level
+            gap_at, per_row, 0.0, 1.0, _SCAN_TOL, ctx.max_iter, "scanline",
+            where=lambda _j: {"level": level},
         )
         at = dict(zip(inner.tolist(), (0.5 * (lo + hi)).tolist()))
         found = [chord_point(ctx, level)]

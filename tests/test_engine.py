@@ -347,6 +347,11 @@ class TestSolveUtility:
         # The level is what this bisection solves for, so it names none.
         assert info.value.level is None
         assert info.value.row == (0.4, 0.25, 0.35)
+        # The best extreme takes the endpoint shortcut, so the row still
+        # running is the batch's second.
+        with pytest.raises(IterationLimit) as info:
+            solve_utility_many(ctx, [ctx.best, lottery((0.4, 0.25, 0.35))])
+        assert info.value.row == (0.4, 0.25, 0.35)
 
 
 class TestSolveMixing:
@@ -586,13 +591,14 @@ class TestOracleCompareSchedule:
         # A value oracle keys each distinct row of a batch by one value_fn
         # call and never asks compare_fn on the solver path; comparing each
         # pair by its two values made 57,304 value_fn calls here, full
-        # mixing solves at the plateau edges 18,313, and one call per row,
-        # repeats included (the MU_FLOOR probe's), 9,705.
+        # mixing solves at the plateau edges 18,313, one call per row,
+        # repeats included (the MU_FLOOR probe's), 9,705, and keying the
+        # probes at every scan level and plateau-edge step 1,577.
         oracle, values, compares = self.counted_value_oracle()
         ctx = context_for(oracle)
         values.clear()
         utility_fixed_point_many(ctx, sorted(grid(3, 3)))
-        assert (len(values), len(compares)) == (1577, 0)
+        assert (len(values), len(compares)) == (1310, 0)
 
     def test_extremes_key_each_vertex_once(self):
         # Ranking the vertices one compare call at a time made 5 compare_fn
@@ -686,7 +692,7 @@ def rig_implicit_utility(monkeypatch, rigged):
     search sees at interior levels: in the residual signs of its scan and
     at its plateau edges."""
 
-    def signs(ctx, rows, ts, _kx, _k_chord, _across=None):
+    def signs(ctx, rows, ts, _kx, _k_chord, _k_floor, _across=None):
         return np.sign(rigged(ctx, rows, ts) - ts)
 
     monkeypatch.setattr("betweenu.engine._residual_signs", signs)
@@ -702,7 +708,7 @@ def evaluated_fixed_points(ctx, xs) -> np.ndarray:
     def edges_evaluated(gap_at, per_row, lo, hi, tol, max_iter, what, *args, **kwargs):
         if what == "plateau edge":
 
-            def gap_at(mid, edge_rows, _k_edge, tie):
+            def gap_at(mid, edge_rows, _k_edge, _k_floor, tie):
                 g = implicit_utility_many(eval_ctx, edge_rows, mid) - mid
                 return np.where(g == 0.0, tie, g)
 
@@ -850,10 +856,35 @@ class TestFixedPoint:
             f"the residual u(x, t) - t crosses zero more than once for {bad}"
         )
 
+    def test_first_failure_of_a_scan_batch_is_named(self, eu_model, monkeypatch):
+        # Both lotteries share one scan batch: the second one's levels raise
+        # NoCrossing there, but the first one crosses three times, so
+        # scanning them one at a time names the first.
+        ctx = context_for(eu_model)
+        twice, blocked = lottery((0.6, 0.1, 0.3)), lottery((0.2, 0.5, 0.3))
+
+        def rigged(_ctx, xs, ts):
+            ts = np.asarray(ts, dtype=float)
+            if (np.asarray(xs) == blocked.probs).all(axis=1).any():
+                raise NoCrossing("rigged", level=float(ts[0]), row=blocked.probs)
+            return ts + np.where(ts < 0.3, 0.1, np.where(ts < 0.6, -0.1, 0.1))
+
+        rig_implicit_utility(monkeypatch, rigged)
+        assert engine._SCAN_ROWS >= 2 * (engine._SCAN_LEVELS - 2)
+        with pytest.raises(MultipleFixedPoints) as info:
+            utility_fixed_point_many(ctx, [twice, blocked])
+        assert info.value.row == twice.probs
+        with pytest.raises(NoCrossing) as info:
+            utility_fixed_point_many(ctx, [blocked, twice])
+        assert info.value.row == blocked.probs
+
     def test_batch_matches_scalar_bitwise(self, solver_model):
+        # More lotteries than one scan batch holds.
         ctx = context_for(solver_model)
-        batch = utility_fixed_point_many(ctx, FIXED_POINT_LOTTERIES)
-        for x, from_batch in zip(FIXED_POINT_LOTTERIES, batch):
+        points = [*FIXED_POINT_LOTTERIES, *sorted(grid(3, 4))]
+        assert len(points) > engine._SCAN_ROWS // (engine._SCAN_LEVELS - 2)
+        batch = utility_fixed_point_many(ctx, points)
+        for x, from_batch in zip(points, batch):
             assert utility_fixed_point(ctx, x) == from_batch
 
     def test_independent_of_batch_composition(self, solver_model):
@@ -955,7 +986,10 @@ class TestScanSigns:
             rows = np.repeat(np.asarray([x.probs]), len(INNER), axis=0)
             full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, INNER) - INNER))
             scan = outcome(
-                lambda: engine._residual_signs(eval_ctx, rows, INNER, model.keys(rows), k_chord)
+                lambda: engine._residual_signs(
+                    eval_ctx, rows, INNER, model.keys(rows), k_chord,
+                    engine._floor_keys(eval_ctx, rows),
+                )
             )
             if isinstance(full, np.ndarray):
                 assert isinstance(scan, np.ndarray), (x, scan)
@@ -975,7 +1009,12 @@ class TestScanSigns:
         full = outcome(lambda: np.sign(implicit_utility_many(eval_ctx, rows, INNER) - INNER))
         k_chord = engine._chord_keys(eval_ctx, INNER)
         kx = model.keys(rows)
-        assert outcome(lambda: engine._residual_signs(eval_ctx, rows, INNER, kx, k_chord)) == full
+        scan = outcome(
+            lambda: engine._residual_signs(
+                eval_ctx, rows, INNER, kx, k_chord, engine._floor_keys(eval_ctx, rows)
+            )
+        )
+        assert scan == full
         assert full[0] is IterationLimit
         assert full[2]["level"] == INNER[0]
 

@@ -209,9 +209,9 @@ def drifted_batches(draw, n: int) -> np.ndarray:
 
 
 @st.composite
-def da_models(draw) -> DisappointmentAversion:
+def da_models(draw, outcomes=st.integers(2, 6)) -> DisappointmentAversion:
     """Utilities attaining 0 and 1, ties likely, beta in (-1, 5]."""
-    n = draw(st.integers(2, 6))
+    n = draw(outcomes)
     inner = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
     u = draw(st.permutations([0.0, 1.0] + draw(st.lists(inner, min_size=n - 2, max_size=n - 2))))
     beta = draw(st.floats(-1.0, 5.0, exclude_min=True))
@@ -219,9 +219,9 @@ def da_models(draw) -> DisappointmentAversion:
 
 
 @st.composite
-def kernel_models(draw) -> ImplicitKernel:
+def kernel_models(draw, outcomes=st.integers(2, 6)) -> ImplicitKernel:
     """Random strictly increasing level grids, every slope below 1."""
-    n = draw(st.integers(2, 6))
+    n = draw(outcomes)
     inner = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=6, unique=True))
     t_grid = np.asarray([0.0, *sorted(inner), 1.0])
     assume(np.diff(t_grid).min() >= 1e-3)
@@ -290,6 +290,80 @@ class TestExactSolverResiduals:
         for row, t in zip(rows, m.values(rows)):
             assert abs(kernel_residual(m, row, t)) <= 1e-12
         assert_rows_independent_of_batch(m, rows)
+
+
+@st.composite
+def value_models(draw, n: int):
+    """An EU, WU, DA or kernel model on ``n`` outcomes."""
+    kind = draw(st.sampled_from(["eu", "wu", "da", "kernel"]))
+    if kind == "da":
+        return draw(da_models(st.just(n)))
+    if kind == "kernel":
+        return draw(kernel_models(st.just(n)))
+    inner = st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2)
+    u = draw(st.permutations([0.0, 1.0] + draw(inner)))
+    if kind == "eu":
+        return ExpectedUtility(u)
+    return WeightedUtility(u, draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+
+
+def in_order_value(m, row: list) -> float:
+    """``m``'s value of ``row`` in Python floats, every sum over outcomes
+    added in index order from its first term."""
+
+    def dot(coef) -> float:
+        total = row[0] * coef[0]
+        for p, c in zip(row[1:], coef[1:]):
+            total += p * c
+        return total
+
+    u = m.u.tolist() if hasattr(m, "u") else None
+    if isinstance(m, ExpectedUtility):
+        return dot(u)
+    if isinstance(m, WeightedUtility):
+        w = m.w.tolist()
+        return dot([a * b for a, b in zip(w, u)]) / dot(w)
+    if isinstance(m, DisappointmentAversion):
+        cuts, beta = np.unique(m.u).tolist(), m.beta
+        gain = [dot([max(v - c, 0.0) for v in u]) / (1.0 + beta) for c in cuts]
+        loss = [dot([max(c - v, 0.0) for v in u]) for c in cuts]
+        j = max((i for i in range(len(cuts)) if gain[i] >= loss[i]), default=len(cuts) - 1)
+        s = dot([v if v <= cuts[j] else 0.0 for v in u])
+        p = dot([1.0 if v <= cuts[j] else 0.0 for v in u])
+        v = (dot(u) + beta * s) / (1.0 + beta * p)
+        v = min(max(v, cuts[j]), cuts[min(j + 1, len(cuts) - 1)])
+        return cuts[j] if gain[j] == loss[j] else v
+    t = m.t_grid.tolist()
+    h = [dot(m.phi_values[:, level].tolist()) - t[level] for level in range(len(t))]
+    last = max((i for i in range(len(t)) if h[i] >= 0.0), default=len(t) - 1)
+    if h[last] == 0.0:
+        return t[last]
+    j = min(last, len(t) - 2)
+    return t[j] + (t[j + 1] - t[j]) * h[j] / (h[j] - h[j + 1])
+
+
+class TestSummationOrder:
+    """Every value model adds its products over the outcomes column by
+    column in index order, which numpy's own sum matches below 8 outcomes."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_values_are_in_order_sums(self, n, data):
+        m = data.draw(value_models(n))
+        rows = data.draw(lottery_batches(n))
+        got = m.values(rows).tolist()
+        assert [v.hex() for v in got] == [in_order_value(m, row).hex() for row in rows.tolist()]
+        assert_rows_independent_of_batch(m, rows)
+
+    def test_eight_outcomes_keep_index_order(self):
+        # numpy sums 8 or more terms eight ways at once, pairing 0.28 with
+        # 0.4 before adding 0.1; the models add them in index order.
+        u = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0)
+        row = (0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.4, 0.4)
+        in_order = (0.2 * 0.5 + 0.4 * 0.7) + 0.4 * 1.0
+        assert ExpectedUtility(u).value(lottery(row)) == in_order
+        assert (np.asarray(row) * u).sum() != in_order
 
 
 class TestOrderingAndCompare:
